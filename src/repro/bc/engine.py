@@ -22,6 +22,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.bc.accountants import ACCOUNTANTS, CLASSIFY_STEP, make_accountant
+from repro.bc.batched import SourceExecutor, SourceResult
 from repro.bc.brandes import single_source_state
 from repro.bc.cases import (
     Case,
@@ -49,7 +50,11 @@ from repro.gpu.executor import schedule_blocks
 from repro.graph.csr import CSRGraph, DIST_INF
 from repro.graph.dynamic import DynamicGraph
 from repro.parallel.chunks import plan_chunks_guided
-from repro.parallel.pool import ParallelExecutionError, WorkerPool
+from repro.parallel.pool import (
+    ParallelExecutionError,
+    WorkerPool,
+    WorkerTaskError,
+)
 from repro.parallel.reducer import merge_indexed, rebuild_trace
 from repro.parallel.shm import ShmArena, shm_available
 from repro.parallel.supervisor import (
@@ -58,7 +63,7 @@ from repro.parallel.supervisor import (
     SupervisorPolicy,
 )
 from repro.parallel.threadpool import ThreadWorkerPool, free_threading_active
-from repro.resilience.errors import UpdateError
+from repro.resilience.errors import CorruptRowError, UpdateError
 from repro.resilience.transactions import UpdateTransaction
 from repro.sanitize import tracer as _san
 from repro.sanitize.report import SanitizerReport
@@ -116,6 +121,20 @@ class BatchResult:
         return len(self.reports)
 
 
+def _case_arrays(classifications) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(cases, u_high, u_low)`` arrays from a batch classifier's
+    tuple or from the per-source ``(case, high, low)`` list the
+    ``vectorized=False`` deletion path builds (either reaches either
+    apply path: the pool and the sanitizer override ``vectorized``)."""
+    if isinstance(classifications, tuple):
+        cases, highs, lows = classifications
+        return np.asarray(cases, dtype=np.int8), highs, lows
+    cases = np.array([int(c) for c, _, _ in classifications], dtype=np.int8)
+    highs = np.array([int(h) for _, h, _ in classifications], dtype=np.int64)
+    lows = np.array([int(lo) for _, _, lo in classifications], dtype=np.int64)
+    return cases, highs, lows
+
+
 class DynamicBC:
     """Streaming betweenness centrality with stored per-source state."""
 
@@ -162,9 +181,10 @@ class DynamicBC:
         self.num_blocks = self.cost_model.num_blocks
         self.op_costs = op_costs
         #: escape hatch for the differential tests: ``False`` runs the
-        #: original per-source classification loop instead of the
-        #: vectorized multi-source fast path (identical reports either
-        #: way — see tests/test_engine_vectorized.py).
+        #: original per-source loop over the per-source kernels instead
+        #: of the level-synchronous executor (identical reports either
+        #: way — see tests/test_engine_vectorized.py and
+        #: tests/test_bc_batched.py).
         self.vectorized = bool(vectorized)
         #: ``True`` makes every update atomic: a mid-update exception
         #: rolls graph, state rows, BC scores and counters back to
@@ -903,6 +923,7 @@ class DynamicBC:
                 self.device, snap.num_vertices, 2 * snap.num_edges
             ),
             "static_strategy": self._static_strategy(),
+            "cost_model": self.cost_model,
         }
         if self._arena is not None:
             common["spec"] = self._shared_spec(snap)
@@ -968,47 +989,83 @@ class DynamicBC:
                            sp_levels=int(num_levels),
                            dep_levels=int(num_levels) - 1)
 
-    def _dispatch_update(
+    def _run_active(
         self, snap: CSRGraph, operation: str, cases, highs, lows,
-        active: List[int],
-    ) -> Dict[int, tuple]:
-        """Fan the active sources out to the pool; returns
-        ``{i: (steps, stats, bc_idx, bc_vals)}``.
+        active: np.ndarray,
+    ) -> List[tuple]:
+        """Run the executor over the active rows and return ``[(i,
+        SourceResult), ...]`` in ascending *i*: in-process, or — with a
+        live pool — by each worker on its chunk.
 
-        Chunks follow the guided self-scheduling taper, weighted by
-        each source's cost EWMA from previous rounds — big chunks
-        first, fine tail — while staying contiguous and ordered, so
-        the parent's ascending-source fold (and bit-identity) is
-        untouched.
+        Pool chunks follow the guided self-scheduling taper, weighted
+        by each source's cost EWMA from previous rounds — big chunks
+        first, fine tail — while staying contiguous and ordered, so the
+        ascending-source fold (and bit-identity) is untouched.
         """
-        common = self._parallel_common(snap, operation=operation)
         items = [
-            (i, int(cases[i]), int(highs[i]), int(lows[i])) for i in active
+            (i, int(cases[i]), int(highs[i]), int(lows[i]))
+            for i in active.tolist()
         ]
+        if self._ensure_pool() is None:
+            return self._run_in_process(snap, operation, items)
+        common = self._parallel_common(snap, operation=operation)
         payloads = [{"items": chunk} for chunk in self._plan(items)]
         reset = self._reset_update_chunk if self._txn is not None else None
-        outputs = self._pool_run("update", common, payloads, reset=reset)
-        return merge_indexed(outputs, active)
+        try:
+            outputs = self._pool_run("update", common, payloads, reset=reset)
+        except WorkerTaskError:
+            if self._txn is None:
+                raise
+            # The executor raised inside a worker (a corrupt row failing
+            # its pre-commit check, say): restore the rows and rerun in
+            # process, so the error surfaces with its type and row.
+            for payload in payloads:
+                self._reset_update_chunk(payload)
+            return self._run_in_process(snap, operation, items)
+        merged = merge_indexed(outputs, active.tolist())
+        return [(i, SourceResult(*merged[i])) for i in active.tolist()]
 
-    def _apply_parallel(
+    def _run_in_process(self, snap: CSRGraph, operation: str,
+                        items: List[tuple]) -> List[tuple]:
+        state = self.state
+        executor = SourceExecutor(
+            self.backend, self.op_costs,
+            cpu_access_cycles(self.device, snap.num_vertices,
+                              2 * snap.num_edges),
+            self.cost_model,
+        )
+        return executor.run(
+            snap, state.sources, state.d, state.sigma, state.delta,
+            items, operation,
+            rebuild=lambda i, acc: self._rebuild_row(snap, i, acc),
+            on_source=self._before_commit,
+        )
+
+    def _apply_batched(
         self,
         u: int,
         v: int,
         operation: str,
         classifications=None,
     ) -> UpdateReport:
-        """Coarse-grained source-parallel update: Case-1 bulk charge as
-        in :meth:`_apply_vectorized`, then the active minority fanned
-        out to the worker pool — one source per worker at a time, the
-        paper's one-source-per-SM decomposition on CPU cores.
+        """The update path: classify all k sources in one NumPy pass,
+        bulk-charge the (typically dominant — Fig. 2) Case-1
+        population, journal the active rows, run them through the
+        level-synchronous executor (:mod:`repro.bc.batched`) in process
+        or across the worker pool, and fold the results once, in
+        ascending source order.
 
-        Workers mutate their disjoint state rows in place and return
-        order-insensitive artifacts (step lists, stats, sparse bc
-        adjustments); every order-sensitive float accumulation — bc
-        scatter-adds, stage folds, counter absorption — is replayed
-        here in ascending source order, so reports, counters and bc
-        are bit-identical to the serial paths regardless of worker
-        scheduling.
+        Every reported artifact is bit-identical to
+        :meth:`_apply_looped`: the Case-1 per-source cost is the shared
+        classify step's cost, the classify stage total reproduces the
+        loop's sequential float accumulation via
+        :meth:`~repro.gpu.costmodel.CostModel.fold_step_seconds`, the
+        counters bulk-charge scales exactly
+        (:meth:`~repro.gpu.counters.KernelCounters.absorb_step_repeated`),
+        each active source's cost summary equals its per-source trace's
+        (:meth:`~repro.gpu.costmodel.CostModel.summarize`), and the
+        sparse bc adjustments are added in the order the per-source
+        kernels would have added them.
         """
         snap = self.graph.snapshot()
         state = self.state
@@ -1020,68 +1077,55 @@ class DynamicBC:
         counters = KernelCounters()
         timer = WallTimer()
         with timer:
-            if classifications is None:
-                cases, highs, lows = classify_insertions_batch(state.d, u, v)
-            elif isinstance(classifications, tuple):
-                cases, highs, lows = classifications
-            else:  # per-source tuples from the vectorized=False paths
-                cases = np.array(
-                    [int(c) for c, _, _ in classifications], dtype=np.int8
-                )
-                highs = np.array(
-                    [int(h) for _, h, _ in classifications], dtype=np.int64
-                )
-                lows = np.array(
-                    [int(lo) for _, _, lo in classifications], dtype=np.int64
-                )
-            same_mask = np.asarray(cases) == int(Case.SAME_LEVEL)
-            num_same = int(np.count_nonzero(same_mask))
-            classify_sec = self.cost_model.step_seconds(CLASSIFY_STEP)
-            per_source[same_mask] = classify_sec
+            cases, highs, lows = _case_arrays(
+                classifications if classifications is not None
+                else classify_insertions_batch(state.d, u, v)
+            )
+            same_mask = cases == int(Case.SAME_LEVEL)
+            # Case 1 in bulk: each such source's whole trace is the one
+            # classify step, so its simulated time is that step's cost.
+            per_source[same_mask] = self.cost_model.step_seconds(CLASSIFY_STEP)
             if k:
+                # The loop adds the classify cost to one accumulator
+                # once per source (all k of them); reproduce that fold.
                 stage_seconds["classify"] = self.cost_model.fold_step_seconds(
                     CLASSIFY_STEP, k
                 )
             counters.absorb_step_repeated(
-                CLASSIFY_STEP, num_same,
+                CLASSIFY_STEP, int(np.count_nonzero(same_mask)),
                 kernel=f"{operation}-case{int(Case.SAME_LEVEL)}",
             )
-            active = [int(i) for i in np.flatnonzero(~same_mask)]
-            if active:
+            active = np.flatnonzero(~same_mask)
+            if active.size:
                 if self._txn is not None:
-                    # Journal every row the workers may touch *before*
-                    # dispatch: a crashed worker leaves rows half
-                    # written, and the rollback must cover all of them.
-                    for i in active:
-                        self._txn.save_row(i)
+                    # Journal every row the executor may touch before
+                    # any is written: a fault (or a crashed worker)
+                    # leaves rows half written, and the rollback must
+                    # cover all of them.
+                    self._txn.save_rows(active)
                     self._txn.current_source = -1
-                results = self._dispatch_update(
-                    snap, operation, cases, highs, lows, active
-                )
+                results = self._run_active(snap, operation, cases, highs,
+                                           lows, active)
                 fold_timer = WallTimer().start()
-                for i in active:
-                    steps, stats, bc_idx, bc_vals = results[i]
-                    case = int(cases[i])
-                    trace = rebuild_trace(
-                        f"{operation}:{int(state.sources[i])}", steps
-                    )
-                    per_source[i] = self.cost_model.trace_seconds(trace)
-                    for stage, sec in self.cost_model.stage_breakdown(
-                        trace
-                    ).items():
+                for i, result in results:
+                    cost = result.cost
+                    per_source[i] = cost.seconds
+                    for stage, sec in cost.stages.items():
                         if stage == "classify":
                             continue  # folded into the bulk total
                         stage_seconds[stage] = (
                             stage_seconds.get(stage, 0.0) + sec
                         )
-                    counters.absorb(trace, kernel=f"{operation}-case{case}")
-                    if bc_idx.size:
+                    counters.absorb_summary(
+                        cost, kernel=f"{operation}-case{int(cases[i])}"
+                    )
+                    if result.bc_idx.size:
                         # Sparse replay of the kernel's masked commit:
                         # zero-valued adjustments are dropped, which is
                         # a bitwise no-op on the bc accumulator.
-                        state.bc[bc_idx] += bc_vals
-                    touched[i] = stats.touched
-                    stats_list[i] = stats
+                        state.bc[result.bc_idx] += result.bc_vals
+                    touched[i] = result.stats.touched
+                    stats_list[i] = result.stats
                 self._fold_seconds += fold_timer.stop()
                 # Feed the guided planner: EWMA of each active source's
                 # *simulated* seconds (deterministic, so the next
@@ -1089,15 +1133,14 @@ class DynamicBC:
                 cost = self._source_cost
                 if cost is None or cost.size != k:
                     cost = self._source_cost = np.zeros(k, dtype=np.float64)
-                act = np.asarray(active, dtype=np.int64)
-                observed = per_source[act]
-                cost[act] = np.where(
-                    cost[act] > 0.0, 0.5 * cost[act] + 0.5 * observed,
+                observed = per_source[active]
+                cost[active] = np.where(
+                    cost[active] > 0.0, 0.5 * cost[active] + 0.5 * observed,
                     observed,
                 )
         return self._finish_report(
-            u, v, operation, np.asarray(cases, dtype=np.int8), per_source,
-            touched, stats_list, stage_seconds, counters, timer,
+            u, v, operation, cases, per_source, touched, stats_list,
+            stage_seconds, counters, timer,
         )
 
     # ------------------------------------------------------------------
@@ -1119,7 +1162,8 @@ class DynamicBC:
         try:
             return self._apply_inner(u, v, operation, classifications)
         except Exception as exc:
-            failed_at = txn.current_source
+            failed_at = (exc.source_index if isinstance(exc, CorruptRowError)
+                         else txn.current_source)
             txn.rollback()
             raise UpdateError(
                 (u, v), operation, exc, source_index=failed_at,
@@ -1135,18 +1179,16 @@ class DynamicBC:
         operation: str,
         classifications=None,
     ) -> UpdateReport:
-        """Route one update to an execution path: the worker pool when
-        live, else the vectorized/looped serial paths — all
+        """Route one update: the level-synchronous executor (in process
+        or across the live worker pool) by default, the per-source loop
+        for ``vectorized=False`` and under the race sanitizer — all
         bit-identical, so routing only affects wall-clock."""
         if self._tracer is not None:
             with _san.tracing(self._tracer):
-                if self.vectorized:
-                    return self._apply_vectorized(u, v, operation,
-                                                  classifications)
                 return self._apply_looped(u, v, operation, classifications)
-        if self._ensure_pool() is not None:
+        if self.vectorized or self._ensure_pool() is not None:
             try:
-                return self._apply_parallel(u, v, operation, classifications)
+                return self._apply_batched(u, v, operation, classifications)
             except ParallelExecutionError as exc:
                 # Supervised pools only surface here after the whole
                 # recovery ladder failed for this update; the engine
@@ -1154,19 +1196,27 @@ class DynamicBC:
                 # take over.  Legacy pools demote to serial for good.
                 self._parallel_failed("update failed", exc)
                 raise
-        if self.vectorized:
-            return self._apply_vectorized(u, v, operation, classifications)
         return self._apply_looped(u, v, operation, classifications)
+
+    def _before_commit(self, i: int) -> None:
+        """Runs just before source row *i* is first written (by the
+        executor, or by the per-source loop before its kernel): records
+        the row an exception belongs to.  This is also the seam
+        :class:`~repro.resilience.faults.FaultInjector` patches to fail
+        an update part-way, with earlier rows already written."""
+        if self._txn is not None:
+            self._txn.current_source = i
 
     def _run_source(
         self, snap: CSRGraph, i: int, case: Case, u_high: int, u_low: int,
         operation: str, access: float,
     ):
-        """Execute one source's update (any case) and return its
-        ``(trace, stats)``.  Shared verbatim by the looped and
-        vectorized paths so their per-source work is identical."""
+        """Execute one source's update (any case) with the per-source
+        kernels and return its ``(trace, stats)`` — the looped oracle's
+        unit of work."""
         if self._txn is not None:
             self._txn.save_row(i)
+        self._before_commit(i)
         state = self.state
         s = int(state.sources[i])
         acc = make_accountant(
@@ -1199,12 +1249,14 @@ class DynamicBC:
         u: int,
         v: int,
         operation: str,
-        classifications: Optional[list] = None,
+        classifications=None,
     ) -> UpdateReport:
         """The original per-source loop: classify, account, and cost
-        each of the k sources independently.  Kept as the reference
-        implementation (``vectorized=False``) that the fast path is
-        differentially tested against."""
+        each of the k sources independently with the per-source
+        kernels.  Kept as the reference implementation
+        (``vectorized=False``) that the executor is differentially
+        tested against, and as the sanitize-mode path (the race
+        sanitizer instruments the per-source kernels)."""
         snap = self.graph.snapshot()
         state = self.state
         k = state.num_sources
@@ -1216,12 +1268,15 @@ class DynamicBC:
         counters = KernelCounters()
         access = cpu_access_cycles(self.device, snap.num_vertices, 2 * snap.num_edges)
         timer = WallTimer()
+        if classifications is not None:
+            given = _case_arrays(classifications)
         with timer:
             for i in range(k):
                 if classifications is None:
                     case, u_high, u_low = classify_insertion(state.d[i], u, v)
                 else:
-                    case, u_high, u_low = classifications[i]
+                    case = Case(int(given[0][i]))
+                    u_high, u_low = int(given[1][i]), int(given[2][i])
                 cases[i] = int(case)
                 trace, stats = self._run_source(
                     snap, i, case, int(u_high), int(u_low), operation, access
@@ -1236,78 +1291,6 @@ class DynamicBC:
         return self._finish_report(
             u, v, operation, cases, per_source, touched, stats_list,
             stage_seconds, counters, timer,
-        )
-
-    def _apply_vectorized(
-        self,
-        u: int,
-        v: int,
-        operation: str,
-        classifications=None,
-    ) -> UpdateReport:
-        """The multi-source fast path: classify all k sources in one
-        NumPy pass and bulk-charge the (typically dominant — Fig. 2)
-        Case-1 population, falling into the per-source machinery only
-        for the few sources with real work.
-
-        Every reported artifact is bit-identical to
-        :meth:`_apply_looped`: the Case-1 per-source cost is the shared
-        classify step's cost, the classify stage total reproduces the
-        loop's sequential float accumulation via
-        :meth:`~repro.gpu.costmodel.CostModel.fold_step_seconds`, and
-        the counters bulk-charge scales exactly
-        (:meth:`~repro.gpu.counters.KernelCounters.absorb_step_repeated`).
-        """
-        snap = self.graph.snapshot()
-        state = self.state
-        k = state.num_sources
-        per_source = np.zeros(k, dtype=np.float64)
-        touched = np.zeros(k, dtype=np.int64)
-        stats_list: List[Optional[UpdateStats]] = [None] * k
-        stage_seconds: Dict[str, float] = {}
-        counters = KernelCounters()
-        access = cpu_access_cycles(self.device, snap.num_vertices, 2 * snap.num_edges)
-        timer = WallTimer()
-        with timer:
-            if classifications is None:
-                cases, highs, lows = classify_insertions_batch(state.d, u, v)
-            else:
-                cases, highs, lows = classifications
-            same_mask = cases == int(Case.SAME_LEVEL)
-            num_same = int(np.count_nonzero(same_mask))
-            # Case 1 in bulk: each such source's whole trace is the one
-            # classify step, so its simulated time is that step's cost.
-            classify_sec = self.cost_model.step_seconds(CLASSIFY_STEP)
-            per_source[same_mask] = classify_sec
-            if k:
-                # The loop adds classify_sec to one accumulator exactly
-                # once per source (all k of them); reproduce that fold.
-                stage_seconds["classify"] = self.cost_model.fold_step_seconds(
-                    CLASSIFY_STEP, k
-                )
-            counters.absorb_step_repeated(
-                CLASSIFY_STEP, num_same,
-                kernel=f"{operation}-case{int(Case.SAME_LEVEL)}",
-            )
-            for i in np.flatnonzero(~same_mask):
-                i = int(i)
-                case = Case(int(cases[i]))
-                trace, stats = self._run_source(
-                    snap, i, case, int(highs[i]), int(lows[i]), operation,
-                    access,
-                )
-                per_source[i] = self.cost_model.trace_seconds(trace)
-                for stage, sec in self.cost_model.stage_breakdown(trace).items():
-                    if stage == "classify":
-                        continue  # already folded into the bulk total
-                    stage_seconds[stage] = stage_seconds.get(stage, 0.0) + sec
-                counters.absorb(trace, kernel=f"{operation}-case{int(case)}")
-                if stats is not None:
-                    touched[i] = stats.touched
-                    stats_list[i] = stats
-        return self._finish_report(
-            u, v, operation, np.asarray(cases, dtype=np.int8), per_source,
-            touched, stats_list, stage_seconds, counters, timer,
         )
 
     def _finish_report(
@@ -1358,16 +1341,18 @@ class DynamicBC:
         # Brandes writes straight into the state rows (no transient
         # triple — same O(n + m) scratch guarantee as BCState.compute),
         # which also keeps shm-adopted rows in place under workers > 1.
-        _, _, _, levels = single_source_state(
+        d, _, _, levels = single_source_state(
             snap, s, out=(state.d[i], state.sigma[i], state.delta[i])
         )
         state.delta[i, s] = 0.0
         # Charge the static per-source trace under the nearest static
         # strategy (backend variants like gpu-node-atomic share the
-        # node-parallel static cost profile).
+        # node-parallel static cost profile), built from the levels
+        # this pass just produced.
         access = cpu_access_cycles(self.device, snap.num_vertices, 2 * snap.num_edges)
         _, trace = trace_static_source(
-            snap, s, self._static_strategy(), self.op_costs, access
+            snap, s, self._static_strategy(), self.op_costs, access,
+            rebuilt=(d, levels),
         )
         acc.trace.extend(trace)
         touched = int(np.count_nonzero(state.d[i] != DIST_INF))

@@ -45,9 +45,11 @@ class BCState:
         if np.unique(sources).size != k:
             raise ValueError("sources must be distinct")
         self.sources = sources
-        self.d = d
-        self.sigma = sigma
-        self.delta = delta
+        # C order: the update executor addresses the rows through flat
+        # views (no copy for arrays already in C order)
+        self.d = np.ascontiguousarray(d)
+        self.sigma = np.ascontiguousarray(sigma)
+        self.delta = np.ascontiguousarray(delta)
         self.bc = bc
 
     # ------------------------------------------------------------------

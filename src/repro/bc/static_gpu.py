@@ -104,11 +104,16 @@ def trace_static_source(
     strategy: str = "gpu-edge",
     op_costs: OpCosts = DEFAULT_OP_COSTS,
     access_cycles: float = 0.0,
+    rebuilt: Optional[tuple] = None,
 ) -> tuple:
     """Run one source of static Brandes and produce ``(delta, trace)``.
 
     Also used by the dynamic engines to cost their per-source
-    recompute fallback (distance-increasing deletions).
+    recompute fallback (distance-increasing deletions).  Those callers
+    have just run Brandes into the state rows, so they pass the
+    ``(d, levels)`` it returned as *rebuilt*: the trace is then built
+    from them without a second Brandes pass, and ``delta`` comes back
+    as ``None``.
     """
     if strategy not in STATIC_STRATEGIES:
         raise ValueError(
@@ -120,7 +125,10 @@ def trace_static_source(
     n = graph.num_vertices
     arcs_total = 2 * graph.num_edges
     trace = Trace(label=f"static:{source}")
-    d, sigma, delta, levels = single_source_state(graph, source)
+    if rebuilt is None:
+        d, _, delta, levels = single_source_state(graph, source)
+    else:
+        (d, levels), delta = rebuilt, None
     # Stage 1: initialization of d/sigma/delta.
     trace.add(n, ops.init_cycles, ops.init_bytes * n)
     # Stage 2: BFS levels.

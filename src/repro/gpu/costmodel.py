@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.gpu.counters import Step, Trace
+from repro.gpu.counters import CostSummary, Step, Trace
 from repro.gpu.device import DeviceSpec
 
 
@@ -193,6 +193,35 @@ class CostModel:
             key = s.stage or "other"
             out[key] = out.get(key, 0.0) + self.step_seconds(s)
         return out
+
+    def summarize(self, trace_or_steps) -> CostSummary:
+        """:meth:`trace_seconds`, :meth:`stage_breakdown` and the
+        counter totals of one trace in a single pass over its steps.
+
+        Each step is costed once.  The totals use the builtin ``sum``
+        over the same sequences as :meth:`trace_seconds` and
+        :class:`~repro.gpu.counters.Trace`'s properties, so they match
+        bit for bit on every Python version.
+        """
+        steps = (
+            trace_or_steps.steps
+            if isinstance(trace_or_steps, Trace)
+            else trace_or_steps
+        )
+        step_seconds = self.step_seconds
+        seconds = [step_seconds(s) for s in steps]
+        stages: dict = {}
+        for s, sec in zip(steps, seconds):
+            key = s.stage or "other"
+            stages[key] = stages.get(key, 0.0) + sec
+        return CostSummary(
+            seconds=sum(seconds),
+            stages=stages,
+            steps=len(steps),
+            work_items=sum(s.work_items for s in steps),
+            bytes_moved=sum(s.bytes_moved for s in steps),
+            atomic_ops=sum(s.atomic_ops for s in steps),
+        )
 
     @property
     def launch_overhead_seconds(self) -> float:

@@ -140,10 +140,16 @@ class DynamicGraph:
         lo_u, hi_u = offsets[u], offsets[u + 1]
         lo_v, hi_v = offsets[v], offsets[v + 1]
         if insert:
-            pos_u = lo_u + np.searchsorted(cols[lo_u:hi_u], v)
-            pos_v = lo_v + np.searchsorted(cols[lo_v:hi_v], u)
-            new_cols = np.insert(cols, [int(pos_u), int(pos_v)],
-                                 np.array([v, u], dtype=np.int32))
+            pos_u = int(lo_u + np.searchsorted(cols[lo_u:hi_u], v))
+            pos_v = int(lo_v + np.searchsorted(cols[lo_v:hi_v], u))
+            # np.insert keeps the given order at equal positions (the
+            # end of one row is the start of the next), so list the
+            # lower-numbered row's arc first.
+            if u < v:
+                where, arcs = [pos_u, pos_v], [v, u]
+            else:
+                where, arcs = [pos_v, pos_u], [u, v]
+            new_cols = np.insert(cols, where, np.array(arcs, dtype=np.int32))
         else:
             pos_u = lo_u + int(np.searchsorted(cols[lo_u:hi_u], v))
             pos_v = lo_v + int(np.searchsorted(cols[lo_v:hi_v], u))

@@ -451,7 +451,7 @@ def _apply_event(
 ) -> Optional["UpdateReport"]:
     """Apply one stream event; returns its report or ``None`` when the
     event was skipped (recorded in *result*)."""
-    from repro.resilience.errors import UpdateError
+    from repro.resilience.errors import CorruptRowError, UpdateError
 
     def _once():
         if event.op == INSERT:
@@ -471,8 +471,11 @@ def _apply_event(
             raise
         # The engine rolled back, so the event can be retried safely;
         # a transient fault recovers here, a deterministic one is
-        # recorded and the stream moves on.
+        # recorded and the stream moves on.  When a corrupt row failed
+        # its own update, that row is rebuilt before the retry.
         try:
+            if isinstance(exc.cause, CorruptRowError):
+                engine.repair_source(exc.source_index)
             report = _once()
         except (ValueError, UpdateError) as retry_exc:
             result.skipped.append(

@@ -30,6 +30,8 @@ Little-endian, tag-prefixed, recursive::
     't' <I count> items...      tuple
     'S' <q d d q q> str         gpu.counters.Step
     'U' <q q q q>               bc.update_core.UpdateStats
+    'C' <d q q d q> <I count> (str <d>)*
+                                gpu.counters.CostSummary
     'a' <B dlen> dtype <B ndim> <q dims...> pad8 raw
                                 numpy ndarray (C-contiguous payload,
                                 8-byte aligned for zero-copy views)
@@ -64,7 +66,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.bc.update_core import UpdateStats
-from repro.gpu.counters import Step
+from repro.gpu.counters import CostSummary, Step
 from repro.parallel.shm import ShmArena, ShmAttachment
 
 #: frame prefix: magic + u64 payload length
@@ -87,6 +89,7 @@ _F64 = struct.Struct("<d")
 _U32 = struct.Struct("<I")
 _STEP = struct.Struct("<qddqq")
 _STATS = struct.Struct("<qqqq")
+_COST = struct.Struct("<dqqdq")
 
 
 class SlabEncodeError(TypeError):
@@ -141,6 +144,14 @@ class _Encoder:
             self._tag(b"U")
             self._pack(_STATS, obj.touched, obj.moved, obj.sp_levels,
                        obj.dep_levels)
+        elif isinstance(obj, CostSummary):
+            self._tag(b"C")
+            self._pack(_COST, obj.seconds, obj.steps, obj.work_items,
+                       obj.bytes_moved, obj.atomic_ops)
+            self._pack(_U32, len(obj.stages))
+            for stage, seconds in obj.stages.items():
+                self._str(stage)
+                self._pack(_F64, seconds)
         elif isinstance(obj, (int, np.integer)):
             self._tag(b"i")
             try:
@@ -243,6 +254,13 @@ class _Decoder:
                         fields[4], stage)
         if tag == ord("U"):
             return UpdateStats(*self._unpack(_STATS))
+        if tag == ord("C"):
+            seconds, steps, items, moved, atomics = self._unpack(_COST)
+            stages = {}
+            for _ in range(self._unpack(_U32)[0]):
+                stage = bytes(self._bytes()).decode("utf-8")
+                stages[stage] = self._unpack(_F64)[0]
+            return CostSummary(seconds, stages, steps, items, moved, atomics)
         if tag in (ord("l"), ord("t")):
             count = self._unpack(_U32)[0]
             items = [self.decode() for _ in range(count)]

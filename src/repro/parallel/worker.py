@@ -8,20 +8,19 @@ shared-memory arena (:mod:`repro.parallel.shm`) and posts
 
 Division of labour with the parent (the determinism contract):
 
-* **Workers** mutate their own ``d``/``sigma``/``delta`` rows in place
-  (zero-copy, disjoint per source — no locks needed) and return the
-  order-*insensitive* artifacts: the accountant's :class:`Step` list,
-  the :class:`UpdateStats`, and the bc adjustment of each source as a
-  sparse ``(indices, values)`` pair harvested from a zeros probe vector
-  passed where the kernels expect ``bc``.
+* **Workers** run the level-synchronous executor
+  (:mod:`repro.bc.batched`) over their chunk, mutating its
+  ``d``/``sigma``/``delta`` rows in place (zero-copy, disjoint per
+  source — no locks needed), and return the order-*insensitive*
+  artifacts of each source: its :class:`~repro.gpu.counters.
+  CostSummary` (simulated seconds, per-stage seconds, step/item/byte/
+  atomic totals), its :class:`UpdateStats`, and its bc adjustment as a
+  sparse ``(indices, values)`` pair.
 * **The parent** replays every order-*sensitive* float accumulation
   (bc scatter-adds, stage-seconds folds, counter absorption) in
-  ascending source order, reproducing the serial execution bit for bit
-  no matter which worker finished first.
-
-The probe trick is sound because the update kernels treat ``bc`` as a
-pure write-only accumulator (one masked ``+=`` in ``_commit``); against
-a zeros vector the masked add leaves exactly the adjustment values.
+  ascending source order — the same single fold the serial path runs —
+  reproducing the serial execution bit for bit no matter which worker
+  finished first.
 
 Supervision hooks (see :mod:`repro.parallel.supervisor`): when the pool
 hands the worker a heartbeat slot, a daemon thread stamps
@@ -42,15 +41,10 @@ import traceback
 
 import numpy as np
 
-from repro.bc.accountants import make_accountant
+from repro.bc.batched import SourceExecutor
 from repro.bc.brandes import single_source_state
-from repro.bc.cases import Case
 from repro.bc.static_gpu import trace_static_source
-from repro.bc.update_core import (
-    UpdateStats,
-    adjacent_level_update,
-    distant_level_update,
-)
+from repro.bc.update_core import UpdateStats
 from repro.graph.csr import CSRGraph, DIST_INF
 from repro.parallel import slabs as _slabs
 from repro.parallel.shm import ShmAttachment
@@ -230,63 +224,44 @@ def _views(attachment, common):
     )
 
 
-def _make_accountant(common, label):
-    return make_accountant(
-        common["backend"], common["n"], common["arcs"], common["op_costs"],
-        label=label,
-        access_cycles=(
-            common["access"] if common["backend"] == "cpu" else None
-        ),
+def _rebuild_row(graph, sources, d, sigma, delta, i, common):
+    """Rewrite state row *i* with a fresh Brandes pass (in place) and
+    return ``(static trace, stats)``; the trace is built from the
+    pass's own levels (mirrors ``DynamicBC._rebuild_row``)."""
+    s = int(sources[i])
+    d_row, _, _, levels = single_source_state(
+        graph, s, out=(d[i], sigma[i], delta[i])
     )
+    delta[i, s] = 0.0
+    _, trace = trace_static_source(
+        graph, s, common["static_strategy"], common["op_costs"],
+        common["access"], rebuilt=(d_row, levels),
+    )
+    stats = UpdateStats(
+        touched=int(np.count_nonzero(d[i] != DIST_INF)), moved=0,
+        sp_levels=len(levels), dep_levels=len(levels) - 1,
+    )
+    return trace, stats
 
 
 def _handle_update(attachment, common, payload):
-    """One streaming update's active sources: run the per-source kernel
-    (Case 2/3) in place and sparse-encode each bc adjustment."""
+    """One streaming update's active sources in this chunk: run the
+    level-synchronous executor in place over the shared rows and
+    return each source's cost summary, stats and sparse bc
+    adjustment."""
     graph, sources, d, sigma, delta = _views(attachment, common)
-    operation = common["operation"]
-    n = common["n"]
-    out = []
-    probe = np.zeros(n, dtype=np.float64)
-    for i, case, u_high, u_low in payload["items"]:
-        i = int(i)
-        s = int(sources[i])
-        acc = _make_accountant(common, f"{operation}:{s}")
-        acc.classify()
-        probe[:] = 0.0
-        if case == int(Case.ADJACENT_LEVEL):
-            stats = adjacent_level_update(
-                graph, s, d[i], sigma[i], delta[i], probe,
-                u_high, u_low, acc, insert=(operation == "insert"),
-            )
-        elif operation == "insert":
-            stats = distant_level_update(
-                graph, s, d[i], sigma[i], delta[i], probe, u_high, u_low, acc,
-            )
-        else:
-            # Distance-increasing deletion: per-source recompute
-            # fallback (mirrors DynamicBC._recompute_source); the bc
-            # patch is the full dependency difference.
-            delta_old = delta[i].copy()
-            levels = single_source_state(
-                graph, s, out=(d[i], sigma[i], delta[i])
-            )[3]
-            delta[i, s] = 0.0
-            _, trace = trace_static_source(
-                graph, s, common["static_strategy"], common["op_costs"],
-                common["access"],
-            )
-            acc.trace.extend(trace)
-            stats = UpdateStats(
-                touched=int(np.count_nonzero(d[i] != DIST_INF)), moved=0,
-                sp_levels=len(levels), dep_levels=len(levels) - 1,
-            )
-            probe = delta[i] - delta_old
-        idx = np.flatnonzero(probe)
-        out.append(
-            (i, acc.finish().steps, stats, idx.astype(np.int64), probe[idx])
-        )
-    return out
+    executor = SourceExecutor(common["backend"], common["op_costs"],
+                              common["access"], common["cost_model"])
+
+    def rebuild(i, acc):
+        trace, stats = _rebuild_row(graph, sources, d, sigma, delta, i,
+                                    common)
+        acc.trace.extend(trace)
+        return stats
+
+    results = executor.run(graph, sources, d, sigma, delta,
+                           payload["items"], common["operation"], rebuild)
+    return [(i, r.cost, r.stats, r.bc_idx, r.bc_vals) for i, r in results]
 
 
 def _handle_brandes(attachment, common, payload):
@@ -308,17 +283,9 @@ def _handle_rebuild(attachment, common, payload):
     out = []
     for i in payload["items"]:
         i = int(i)
-        s = int(sources[i])
-        levels = single_source_state(
-            graph, s, out=(d[i], sigma[i], delta[i])
-        )[3]
-        delta[i, s] = 0.0
-        _, trace = trace_static_source(
-            graph, s, common["static_strategy"], common["op_costs"],
-            common["access"],
-        )
-        touched = int(np.count_nonzero(d[i] != DIST_INF))
-        out.append((i, trace.steps, touched, len(levels)))
+        trace, stats = _rebuild_row(graph, sources, d, sigma, delta, i,
+                                    common)
+        out.append((i, trace.steps, stats.touched, stats.sp_levels))
     return out
 
 

@@ -44,6 +44,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.errors import (
     CheckpointError,
+    CorruptRowError,
     FaultInjected,
     ResilienceError,
     UpdateError,
@@ -71,6 +72,7 @@ __all__ = [
     "ChaosReport",
     "Checkpoint",
     "CheckpointError",
+    "CorruptRowError",
     "FaultInjected",
     "FaultInjector",
     "Guard",

@@ -63,6 +63,18 @@ class UpdateError(ResilienceError):
         )
 
 
+class CorruptRowError(ResilienceError):
+    """A stored source row is inconsistent with the graph: an update's
+    kernel precondition failed on it, or the update produced a zero or
+    non-finite σ̂ or a non-finite δ̂ for it.  Raised before the row is
+    written.  :attr:`source_index` names the row, which
+    :meth:`~repro.bc.engine.DynamicBC.repair_source` rebuilds."""
+
+    def __init__(self, source_index: int, message: str) -> None:
+        super().__init__(message)
+        self.source_index = int(source_index)
+
+
 class CheckpointError(ResilienceError):
     """A checkpoint file is unreadable, corrupt, or incompatible."""
 

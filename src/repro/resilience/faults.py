@@ -12,7 +12,8 @@ handles:
   whole state untrustworthy (what the guard escalates on);
 * **mid-kernel faults** — a one-shot trap that raises
   :class:`~repro.resilience.errors.FaultInjected` partway through an
-  update's per-source loop (what the transactional engine rolls back);
+  update, after some source rows are already written (what the
+  transactional engine rolls back);
 * **journal disk faults** — a seeded ``ENOSPC``/``EIO`` at the
   journal's append, write, or fsync stage (what the durable service
   must answer with a refused ack and read-only degradation, never a
@@ -99,9 +100,13 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def arm_update_fault(self, engine, after_sources: int = 1) -> None:
         """One-shot trap: the engine's next update raises
-        :class:`FaultInjected` once *after_sources* per-source
-        executions have completed, mid-way through the batch.  The trap
-        disarms itself (and restores the engine) when it fires.
+        :class:`FaultInjected` once *after_sources* source rows have
+        been written, mid-way through the update.  The trap sits on
+        the engine's ``_before_commit`` seam, which the executor calls
+        before writing each active row (and the per-source loop before
+        each source's kernel), so the rows written before it fires
+        must be rolled back.  The trap disarms itself (and restores
+        the engine) when it fires.
 
         On an engine with a live worker pool (``workers > 1``) the trap
         instead kills the worker that picks up the next update's first
@@ -117,21 +122,22 @@ class FaultInjector:
             pool.arm_crash()
             self.log.append("arm_update_fault armed worker crash (pool mode)")
             return
-        original = engine._run_source
+        original = engine._before_commit
         calls = {"n": 0}
         log = self.log
 
-        def tripwire(*args, **kwargs):
+        def tripwire(i):
             if calls["n"] >= after_sources:
-                engine._run_source = original
+                engine._before_commit = original
+                original(i)
                 log.append(f"update fault fired after {calls['n']} sources")
                 raise FaultInjected(
                     f"injected mid-update fault after {calls['n']} sources"
                 )
             calls["n"] += 1
-            return original(*args, **kwargs)
+            return original(i)
 
-        engine._run_source = tripwire
+        engine._before_commit = tripwire
         self.log.append(f"arm_update_fault after_sources={after_sources}")
 
     def arm_update_stall(self, engine, chunks: int = 1, rounds: int = 1) -> None:
@@ -158,15 +164,16 @@ class FaultInjector:
                 "arm_update_stall degraded to worker crash (legacy pool)"
             )
             return
-        original = engine._run_source
+        original = engine._before_commit
         log = self.log
 
-        def tripwire(*args, **kwargs):
-            engine._run_source = original
+        def tripwire(i):
+            engine._before_commit = original
+            original(i)
             log.append("update stall fired (serial tripwire)")
             raise FaultInjected("injected stall-equivalent serial fault")
 
-        engine._run_source = tripwire
+        engine._before_commit = tripwire
         self.log.append("arm_update_stall degraded to serial tripwire")
 
     # ------------------------------------------------------------------

@@ -48,6 +48,20 @@ class TestInsertion:
     def test_snapshot_cached(self, dyn_karate):
         assert dyn_karate.snapshot() is dyn_karate.snapshot()
 
+    @pytest.mark.parametrize("u, v", [(1, 0), (0, 1), (3, 1), (1, 3)])
+    def test_patched_snapshot_when_rows_meet(self, u, v):
+        """Both arcs land where one row ends and the next begins (the
+        rows between are empty); the patched CSR must still list each
+        arc in its own row."""
+        dyn = DynamicGraph.from_csr(
+            CSRGraph.from_edges(5, [(3, 4)] if u == 3 or v == 3 else [(1, 4)])
+        )
+        dyn.snapshot()  # cache it, so the insertion patches it
+        dyn.insert_edge(u, v)
+        rebuilt = CSRGraph.from_edges(5, dyn.snapshot().edge_list())
+        assert dyn.snapshot() == rebuilt
+        assert dyn.snapshot().has_edge(u, v)
+
     def test_capacity_doubling(self):
         dyn = DynamicGraph(50)
         for v in range(1, 50):

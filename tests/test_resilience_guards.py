@@ -146,17 +146,17 @@ class TestGuardedReplay:
     def test_persistent_update_failure_skipped_after_retry(self, karate):
         eng = make_engine(karate)
 
-        def always_fail(*args, **kwargs):
+        def always_fail(i):
             raise RuntimeError("permanent kernel failure")
 
-        eng._run_source = always_fail
+        eng._before_commit = always_fail
         stream = EdgeStream.poisson_growth(karate, 6, seed=3)
         result = replay(eng, stream, guard=ALL_ROWS)
         failed = [s for s in result.skipped if s.reason.startswith("update-error")]
         # every failed event was rolled back: its edge is absent
         for s in failed:
             assert not eng.graph.has_edge(s.u, s.v)
-        # events whose sources were all Case 1 never hit _run_source
+        # events whose sources were all Case 1 never reach the seam
         assert len(result.reports) + len(failed) == 6
 
     def test_guard_repairs_are_deterministic(self, karate):

@@ -132,3 +132,89 @@ class TestRepairSource:
         eng.repair_source(i)
         assert np.allclose(eng.bc_scores, expected, atol=1e-9)
         eng.verify()
+
+
+class TestExecutorSeam:
+    def test_fault_fires_with_earlier_rows_written(self, karate):
+        """The executor calls the seam before writing each active row,
+        so a fault after the first row leaves that row written; the
+        rollback must undo it."""
+        eng = DynamicBC.from_graph(karate, num_sources=8, seed=1)
+        before = snapshot_state(eng)
+        seen = []
+        original = eng._before_commit
+
+        def hook(i):
+            if seen:
+                first = seen[0]
+                # the first active row is already committed
+                assert not (
+                    np.array_equal(eng.state.sigma[first], before[2][first])
+                    and np.array_equal(eng.state.delta[first],
+                                       before[3][first])
+                )
+                raise FaultInjected("second row")
+            seen.append(i)
+            original(i)
+
+        eng._before_commit = hook
+        with pytest.raises(UpdateError) as info:
+            eng.insert_edge(0, 9)
+        assert isinstance(info.value.cause, FaultInjected)
+        assert len(seen) == 1
+        assert_state_equal(eng, before)
+        eng.verify()
+
+
+class TestSaveRows:
+    def test_bulk_journal_rolls_back(self, karate):
+        from repro.resilience.transactions import UpdateTransaction
+
+        eng = DynamicBC.from_graph(karate, num_sources=8, seed=1)
+        before = snapshot_state(eng)
+        eng.graph.insert_edge(0, 9)
+        txn = UpdateTransaction(eng, 0, 9, "insert")
+        txn.save_rows(np.array([1, 4, 6]))
+        txn.save_row(4)  # already journaled in bulk: a no-op
+        txn.save_row(2)
+        for i in (1, 2, 4, 6):
+            eng.state.sigma[i] += 1.0
+            eng.state.d[i, 3] = 99
+        txn.restore_row(4)
+        assert np.array_equal(eng.state.sigma[4], before[2][4])
+        txn.rollback()
+        assert_state_equal(eng, before)
+
+
+class TestFailFast:
+    def test_corrupt_d_row_fails_at_its_own_update(self, karate):
+        """A corrupted distance row must fail the first update that
+        runs on it — with the row named and everything rolled back —
+        instead of producing inf/nan that only a later guard check
+        would catch."""
+        from repro.resilience import CorruptRowError
+
+        eng = DynamicBC.from_graph(karate, num_sources=8, seed=1)
+        eng.state.d[0, 0] += 1  # row 0 (source 1): vertex 0 one level off
+        before = snapshot_state(eng)
+        with pytest.raises(UpdateError) as info:
+            eng.delete_edge(0, 2)
+        assert isinstance(info.value.cause, CorruptRowError)
+        assert info.value.source_index == 0
+        assert info.value.rolled_back
+        assert_state_equal(eng, before)
+
+    def test_stream_retry_repairs_the_named_row(self, karate):
+        from repro.graph.stream import EdgeEvent, EdgeStream, replay
+        from repro.resilience.guards import GuardPolicy
+
+        eng = DynamicBC.from_graph(karate, num_sources=8, seed=1)
+        eng.state.d[0, 0] += 1
+        stream = EdgeStream([EdgeEvent(0.0, 0, 2, "delete")])
+        # the guard's own cadence never runs within this one event
+        result = replay(eng, stream, guard=GuardPolicy(check_every=100))
+        assert len(result.reports) == 1
+        assert [s.index for s in result.recovered] == [0]
+        assert "CorruptRowError" in result.recovered[0].reason
+        assert not eng.graph.has_edge(0, 2)
+        eng.verify()
