@@ -20,18 +20,19 @@ worker count, and
   wall-clock-subtraction estimate, which went *negative* on noisy
   hosts (−0.148 s/event was recorded once) because serial and parallel
   replays see different cache/turbo conditions,
-* measures the result-queue payload bytes per round for the zero-copy
-  slab transport against a ``result_transport="queue"`` control run
-  and asserts the ≥10x reduction the slab path exists to deliver, and
+* checks, on the process backend, that every result came back through
+  the zero-copy result slabs: no spills, and exactly one
+  ``slabs.HEADER_BYTES`` header per chunk crossed the result queue,
+  and
 * records the sweep — including per-width ``parallel_efficiency``
   (speedup / workers) — in ``BENCH_parallel.json`` at the repo root.
 
 The wall-clock gates (>= 2x at 4 workers, and the scaling-efficiency
 monotonicity gate ``speedup(4) > speedup(2)``) only apply when the
 host actually has >= 4 usable cores; constrained CI runners still
-exercise the full sweep, the bit-identity asserts and the byte-
-reduction assert — they just skip the wall-clock gates (and say so in
-the artifact).  A second, *always-on* bound applies everywhere: the
+exercise the full sweep, the bit-identity asserts and the slab-header
+check — they just skip the wall-clock gates (and say so in the
+artifact).  A second, *always-on* bound applies everywhere: the
 directly measured pool overhead per event must stay under
 ``MAX_OVERHEAD_PER_EVENT`` at every worker count.  Because the direct
 measurement only counts parent-side work (it cannot be dragged
@@ -50,6 +51,7 @@ from repro.bc.engine import DynamicBC
 from repro.graph import generators as gen
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.stream import EdgeStream, replay
+from repro.parallel import slabs
 from repro.parallel.shm import shm_available
 from repro.resilience.chaos import reports_identical
 
@@ -65,10 +67,6 @@ MIN_SPEEDUP = 2.0
 #: (dispatch + decode + fold seconds) per stream event, any host
 MAX_OVERHEAD_PER_EVENT = 0.5
 
-#: the slab transport must shrink result-queue payload bytes per round
-#: by at least this factor vs the pickled-queue control run
-MIN_QUEUE_BYTES_REDUCTION = 10.0
-
 
 def available_cores():
     """Cores this process may actually run on (affinity-aware)."""
@@ -78,7 +76,7 @@ def available_cores():
         return os.cpu_count() or 1
 
 
-def _run_sweep_point(graph, workers, seed, result_transport="slab"):
+def _run_sweep_point(graph, workers, seed):
     """One engine lifetime: build, replay the re-insertion stream, and
     return (replay result, bc copy, counters, replay wall seconds,
     transport report captured before close)."""
@@ -86,7 +84,6 @@ def _run_sweep_point(graph, workers, seed, result_transport="slab"):
     stream = EdgeStream.removal_reinsertion(dyn, NUM_EVENTS, seed=seed)
     engine = DynamicBC.from_graph(
         dyn, num_sources=NUM_SOURCES, seed=seed, workers=workers,
-        result_transport=result_transport,
     )
     try:
         start = time.perf_counter()
@@ -118,26 +115,17 @@ def test_parallel_sweep(benchmark, bench_config, save_artifact, record_bench):
             w: _run_sweep_point(graph, w, bench_config.seed)
             for w in WORKER_SWEEP
         }
-        # Control run: same stream, pickled-payload result queue.  Its
-        # queue bytes per round are the "before" of the zero-copy
-        # tentpole; the slab run at the same width is the "after".
-        control = _run_sweep_point(
-            graph, 2, bench_config.seed, result_transport="queue"
-        )
-        return serial, points, control
+        return serial, points
 
-    (res_s, bc_s, cnt_s, t_s, _), points, control = benchmark.pedantic(
+    (res_s, bc_s, cnt_s, t_s, _), points = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
     assert len(res_s.reports) == NUM_EVENTS
 
     # Bit-identity is unconditional: every parallel run must match the
-    # serial run exactly, whatever the host looks like — and the
-    # pickled-queue control run is held to the same bar.
-    checked = dict(points)
-    checked["2/queue"] = control
+    # serial run exactly, whatever the host looks like.
     sweep = {}
-    for w, (res_w, bc_w, cnt_w, t_w, tr_w) in checked.items():
+    for w, (res_w, bc_w, cnt_w, t_w, tr_w) in points.items():
         assert np.array_equal(bc_s, bc_w), f"bc diverged at workers={w}"
         assert cnt_s == cnt_w, f"counters diverged at workers={w}"
         assert len(res_s.reports) == len(res_w.reports)
@@ -151,46 +139,42 @@ def test_parallel_sweep(benchmark, bench_config, save_artifact, record_bench):
             f"workers={w} spends {overhead:.3f}s dispatch+reduction "
             f"overhead per event (budget {MAX_OVERHEAD_PER_EVENT}s)"
         )
-        if w in points:
-            sweep[w] = {
-                "replay_seconds": t_w,
-                "speedup": t_s / t_w,
-                "parallel_efficiency": (t_s / t_w) / w,
-                "overhead_per_event_seconds": overhead,
-                "transport": {
-                    k: tr_w.get(k, 0)
-                    for k in ("transport", "backend", "rounds", "chunks",
-                              "queue_bytes", "slab_bytes", "spills",
-                              "raw_results", "dispatch_seconds",
-                              "decode_seconds", "fold_seconds",
-                              "overhead_seconds")
-                },
-                "queue_bytes_per_round": _queue_bytes_per_round(tr_w),
-                "bit_identical": True,
-            }
+        sweep[w] = {
+            "replay_seconds": t_w,
+            "speedup": t_s / t_w,
+            "parallel_efficiency": (t_s / t_w) / w,
+            "overhead_per_event_seconds": overhead,
+            "transport": {
+                k: tr_w.get(k, 0)
+                for k in ("transport", "backend", "rounds", "chunks",
+                          "queue_bytes", "slab_bytes", "spills",
+                          "dispatch_seconds", "decode_seconds",
+                          "fold_seconds", "overhead_seconds")
+            },
+            "queue_bytes_per_round": _queue_bytes_per_round(tr_w),
+            "bit_identical": True,
+        }
+        # Every process-backend result must come back through the
+        # slabs: no spills, and exactly one header per chunk on the
+        # queue.  The thread backend passes results by reference, so
+        # no bytes cross at all.
+        if tr_w.get("backend") == "processes":
+            assert tr_w["chunks"] > 0, (
+                f"workers={w} never went parallel"
+            )
+            assert tr_w["spills"] == 0, (
+                f"workers={w} spilled {tr_w['spills']} result(s) past "
+                f"the slabs"
+            )
+            assert tr_w["queue_bytes"] == (
+                tr_w["chunks"] * slabs.HEADER_BYTES
+            ), (
+                f"workers={w} moved {tr_w['queue_bytes']} queue bytes "
+                f"for {tr_w['chunks']} chunks (expected "
+                f"{slabs.HEADER_BYTES} per chunk)"
+            )
 
-    # The tentpole's headline number: payload bytes through the result
-    # queue per round, pickled control vs slab headers.  Only the
-    # process backend moves bytes at all — the thread backend (e.g.
-    # a REPRO_POOL_BACKEND=threads CI leg) passes results by
-    # reference, so both sides of the ratio are zero and the gate is
-    # moot there.
     backend = points[2][4].get("backend", "processes")
-    bytes_before = _queue_bytes_per_round(control[4])
-    bytes_after = _queue_bytes_per_round(points[2][4])
-    if backend == "processes":
-        assert bytes_after > 0 and bytes_before > 0, (
-            "transport accounting recorded no rounds — the engines "
-            "never went parallel"
-        )
-        reduction = bytes_before / bytes_after
-        assert reduction >= MIN_QUEUE_BYTES_REDUCTION, (
-            f"slab transport only cut result-queue bytes/round by "
-            f"{reduction:.1f}x ({bytes_before:.0f} -> {bytes_after:.0f}); "
-            f"need >= {MIN_QUEUE_BYTES_REDUCTION}x"
-        )
-    else:
-        reduction = None  # by-reference transport: nothing to reduce
 
     cores = available_cores()
     enforce_floor = cores >= 4
@@ -206,11 +190,8 @@ def test_parallel_sweep(benchmark, bench_config, save_artifact, record_bench):
             "serial_replay_seconds": t_s,
             "pool_backend": backend,
             "workers": {str(w): sweep[w] for w in sorted(sweep)},
-            "queue_bytes_per_round_before": bytes_before,
-            "queue_bytes_per_round_after": bytes_after,
-            "queue_bytes_reduction": reduction,
-            "queue_bytes_gate_enforced": backend == "processes",
-            "min_queue_bytes_reduction": MIN_QUEUE_BYTES_REDUCTION,
+            "slab_header_bytes": slabs.HEADER_BYTES,
+            "slab_gate_enforced": backend == "processes",
             "min_speedup_floor": MIN_SPEEDUP,
             "floor_enforced": enforce_floor,
             "scaling_gate_enforced": enforce_floor,
@@ -232,10 +213,12 @@ def test_parallel_sweep(benchmark, bench_config, save_artifact, record_bench):
             f"{sweep[w]['overhead_per_event_seconds'] * 1e3:.1f} ms/event "
             f"overhead, bit-identical)"
         )
-    if reduction is not None:
+    if backend == "processes":
+        tr = points[2][4]
         lines.append(
-            f"  result queue: {bytes_before:,.0f} B/round pickled -> "
-            f"{bytes_after:,.0f} B/round slab ({reduction:.0f}x smaller)"
+            f"  result queue: {tr['queue_bytes']:,} B for "
+            f"{tr['chunks']} chunks at workers=2 — one "
+            f"{slabs.HEADER_BYTES} B slab header each, 0 spills"
         )
     else:
         lines.append(

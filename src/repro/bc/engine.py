@@ -50,11 +50,7 @@ from repro.gpu.executor import schedule_blocks
 from repro.graph.csr import CSRGraph, DIST_INF
 from repro.graph.dynamic import DynamicGraph
 from repro.parallel.chunks import plan_chunks_guided
-from repro.parallel.pool import (
-    ParallelExecutionError,
-    WorkerPool,
-    WorkerTaskError,
-)
+from repro.parallel.pool import ParallelExecutionError, WorkerTaskError
 from repro.parallel.reducer import merge_indexed, rebuild_trace
 from repro.parallel.shm import ShmArena, shm_available
 from repro.parallel.supervisor import (
@@ -62,7 +58,7 @@ from repro.parallel.supervisor import (
     SupervisedPool,
     SupervisorPolicy,
 )
-from repro.parallel.threadpool import ThreadWorkerPool, free_threading_active
+from repro.parallel.threadpool import free_threading_active
 from repro.resilience.errors import CorruptRowError, UpdateError
 from repro.resilience.transactions import UpdateTransaction
 from repro.sanitize import tracer as _san
@@ -147,23 +143,12 @@ class DynamicBC:
         num_blocks: int = 0,
         op_costs: OpCosts = DEFAULT_OP_COSTS,
         vectorized: bool = True,
-        transactional: bool = True,
         workers: int = 1,
-        start_method: Optional[str] = None,
-        supervised: bool = True,
         supervisor_policy: Optional[SupervisorPolicy] = None,
         sanitize: bool = False,
-        pool_backend: str = "auto",
-        pool=None,
-        result_transport: str = "slab",
     ) -> None:
         if backend not in ACCOUNTANTS:
             raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-        if pool_backend not in ("auto", "processes", "threads"):
-            raise ValueError(
-                f"pool_backend must be 'auto', 'processes' or 'threads', "
-                f"got {pool_backend!r}"
-            )
         self.graph = (
             graph if isinstance(graph, DynamicGraph) else DynamicGraph.from_csr(graph)
         )
@@ -186,44 +171,19 @@ class DynamicBC:
         #: way — see tests/test_engine_vectorized.py and
         #: tests/test_bc_batched.py).
         self.vectorized = bool(vectorized)
-        #: ``True`` makes every update atomic: a mid-update exception
-        #: rolls graph, state rows, BC scores and counters back to
-        #: their pre-update values and surfaces a structured
-        #: :class:`~repro.resilience.errors.UpdateError`.
-        self.transactional = bool(transactional)
+        #: the open update's rollback journal: every update is atomic —
+        #: a mid-update exception rolls graph, state rows, BC scores
+        #: and counters back to their pre-update values and surfaces a
+        #: structured :class:`~repro.resilience.errors.UpdateError`
         self._txn: Optional[UpdateTransaction] = None
         self.counters = KernelCounters()
-        #: coarse-grained source parallelism: worker processes sharing
-        #: the CSR arrays and state rows via shared memory — the CPU
-        #: analogue of the paper's one-source-per-SM decomposition
-        #: (docs/MODEL.md, "Parallel execution").  ``1`` runs serially;
-        #: every reported artifact is bit-identical either way.
+        #: coarse-grained source parallelism: a supervised worker pool
+        #: sharing the CSR arrays and state rows — the CPU analogue of
+        #: the paper's one-source-per-SM decomposition (docs/MODEL.md,
+        #: "Parallel execution").  ``1`` runs serially; every reported
+        #: artifact is bit-identical either way.
         self.workers = max(1, int(workers))
-        self._start_method = start_method
-        #: execution backend of the worker pool (not to be confused
-        #: with the accountant ``backend`` above): ``"processes"`` runs
-        #: fork+shm workers, ``"threads"`` runs the same round protocol
-        #: on threads over direct array views (parallel on
-        #: free-threaded CPython), ``"auto"`` resolves at pool creation
-        #: (REPRO_POOL_BACKEND override, then free-threading, then shm)
-        self.pool_backend = pool_backend
-        #: result transport of the pool (``"slab"`` = shared-memory
-        #: result slabs, ``"queue"`` = framed bytes through the queue —
-        #: the benchmarks' measurable baseline)
-        self.result_transport = result_transport
-        #: externally owned warm pool: adopted, never closed by this
-        #: engine, so one pool can serve successive replay() calls and
-        #: engine instances without respawning workers
-        self._external_pool = pool
-        if pool is not None:
-            self.workers = max(2, int(pool.workers))
-        #: ``True`` wraps the worker pool in a
-        #: :class:`~repro.parallel.supervisor.SupervisedPool`:
-        #: heartbeat monitoring, hung-worker SIGKILL, bounded respawn
-        #: and the degradation ladder replace the legacy "one crash
-        #: demotes to serial permanently" policy.  ``False`` keeps the
-        #: legacy fail-fast pool (the differential tests pin it).
-        self.supervised = bool(supervised)
+        #: heartbeat, respawn, quarantine and ladder tuning of the pool
         self.supervisor_policy = supervisor_policy
         #: ``True`` runs every kernel under the race sanitizer
         #: (:mod:`repro.sanitize.tracer`): the engine executes serially
@@ -235,7 +195,7 @@ class DynamicBC:
         self._tracer: Optional[_san.MemoryTracer] = (
             _san.MemoryTracer() if self.sanitize else None
         )
-        self._pool: Optional[WorkerPool] = None
+        self._pool: Optional[SupervisedPool] = None
         self._arena: Optional[ShmArena] = None
         self._parallel_disabled = False
         #: identity signature of the state arrays adopted into shm
@@ -262,15 +222,9 @@ class DynamicBC:
         seed: SeedLike = None,
         op_costs: OpCosts = DEFAULT_OP_COSTS,
         vectorized: bool = True,
-        transactional: bool = True,
         workers: int = 1,
-        start_method: Optional[str] = None,
-        supervised: bool = True,
         supervisor_policy: Optional[SupervisorPolicy] = None,
         sanitize: bool = False,
-        pool_backend: str = "auto",
-        pool=None,
-        result_transport: str = "slab",
     ) -> "DynamicBC":
         """Build the engine, computing the initial state with Brandes.
 
@@ -301,29 +255,22 @@ class DynamicBC:
             )
         else:
             chosen = range(snap.num_vertices)
-        if (workers > 1 or pool is not None) and not sanitize:
+        if workers > 1 and not sanitize:
             engine = cls._from_graph_parallel(
                 graph, snap, chosen, backend, device, num_blocks, op_costs,
-                vectorized, transactional, workers, start_method,
-                supervised, supervisor_policy, pool_backend, pool,
-                result_transport,
+                vectorized, workers, supervisor_policy,
             )
             if engine is not None:
                 return engine
         state = BCState.compute(snap, chosen)
         return cls(graph, state, backend, device, num_blocks, op_costs,
-                   vectorized, transactional, workers=workers,
-                   start_method=start_method, supervised=supervised,
-                   supervisor_policy=supervisor_policy, sanitize=sanitize,
-                   pool_backend=pool_backend, pool=pool,
-                   result_transport=result_transport)
+                   vectorized, workers=workers,
+                   supervisor_policy=supervisor_policy, sanitize=sanitize)
 
     @classmethod
     def _from_graph_parallel(
         cls, graph, snap, chosen, backend, device, num_blocks, op_costs,
-        vectorized, transactional, workers, start_method,
-        supervised, supervisor_policy, pool_backend="auto", pool=None,
-        result_transport="slab",
+        vectorized, workers, supervisor_policy,
     ) -> Optional["DynamicBC"]:
         """Initial Brandes build through the worker pool; ``None`` when
         the pool is unavailable or failed (caller falls back to the
@@ -342,11 +289,8 @@ class DynamicBC:
             np.zeros(n, dtype=np.float64),
         )
         engine = cls(graph, state, backend, device, num_blocks, op_costs,
-                     vectorized, transactional, workers=workers,
-                     start_method=start_method, supervised=supervised,
-                     supervisor_policy=supervisor_policy,
-                     pool_backend=pool_backend, pool=pool,
-                     result_transport=result_transport)
+                     vectorized, workers=workers,
+                     supervisor_policy=supervisor_policy)
         if engine._ensure_pool() is None:
             return None  # zeros state discarded; caller builds serially
         try:
@@ -486,8 +430,8 @@ class DynamicBC:
             try:
                 self._brandes_fill(snap, range(self.state.num_sources))
                 return
-            except ParallelExecutionError as exc:
-                self._parallel_failed("recompute failed", exc)
+            except ParallelExecutionError:
+                pass  # supervision gave up on the round: rebuild here
         if self._tracer is not None:
             with _san.tracing(self._tracer):
                 self.state = BCState.compute(snap, self.state.sources)
@@ -535,8 +479,8 @@ class DynamicBC:
         if len(indices) > 1 and self._ensure_pool() is not None:
             try:
                 return self._check_rows_parallel(indices, atol)
-            except ParallelExecutionError as exc:
-                self._parallel_failed("check_rows failed", exc)
+            except ParallelExecutionError:
+                pass  # supervision gave up on the round: check here
         from repro.resilience.guards import check_rows_against_scratch
 
         return [i for i, _ in check_rows_against_scratch(self, indices, atol=atol)]
@@ -561,8 +505,8 @@ class DynamicBC:
         if self._ensure_pool() is not None:
             try:
                 return self._repair_parallel(snap, i)
-            except ParallelExecutionError as exc:
-                self._parallel_failed("repair failed", exc)
+            except ParallelExecutionError:
+                pass  # supervision gave up on the round: repair here
         access = cpu_access_cycles(self.device, snap.num_vertices,
                                    2 * snap.num_edges)
         acc = make_accountant(
@@ -641,64 +585,30 @@ class DynamicBC:
         except Exception:
             pass  # interpreter teardown: daemons + tracker clean up
 
-    def _resolve_pool_backend(self) -> str:
-        """Resolve ``pool_backend`` to ``processes``/``threads`` at
-        pool-creation time: an explicit choice wins, then the
-        ``REPRO_POOL_BACKEND`` environment override, then threads when
-        free-threading is active, else processes.  (Unlike the
-        library-level :func:`~repro.parallel.threadpool.
-        resolve_pool_backend`, ``auto`` without shm raises here so the
-        engine keeps its documented warn-and-run-serial fallback.)"""
-        import os
-
-        if self.pool_backend != "auto":
-            return self.pool_backend
-        env = os.environ.get("REPRO_POOL_BACKEND", "").strip().lower()
-        if env in ("processes", "threads"):
-            return env
-        if free_threading_active():
-            return "threads"
-        return "processes"
-
-    def _ensure_pool(self) -> Optional[WorkerPool]:
+    def _ensure_pool(self) -> Optional[SupervisedPool]:
         """The live worker pool, or ``None`` when running serially
         (``workers <= 1``, :meth:`close` called, sanitize mode — the
         tracer is single-threaded by design and the parallel contract
         makes serial execution bit-identical — or the platform cannot
-        support the pool, which warns once and falls back)."""
+        support the pool, which warns once and falls back).
+
+        The platform picks the backend: threads on free-threaded
+        CPython, else processes over POSIX shared memory.
+        """
         if self.workers <= 1 or self._parallel_disabled or self.sanitize:
             return None
         if self._pool is not None:
             return self._pool
         try:
-            if self._external_pool is not None:
-                self._pool = self._external_pool
-                pool_backend = self._pool.backend
-            else:
-                pool_backend = self._resolve_pool_backend()
-            if pool_backend == "processes" and not shm_available():
+            backend = "threads" if free_threading_active() else "processes"
+            if backend == "processes" and not shm_available():
                 raise RuntimeError("POSIX shared memory unavailable")
-            if self._pool is None:
-                if self.supervised:
-                    self._pool = SupervisedPool(
-                        self.workers, self._start_method,
-                        policy=self.supervisor_policy,
-                        backend=pool_backend,
-                        result_transport=self.result_transport,
-                    )
-                elif pool_backend == "threads":
-                    self._pool = ThreadWorkerPool(
-                        self.workers, self._start_method,
-                        result_transport=self.result_transport,
-                    )
-                else:
-                    self._pool = WorkerPool(
-                        self.workers, self._start_method,
-                        result_transport=self.result_transport,
-                    )
+            self._pool = SupervisedPool(
+                self.workers, policy=self.supervisor_policy, backend=backend
+            )
             # Thread workers operate on the engine's arrays directly;
             # only process workers need the shared-memory mirror.
-            self._arena = ShmArena() if pool_backend == "processes" else None
+            self._arena = ShmArena() if backend == "processes" else None
             self._adopted = None
             self._graph_capacity = 0
         except Exception as exc:
@@ -718,30 +628,18 @@ class DynamicBC:
         self._parallel_disabled = True
         self._release_parallel()
 
-    def _parallel_failed(self, what: str, exc: Exception) -> None:
-        """Route a pool failure: the legacy pool demotes to serial
-        permanently; a supervised pool already retried/degraded, so
-        the engine keeps it (its ladder decides future routing)."""
-        if not self.supervised:
-            self._disable_parallel(f"{what}: {exc}")
-
     def _pool_run(self, kind: str, common: dict, payloads: List[dict],
                   reset=None) -> List:
         """Dispatch one round through the engine's pool, wiring the
-        supervisor's recovery callbacks when supervision is on.
+        supervisor's recovery callbacks.
 
         ``reset`` restores a chunk's state rows before a retry; only
-        the ``update`` kind mutates rows incrementally, so everything
-        else is idempotent and retry-safe with ``reset=None``.  An
-        update dispatched *without* a transaction journal has no safe
-        reset, so it keeps the legacy fail-fast contract.
+        the ``update`` kind mutates rows incrementally (and journals
+        them first), so everything else is idempotent and retry-safe
+        with ``reset=None``.
         """
-        pool = self._pool
-        if isinstance(pool, SupervisedPool):
-            retryable = kind != "update" or reset is not None
-            return pool.run(kind, common, payloads, reset=reset,
-                            serial=self._serial_chunk, retryable=retryable)
-        return pool.run(kind, common, payloads)
+        return self._pool.run(kind, common, payloads, reset=reset,
+                              serial=self._serial_chunk)
 
     def _serial_chunk(self, kind: str, common: dict, payload: dict):
         """Execute one worker chunk in the parent process (quarantine
@@ -768,36 +666,25 @@ class DynamicBC:
         written (supervisor retry callback; rows were journaled before
         dispatch, and ``bc``/counters are parent-side only, touched
         after a fully successful round)."""
-        txn = self._txn
-        if txn is None:
-            return
         for item in payload["items"]:
-            txn.restore_row(int(item[0]))
+            self._txn.restore_row(int(item[0]))
 
     def health_report(self) -> Dict:
-        """Operator-facing supervision snapshot: execution mode plus —
-        under a supervised pool — the ladder level, live worker count
-        and every supervision counter (kills, respawns, quarantines,
-        demotions, promotions...)."""
+        """Operator-facing supervision snapshot: execution mode (the
+        pool's resolved backend, or ``"serial"``) plus — with a live
+        pool — the ladder level, live worker count and every
+        supervision counter (kills, respawns, quarantines, demotions,
+        promotions...)."""
+        pool = self._pool
         report: Dict = {
             "workers": self.workers,
-            "supervised": self.supervised,
             "parallel_disabled": self._parallel_disabled,
-            "pool_backend": (
-                self._pool.backend if self._pool is not None
-                else self.pool_backend
-            ),
+            "pool_backend": pool.backend if pool is not None else "serial",
         }
-        pool = self._pool
-        if isinstance(pool, SupervisedPool):
+        if pool is not None:
             report.update(pool.health_report())
         else:
-            report["level"] = (
-                "serial"
-                if self.workers <= 1 or self._parallel_disabled
-                or pool is None
-                else "full-pool"
-            )
+            report["level"] = "serial"
         return report
 
     def transport_report(self) -> Dict:
@@ -820,20 +707,16 @@ class DynamicBC:
         return report
 
     def drain_health_events(self) -> List[HealthEvent]:
-        """Supervision events since the last drain (empty for serial /
-        legacy-pool engines); :func:`repro.graph.stream.replay` folds
-        them into the guard-event log."""
-        pool = self._pool
-        if isinstance(pool, SupervisedPool):
-            return pool.drain_events()
-        return []
+        """Supervision events since the last drain (empty for serial
+        engines); :func:`repro.graph.stream.replay` folds them into the
+        guard-event log."""
+        if self._pool is None:
+            return []
+        return self._pool.drain_events()
 
     def _release_parallel(self) -> None:
         if self._pool is not None:
-            # An adopted warm pool belongs to its creator: detach
-            # without closing so other engines keep using it.
-            if self._pool is not self._external_pool:
-                self._pool.close()
+            self._pool.close()
             self._pool = None
         if self._arena is not None:
             state = getattr(self, "state", None)
@@ -1010,12 +893,10 @@ class DynamicBC:
             return self._run_in_process(snap, operation, items)
         common = self._parallel_common(snap, operation=operation)
         payloads = [{"items": chunk} for chunk in self._plan(items)]
-        reset = self._reset_update_chunk if self._txn is not None else None
         try:
-            outputs = self._pool_run("update", common, payloads, reset=reset)
+            outputs = self._pool_run("update", common, payloads,
+                                     reset=self._reset_update_chunk)
         except WorkerTaskError:
-            if self._txn is None:
-                raise
             # The executor raised inside a worker (a corrupt row failing
             # its pre-commit check, say): restore the rows and rerun in
             # process, so the error surfaces with its type and row.
@@ -1097,13 +978,11 @@ class DynamicBC:
             )
             active = np.flatnonzero(~same_mask)
             if active.size:
-                if self._txn is not None:
-                    # Journal every row the executor may touch before
-                    # any is written: a fault (or a crashed worker)
-                    # leaves rows half written, and the rollback must
-                    # cover all of them.
-                    self._txn.save_rows(active)
-                    self._txn.current_source = -1
+                # Journal every row the executor may touch before any
+                # is written: a fault (or a crashed worker) leaves rows
+                # half written, and the rollback must cover all of them.
+                self._txn.save_rows(active)
+                self._txn.current_source = -1
                 results = self._run_active(snap, operation, cases, highs,
                                            lows, active)
                 fold_timer = WallTimer().start()
@@ -1151,12 +1030,10 @@ class DynamicBC:
         operation: str,
         classifications=None,
     ) -> UpdateReport:
-        if not self.transactional:
-            return self._apply_inner(u, v, operation, classifications)
-        # Transactional path: journal every piece the update mutates
-        # (edge, touched state rows, bc, counters) and roll all of it
-        # back on any mid-update exception, so a failed update simply
-        # never happened (see repro.resilience.transactions).
+        # Journal every piece the update mutates (edge, touched state
+        # rows, bc, counters) and roll all of it back on any mid-update
+        # exception, so a failed update simply never happened (see
+        # repro.resilience.transactions).
         txn = UpdateTransaction(self, u, v, operation)
         self._txn = txn
         try:
@@ -1187,15 +1064,10 @@ class DynamicBC:
             with _san.tracing(self._tracer):
                 return self._apply_looped(u, v, operation, classifications)
         if self.vectorized or self._ensure_pool() is not None:
-            try:
-                return self._apply_batched(u, v, operation, classifications)
-            except ParallelExecutionError as exc:
-                # Supervised pools only surface here after the whole
-                # recovery ladder failed for this update; the engine
-                # keeps the pool and lets the transaction/guard layers
-                # take over.  Legacy pools demote to serial for good.
-                self._parallel_failed("update failed", exc)
-                raise
+            # A pool failure only surfaces here after the whole
+            # recovery ladder failed for this update; the engine keeps
+            # the pool and lets the transaction/guard layers take over.
+            return self._apply_batched(u, v, operation, classifications)
         return self._apply_looped(u, v, operation, classifications)
 
     def _before_commit(self, i: int) -> None:
@@ -1204,8 +1076,7 @@ class DynamicBC:
         the row an exception belongs to.  This is also the seam
         :class:`~repro.resilience.faults.FaultInjector` patches to fail
         an update part-way, with earlier rows already written."""
-        if self._txn is not None:
-            self._txn.current_source = i
+        self._txn.current_source = i
 
     def _run_source(
         self, snap: CSRGraph, i: int, case: Case, u_high: int, u_low: int,
@@ -1214,8 +1085,7 @@ class DynamicBC:
         """Execute one source's update (any case) with the per-source
         kernels and return its ``(trace, stats)`` — the looped oracle's
         unit of work."""
-        if self._txn is not None:
-            self._txn.save_row(i)
+        self._txn.save_row(i)
         self._before_commit(i)
         state = self.state
         s = int(state.sources[i])

@@ -15,22 +15,21 @@ slabs
     shared-memory result staging with a compact binary framing, so
     the result queue carries headers instead of pickled payloads.
 pool
-    :class:`WorkerPool` — long-lived workers, a dynamic chunk queue,
-    structured error/crash containment.
+    :class:`RoundPool` — round bookkeeping shared by both backends;
+    :class:`WorkerPool` — the process backend: long-lived workers, a
+    dynamic chunk queue, results through the result slabs.
 threadpool
     :class:`ThreadWorkerPool` — the same round protocol on daemon
-    threads over direct array views (parallel on free-threaded
-    CPython, a correct serialized fallback elsewhere);
-    :func:`resolve_pool_backend` picks the backend.
+    threads over direct array views (the backend on free-threaded
+    CPython); :func:`free_threading_active` probes for it.
 supervisor
-    :class:`SupervisedPool` — heartbeat monitoring, hung-worker
-    SIGKILL, bounded respawn with backoff, poisoned-chunk quarantine,
-    and the full-pool → shrunk-pool → serial degradation ladder, on
-    either backend.
+    :class:`SupervisedPool` — the one collect loop: heartbeat
+    monitoring, hung-worker SIGKILL, bounded respawn with backoff,
+    poisoned-chunk quarantine, and the full-pool → shrunk-pool →
+    serial degradation ladder, on either backend.
 chunks
-    :func:`plan_chunks` / :func:`plan_chunks_guided` — contiguous,
-    ordered chunk planning (fixed split and the guided
-    self-scheduling taper).
+    :func:`plan_chunks_guided` — contiguous, ordered chunk planning
+    with the guided self-scheduling taper.
 reducer
     :func:`merge_indexed` / :func:`rebuild_trace` — deterministic
     (source-order) reduction of worker results.
@@ -39,10 +38,9 @@ worker
     path).
 """
 
-from repro.parallel.chunks import plan_chunks, plan_chunks_guided
+from repro.parallel.chunks import plan_chunks_guided
 from repro.parallel.pool import (
     ParallelExecutionError,
-    WorkerCrashed,
     WorkerPool,
     WorkerStatus,
     WorkerTaskError,
@@ -56,11 +54,7 @@ from repro.parallel.supervisor import (
     SupervisedPool,
     SupervisorPolicy,
 )
-from repro.parallel.threadpool import (
-    ThreadWorkerPool,
-    free_threading_active,
-    resolve_pool_backend,
-)
+from repro.parallel.threadpool import ThreadWorkerPool, free_threading_active
 
 __all__ = [
     "ChunkEscalated",
@@ -73,15 +67,12 @@ __all__ = [
     "SupervisedPool",
     "SupervisorPolicy",
     "ThreadWorkerPool",
-    "WorkerCrashed",
     "WorkerPool",
     "WorkerStatus",
     "WorkerTaskError",
     "free_threading_active",
     "merge_indexed",
-    "plan_chunks",
     "plan_chunks_guided",
     "rebuild_trace",
-    "resolve_pool_backend",
     "shm_available",
 ]

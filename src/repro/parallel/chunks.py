@@ -3,11 +3,11 @@
 The paper's scheduler hands one source to each SM and lets fast blocks
 pull the next one — coarse-grained dynamic load balancing.  The CPU
 pool reproduces that with a shared task queue: the work list is split
-into contiguous chunks several times smaller than a worker's equal
-share, so a worker that drew cheap Case-2 sources simply pulls another
-chunk while a neighbour is still grinding through a Case-3 recompute
-(the "work-stealing-ish" schedule — stealing from the shared queue
-rather than from each other).
+into contiguous chunks smaller than a worker's equal share, so a
+worker that drew cheap Case-2 sources simply pulls another chunk while
+a neighbour is still grinding through a Case-3 recompute (the
+"work-stealing-ish" schedule — stealing from the shared queue rather
+than from each other).
 
 Chunks stay *contiguous and ordered* on purpose: results are reduced
 in chunk order, so ``concat(chunks) == items`` guarantees the parent's
@@ -20,38 +20,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
-
-#: chunks handed out per worker on average; >1 gives the dynamic queue
-#: room to rebalance skewed per-source costs (Fig. 4: touched fractions
-#: vary wildly across sources), while each chunk still amortizes the
-#: per-task queue round trip.
-CHUNKS_PER_WORKER = 4
-
-
-def plan_chunks(
-    items: Sequence[T],
-    num_workers: int,
-    chunks_per_worker: int = CHUNKS_PER_WORKER,
-) -> List[List[T]]:
-    """Split *items* into contiguous chunks for the dynamic queue.
-
-    Returns at most ``num_workers * chunks_per_worker`` chunks of equal
-    size (the last may be short); never returns empty chunks, and
-    ``[x for c in chunks for x in c] == list(items)`` always holds.
-    """
-    if num_workers < 1:
-        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-    if chunks_per_worker < 1:
-        raise ValueError(
-            f"chunks_per_worker must be >= 1, got {chunks_per_worker}"
-        )
-    items = list(items)
-    if not items:
-        return []
-    target = min(len(items), num_workers * chunks_per_worker)
-    size = -(-len(items) // target)  # ceil division
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
 
 #: divisor of the remaining weight per scheduling step: each chunk
 #: takes ``remaining / (GSS_FACTOR * workers)`` of the outstanding

@@ -1,34 +1,23 @@
-"""Process pool with a dynamic chunk queue and crash containment.
+"""Worker pools with a dynamic chunk queue: the round bookkeeping both
+backends share, and the process backend.
 
-:class:`WorkerPool` owns N long-lived worker processes (one per
-simulated SM) sharing a task queue and a result queue.  One *round* =
-one :meth:`run` call: every chunk is enqueued up front, idle workers
-pull the next chunk as they finish (the coarse-grained dynamic
-schedule), and the parent collects results until the round completes.
+A *round* is one batch of ``(kind, round_id, chunk_id, common,
+payload)`` tasks: every chunk is enqueued up front, idle workers pull
+the next chunk as they finish (the coarse-grained dynamic schedule),
+and each posts one ``(status, round_id, chunk_id, result)`` message
+back.  :class:`RoundPool` owns what is backend-independent — round
+ids, transport accounting, heartbeat-slot reads, respawn and
+lifecycle — and leaves four primitives to each backend: spawn,
+teardown, ``poll_result`` and ``kill_worker``.
 
-Failure containment:
-
-* a task that **raises** inside a worker comes back as a structured
-  error carrying the remote traceback (:class:`WorkerTaskError`);
-* a worker that **dies** without reporting (OOM kill, segfault, the
-  test hook :meth:`WorkerPool.arm_crash`) is detected by liveness
-  polling and surfaces as :class:`WorkerCrashed`.
-
-Either way the round is unrecoverable mid-flight: chunks of the
-aborted round may still be queued and would race the *next* round's
-writes to the shared state rows, so the pool tears down queues and
-processes and respawns fresh before re-raising.  The engine's update
-transaction then rolls the half-written state back (it journals every
-active row *before* dispatch), so a crashed worker costs one
-rolled-back update, not a corrupted engine.
-
-:class:`~repro.parallel.supervisor.SupervisedPool` builds on the
-round primitives exposed here (:meth:`WorkerPool.enqueue_round`,
-:meth:`WorkerPool.poll_result`, :meth:`WorkerPool.worker_status`,
-:meth:`WorkerPool.kill_worker`, :meth:`WorkerPool.respawn`) to add
-heartbeat monitoring, hung-worker SIGKILL, bounded respawn and a
-degradation ladder — turning "one crash demotes to serial forever"
-into "retry, quarantine, degrade, re-promote".
+:class:`WorkerPool` is the process backend: N long-lived worker
+processes sharing a task queue and a result queue, results staged in
+shared-memory result slabs (:mod:`repro.parallel.slabs`).
+:class:`~repro.parallel.threadpool.ThreadWorkerPool` is the thread
+backend.  Neither collects a round itself:
+:class:`~repro.parallel.supervisor.SupervisedPool` drives both through
+the primitives here, adding heartbeat monitoring, hung-worker SIGKILL,
+bounded respawn, quarantine and the degradation ladder.
 """
 
 from __future__ import annotations
@@ -48,11 +37,6 @@ class ParallelExecutionError(RuntimeError):
     """Base class for failures inside the parallel execution layer."""
 
 
-class WorkerCrashed(ParallelExecutionError):
-    """A worker process died without reporting a result; the pool has
-    respawned and the in-flight round must be treated as failed."""
-
-
 class WorkerTaskError(ParallelExecutionError):
     """A task raised inside a worker; the message carries the remote
     exception and traceback."""
@@ -64,15 +48,14 @@ _POLL_SECONDS = 0.05
 #: default seconds granted per process per teardown-escalation stage
 DEFAULT_JOIN_TIMEOUT = 2.0
 
-#: zeroed transport-stats template (:meth:`WorkerPool.transport_stats`)
+#: zeroed transport-stats template (:meth:`RoundPool.transport_stats`)
 _STATS_ZERO = {
     "rounds": 0,  #: rounds dispatched
     "chunks": 0,  #: chunks dispatched
     "queue_bytes": 0,  #: result bytes that crossed the queue (headers
-    #: for slab messages, framed payloads for queue/spill messages)
+    #: for slab messages, framed payloads for spilled messages)
     "slab_bytes": 0,  #: result bytes read in place from the slabs
-    "spills": 0,  #: slab-transport results that overflowed to the queue
-    "raw_results": 0,  #: results the framing could not carry (pickled)
+    "spills": 0,  #: results that overflowed their slab to the queue
     "dispatch_seconds": 0.0,  #: parent time enqueueing rounds
     "decode_seconds": 0.0,  #: parent time decoding framed results
 }
@@ -94,176 +77,76 @@ class WorkerStatus:
     chunk_id: int  #: chunk of the current task (-1 when idle)
 
 
-class WorkerPool:
-    """N worker processes around one shared task/result queue pair."""
+class RoundPool:
+    """Backend-independent round bookkeeping over N workers.
 
-    #: execution backend tag (the thread pool overrides this); the
-    #: engine and the benchmarks branch on it, never on the class
-    backend = "processes"
+    Subclasses set :attr:`backend` and :attr:`transport` and implement
+    ``_spawn()`` (fill ``_procs``, ``_tasks``, ``_results`` and, with
+    heartbeats on, ``_heartbeat``), ``_teardown(graceful)``,
+    ``poll_result(timeout)`` (one ``(status, round_id, chunk_id,
+    result)`` message, or ``None`` after *timeout* seconds) and
+    ``kill_worker(j)`` (remove worker *j* for good).
+    """
+
+    #: execution backend tag; the engine and the benchmarks report
+    #: it, never the class
+    backend = ""
+    #: how results reach the parent
+    transport = ""
 
     def __init__(
         self,
         workers: int,
-        start_method: Optional[str] = None,
         join_timeout: float = DEFAULT_JOIN_TIMEOUT,
         heartbeat_interval: float = 0.0,
-        result_transport: str = "slab",
-        slab_bytes: int = _slabs.DEFAULT_SLAB_BYTES,
     ) -> None:
         if workers < 2:
             raise ValueError(f"WorkerPool needs >= 2 workers, got {workers}")
         if join_timeout <= 0:
             raise ValueError(f"join_timeout must be > 0, got {join_timeout}")
-        if result_transport not in ("slab", "queue"):
-            raise ValueError(
-                f"result_transport must be 'slab' or 'queue', "
-                f"got {result_transport!r}"
-            )
-        if start_method is None:
-            # fork shares the parent's loaded modules (microsecond
-            # spawns on Linux); spawn is the portable fallback.
-            methods = mp.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
         self.workers = int(workers)
-        self.start_method = start_method
-        #: seconds granted per process per stage of the teardown
-        #: escalation (join -> terminate -> kill); each stage that
-        #: times out hands the process to the next, harder one
+        #: seconds granted per worker per stage of the teardown
+        #: escalation; each stage that times out hands the worker to
+        #: the next, harder one
         self.join_timeout = float(join_timeout)
         #: heartbeat stamp period for the workers (0 disables the
-        #: heartbeat slots entirely — the legacy engine path)
+        #: heartbeat slots entirely)
         self.heartbeat_interval = float(heartbeat_interval)
-        #: requested result transport: ``"slab"`` stages payloads in
-        #: shared-memory result slabs (headers only on the queue);
-        #: ``"queue"`` ships the same framing as bytes through the
-        #: queue (the measurable baseline).  Slab allocation failure
-        #: (no /dev/shm) silently degrades to ``"queue"``.
-        self.result_transport = result_transport
-        self.slab_bytes = int(slab_bytes)
-        self._ctx = mp.get_context(start_method)
         self._round = 0
-        self._crash_chunks = 0
         self._procs: List[Any] = []
         self._tasks: Any = None
         self._results: Any = None
         self._heartbeat: Any = None
-        self._slabs: Optional[_slabs.ResultSlabs] = None
         self._stats: Dict[str, float] = dict(_STATS_ZERO)
         self._spawn()
 
-    # ------------------------------------------------------------------
-    @property
-    def transport(self) -> str:
-        """The transport actually in effect (``"queue"`` when slab
-        allocation failed or was not requested)."""
-        return "slab" if self._slabs is not None else "queue"
-
-    def _spawn(self) -> None:
-        self._tasks = self._ctx.Queue()
-        self._results = self._ctx.Queue()
-        self._heartbeat = None
-        if self.heartbeat_interval > 0:
-            self._heartbeat = self._ctx.Array(
-                "d", _worker.HB_SLOTS * self.workers, lock=False
-            )
-            now = time.monotonic()
-            for j in range(self.workers):
-                base = _worker.HB_SLOTS * j
-                self._heartbeat[base + _worker.HB_BEAT] = now
-                self._heartbeat[base + _worker.HB_TASK_START] = 0.0
-                self._heartbeat[base + _worker.HB_ROUND] = -1.0
-                self._heartbeat[base + _worker.HB_CHUNK] = -1.0
-        self._slabs = None
-        if self.result_transport == "slab":
-            try:
-                self._slabs = _slabs.ResultSlabs(
-                    self.workers, self.slab_bytes
-                )
-            except Exception:
-                # No usable /dev/shm: degrade to the queue transport
-                # (same framing, legacy copy cost) rather than fail.
-                self._slabs = None
-        slab_spec = self._slabs.spec() if self._slabs is not None else None
-        self._procs = []
+    def _init_heartbeat(self, slots):
+        """Stamp every worker's slots fresh and idle; returns *slots*."""
+        now = time.monotonic()
         for j in range(self.workers):
-            proc = self._ctx.Process(
-                target=_worker.worker_main,
-                args=(self._tasks, self._results, j, self._heartbeat,
-                      self.heartbeat_interval, slab_spec, self.transport),
-                name=f"repro-worker-{j}",
-                daemon=True,
-            )
-            proc.start()
-            self._procs.append(proc)
+            base = _worker.HB_SLOTS * j
+            slots[base + _worker.HB_BEAT] = now
+            slots[base + _worker.HB_TASK_START] = 0.0
+            slots[base + _worker.HB_ROUND] = -1.0
+            slots[base + _worker.HB_CHUNK] = -1.0
+        return slots
 
     # ------------------------------------------------------------------
-    def arm_crash(self, chunks: int = 1) -> None:
-        """Make the next round's first *chunks* task(s) kill their
-        worker mid-task (fault-injection hook for the resilience
-        suite; see tests/test_parallel.py)."""
-        if chunks < 1:
-            raise ValueError(f"chunks must be >= 1, got {chunks}")
-        self._crash_chunks = int(chunks)
-
     def enqueue_round(self, kind: str, common: dict,
                       payloads: List[dict]) -> int:
-        """Enqueue one round's chunks and return its round id.
-
-        Armed crash marks (:meth:`arm_crash`) are applied to the first
-        chunk(s) and consumed.  The caller collects results itself via
-        :meth:`poll_result` (this is the supervisor's entry point;
-        :meth:`run` wraps it with the legacy collect loop).
-        """
+        """Enqueue one round's chunks and return its round id; the
+        caller collects results via :meth:`poll_result`."""
         if not self._procs:
             self._spawn()
         start = time.perf_counter()
         self._round += 1
         round_id = self._round
         for chunk_id, payload in enumerate(payloads):
-            if self._crash_chunks > 0 and chunk_id < self._crash_chunks:
-                payload = dict(payload)
-                payload[_worker.CRASH_KEY] = True
             self._tasks.put((kind, round_id, chunk_id, common, payload))
-        self._crash_chunks = 0
         self._stats["rounds"] += 1
         self._stats["chunks"] += len(payloads)
         self._stats["dispatch_seconds"] += time.perf_counter() - start
         return round_id
-
-    def poll_result(self, timeout: float = _POLL_SECONDS):
-        """One ``(status, round_id, chunk_id, result)`` message from
-        the result queue, or ``None`` after *timeout* seconds.
-
-        Slab (``ok-slab``) and framed-queue (``ok-enc``) messages are
-        decoded here, so callers only ever see ``ok``/``error``.  A
-        message from a superseded round is returned *undecoded* (its
-        slab bytes may already be overwritten); callers discard it by
-        round id, as they always have.
-        """
-        try:
-            message = self._results.get(timeout=timeout)
-        except _queue.Empty:
-            return None
-        status, rid, chunk_id, result = message
-        if status not in ("ok-slab", "ok-enc"):
-            if status == "ok":
-                self._stats["raw_results"] += 1
-            return message
-        if rid != self._round:
-            return ("stale", rid, chunk_id, None)
-        start = time.perf_counter()
-        if status == "ok-slab":
-            worker_id, offset, length = result
-            self._stats["queue_bytes"] += _slabs.HEADER_BYTES
-            self._stats["slab_bytes"] += length
-            decoded = self._slabs.read(worker_id, offset, length)
-        else:
-            self._stats["queue_bytes"] += len(result) + _slabs.HEADER_BYTES
-            if self._slabs is not None:
-                self._stats["spills"] += 1
-            decoded = _slabs.decode(result)
-        self._stats["decode_seconds"] += time.perf_counter() - start
-        return ("ok", rid, chunk_id, decoded)
 
     def transport_stats(self) -> Dict[str, Any]:
         """Cumulative result-transport accounting (benchmarks read
@@ -292,6 +175,109 @@ class WorkerPool:
             chunk_id=int(self._heartbeat[base + _worker.HB_CHUNK]),
         )
 
+    def respawn(self, workers: Optional[int] = None) -> None:
+        """Tear the pool down (non-graceful) and bring up a fresh one,
+        optionally resized to *workers* workers."""
+        self._teardown(graceful=False)
+        if workers is not None:
+            if workers < 2:
+                raise ValueError(f"WorkerPool needs >= 2 workers, got {workers}")
+            self.workers = int(workers)
+        self._spawn()
+
+    def close(self) -> None:
+        """Stop the workers and release the queues (idempotent)."""
+        self._teardown(graceful=True)
+
+    def __enter__(self) -> "RoundPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(workers={self.workers}, "
+            f"alive={sum(p.is_alive() for p in self._procs)})"
+        )
+
+
+class WorkerPool(RoundPool):
+    """N worker processes around one shared task/result queue pair,
+    returning results through per-worker shared-memory slabs."""
+
+    backend = "processes"
+    transport = "slab"
+
+    def __init__(
+        self,
+        workers: int,
+        join_timeout: float = DEFAULT_JOIN_TIMEOUT,
+        heartbeat_interval: float = 0.0,
+        slab_bytes: int = _slabs.DEFAULT_SLAB_BYTES,
+    ) -> None:
+        # fork shares the parent's loaded modules (microsecond spawns
+        # on Linux); spawn is the portable fallback.
+        methods = mp.get_all_start_methods()
+        self.start_method = "fork" if "fork" in methods else "spawn"
+        self.slab_bytes = int(slab_bytes)
+        self._ctx = mp.get_context(self.start_method)
+        self._slabs: Optional[_slabs.ResultSlabs] = None
+        super().__init__(workers, join_timeout, heartbeat_interval)
+
+    def _spawn(self) -> None:
+        self._slabs = _slabs.ResultSlabs(self.workers, self.slab_bytes)
+        self._tasks = self._ctx.Queue()
+        self._results = self._ctx.Queue()
+        self._heartbeat = None
+        if self.heartbeat_interval > 0:
+            self._heartbeat = self._init_heartbeat(self._ctx.Array(
+                "d", _worker.HB_SLOTS * self.workers, lock=False
+            ))
+        self._procs = []
+        for j in range(self.workers):
+            proc = self._ctx.Process(
+                target=_worker.worker_main,
+                args=(self._tasks, self._results, j, self._heartbeat,
+                      self.heartbeat_interval, self._slabs.spec()),
+                name=f"repro-worker-{j}",
+                daemon=True,
+            )
+            proc.start()
+            self._procs.append(proc)
+
+    def poll_result(self, timeout: float = _POLL_SECONDS):
+        """One ``(status, round_id, chunk_id, result)`` message from
+        the result queue, or ``None`` after *timeout* seconds.
+
+        Slab (``ok-slab``) and spilled (``ok-enc``) messages are
+        decoded here, so callers only ever see ``ok``/``error``.  A
+        message from a superseded round comes back as ``stale``,
+        undecoded (its slab bytes may already be overwritten); callers
+        discard it by round id.
+        """
+        try:
+            message = self._results.get(timeout=timeout)
+        except _queue.Empty:
+            return None
+        status, rid, chunk_id, result = message
+        if status == "error":
+            return message
+        if rid != self._round:
+            return ("stale", rid, chunk_id, None)
+        start = time.perf_counter()
+        if status == "ok-slab":
+            worker_id, offset, length = result
+            self._stats["queue_bytes"] += _slabs.HEADER_BYTES
+            self._stats["slab_bytes"] += length
+            decoded = self._slabs.read(worker_id, offset, length)
+        else:
+            self._stats["queue_bytes"] += len(result) + _slabs.HEADER_BYTES
+            self._stats["spills"] += 1
+            decoded = _slabs.decode(result)
+        self._stats["decode_seconds"] += time.perf_counter() - start
+        return ("ok", rid, chunk_id, decoded)
+
     def kill_worker(self, j: int) -> None:
         """SIGKILL worker *j* and reap it.  SIGKILL (not SIGTERM) is
         mandatory here: a SIGSTOPped process queues SIGTERM without
@@ -300,60 +286,6 @@ class WorkerPool:
         if proc.is_alive():
             proc.kill()
         proc.join(timeout=self.join_timeout)
-
-    def respawn(self, workers: Optional[int] = None) -> None:
-        """Tear the pool down (non-graceful) and bring up a fresh one,
-        optionally resized to *workers* processes."""
-        self._teardown(graceful=False)
-        if workers is not None:
-            if workers < 2:
-                raise ValueError(f"WorkerPool needs >= 2 workers, got {workers}")
-            self.workers = int(workers)
-        self._spawn()
-
-    def run(self, kind: str, common: dict, payloads: List[dict]) -> List[Any]:
-        """Execute one round and return chunk results in payload order.
-
-        Chunks are pulled dynamically by idle workers; completion order
-        is nondeterministic, return order is not.
-        """
-        if not payloads:
-            return []
-        round_id = self.enqueue_round(kind, common, payloads)
-        outputs: dict = {}
-        try:
-            while len(outputs) < len(payloads):
-                message = self.poll_result(_POLL_SECONDS)
-                if message is None:
-                    dead = [p.name for p in self._procs if not p.is_alive()]
-                    if dead:
-                        raise WorkerCrashed(
-                            f"worker(s) {', '.join(dead)} died mid-round "
-                            f"(kind={kind!r})"
-                        )
-                    continue
-                status, rid, chunk_id, result = message
-                if rid != round_id:
-                    continue  # stale result from an aborted round
-                if status == "error":
-                    raise WorkerTaskError(
-                        f"task {kind!r} chunk {chunk_id} failed in worker:\n"
-                        f"{result}"
-                    )
-                outputs[chunk_id] = result
-        except ParallelExecutionError:
-            # Stale tasks of this round may still be queued; starting
-            # the next round over the same queues would let them race
-            # fresh writes to the shared rows.  Tear down and respawn.
-            self._teardown(graceful=False)
-            self._spawn()
-            raise
-        return [outputs[chunk_id] for chunk_id in range(len(payloads))]
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Stop the workers and release the queues (idempotent)."""
-        self._teardown(graceful=True)
 
     def _teardown(self, graceful: bool) -> None:
         if graceful and self._procs:
@@ -389,17 +321,3 @@ class WorkerPool:
         if self._slabs is not None:
             self._slabs.close()
             self._slabs = None
-
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"WorkerPool(workers={self.workers}, "
-            f"start_method={self.start_method!r}, "
-            f"alive={sum(p.is_alive() for p in self._procs)})"
-        )

@@ -4,7 +4,7 @@ Workers finish in whatever order the dynamic chunk queue hands them
 work, so nothing about completion order may leak into the results.
 The reduction protocol:
 
-1. chunk outputs are returned by :meth:`WorkerPool.run` in *chunk*
+1. chunk outputs are returned by :meth:`SupervisedPool.run` in *chunk*
    order (which is ascending source order — chunks are contiguous);
 2. :func:`merge_indexed` flattens them into an index-keyed map,
    refusing duplicates or gaps;

@@ -49,8 +49,10 @@ are folded, so all round-N bytes are dead by the time any round-N+1
 task can reset the cursor.  A result that does not fit in the
 remaining slab space **spills**: the worker encodes to private bytes
 and ships them through the queue (``ok-enc``) — same framing, no
-pickle of numpy payloads, just the legacy copy cost for that one
+pickle of numpy payloads, just the queue's copy cost for that one
 oversized chunk.  Spills are counted so the benchmarks can see them.
+A result the framing cannot carry is the task's error: the queue never
+carries a pickled result.
 
 Lifecycle: :class:`ResultSlabs` owns its block through a private
 :class:`~repro.parallel.shm.ShmArena` and must be released with
@@ -93,8 +95,8 @@ _COST = struct.Struct("<dqqdq")
 
 
 class SlabEncodeError(TypeError):
-    """The object graph contains a type the framing cannot carry; the
-    caller falls back to the raw-object queue path."""
+    """The object graph contains a type the framing cannot carry; a
+    worker reports it as the task's error."""
 
 
 class _NoFit(Exception):
@@ -289,9 +291,7 @@ class _Decoder:
 
 
 def encode(obj) -> bytes:
-    """Encode *obj* to a framed private byte string (the spill path —
-    and the ``result_transport="queue"`` baseline, where the same
-    framing rides the queue so byte accounting is apples-to-apples)."""
+    """Encode *obj* to a framed private byte string (the spill path)."""
     # Worst-case growth is bounded: start at 64 KiB and double until
     # it fits.  Encoding goes through encode_into so the byte layout
     # (array padding is relative to the buffer start) is identical to
@@ -413,7 +413,8 @@ class SlabWriter:
     def write(self, round_id: int, obj) -> Optional[Tuple[int, int]]:
         """Stage *obj* framed in this worker's row; ``(offset, length)``
         on success, ``None`` when it does not fit or is unencodable
-        (the caller spills or falls back to the raw queue path)."""
+        (the caller spills, and :func:`encode` raises for the
+        unencodable)."""
         if round_id != self._round:
             self._round = round_id
             self._cursor = 0

@@ -1,11 +1,11 @@
 """Worker-pool supervision: heartbeats, deadlines, respawn, ladder.
 
-The raw :class:`~repro.parallel.pool.WorkerPool` contains failures but
-does not *survive* them: one dead worker fails the round and (at the
-engine level) used to demote execution to serial permanently, and a
-**hung** worker — SIGSTOPped, deadlocked, or spinning — blocked the
-collect loop forever.  :class:`SupervisedPool` wraps the pool with the
-machinery a long-running streaming service needs:
+The raw pools (:class:`~repro.parallel.pool.WorkerPool`,
+:class:`~repro.parallel.threadpool.ThreadWorkerPool`) only enqueue
+rounds and hand back result messages; :class:`SupervisedPool` owns the
+one collect loop and wraps it with the machinery a long-running
+streaming service needs, because workers die (crash, OOM kill) and —
+worse — *hang* (SIGSTOPped, deadlocked, or spinning):
 
 **Detection.**  Every worker stamps a heartbeat into a lock-free shared
 array (:mod:`repro.parallel.worker`); the supervisor's collect loop
@@ -48,7 +48,6 @@ from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.parallel.pool import (
     ParallelExecutionError,
-    WorkerCrashed,
     WorkerPool,
     WorkerTaskError,
     _POLL_SECONDS,
@@ -177,25 +176,24 @@ class _RoundFailure(Exception):
 
 
 class SupervisedPool:
-    """A :class:`WorkerPool` under heartbeat supervision.
+    """A worker pool (process or thread backend) under heartbeat
+    supervision — the engine's only pool.
 
-    Drop-in for the engine's pool slot: :meth:`run` has the same
-    payload-order contract as ``WorkerPool.run`` but survives crashes
-    and hangs via monitored rounds, bounded respawn, quarantine and
-    the degradation ladder (module docstring).  The optional ``reset``
-    / ``serial`` callbacks supply the two state-touching primitives
-    the supervisor itself cannot know: restoring a chunk's rows before
-    a retry, and executing a chunk in the parent process.
+    :meth:`run` executes one round and returns chunk results in
+    payload order, surviving crashes and hangs via monitored rounds,
+    bounded respawn, quarantine and the degradation ladder (module
+    docstring).  The optional ``reset`` / ``serial`` callbacks supply
+    the two state-touching primitives the supervisor itself cannot
+    know: restoring a chunk's rows before a retry, and executing a
+    chunk in the parent process.
     """
 
     def __init__(
         self,
         workers: int,
-        start_method: Optional[str] = None,
         policy: Optional[SupervisorPolicy] = None,
         join_timeout: float = 2.0,
         backend: str = "processes",
-        result_transport: str = "slab",
     ) -> None:
         self.policy = policy or SupervisorPolicy()
         #: the pool size the caller asked for (chunk planning uses
@@ -224,10 +222,9 @@ class SupervisedPool:
         else:
             pool_cls = WorkerPool
         self._pool = pool_cls(
-            workers, start_method,
+            workers,
             join_timeout=join_timeout,
             heartbeat_interval=self.policy.heartbeat_interval,
-            result_transport=result_transport,
         )
 
     # ------------------------------------------------------------------
@@ -238,11 +235,6 @@ class SupervisedPool:
         """Requested pool width (stable across ladder levels so chunk
         planning — and therefore results — never depends on health)."""
         return self.requested_workers
-
-    @property
-    def start_method(self) -> str:
-        """The underlying pool's multiprocessing start method."""
-        return self._pool.start_method
 
     @property
     def backend(self) -> str:
@@ -310,19 +302,16 @@ class SupervisedPool:
         *,
         reset: Optional[Callable[[dict], None]] = None,
         serial: Optional[Callable[[str, dict, dict], Any]] = None,
-        retryable: bool = True,
     ) -> List[Any]:
         """Execute one round under supervision; results in payload
-        order, bit-identical to an unsupervised (or serial) run.
+        order, bit-identical to a serial run.
 
         ``reset(payload)`` must restore every state row the chunk can
         touch to its pre-round bytes (the engine wires this to the
         update transaction's journal); it is called for every pending
         chunk before a retry and before a serial fallback.  ``serial``
         executes one chunk in the parent (quarantine and the serial
-        ladder rung).  ``retryable=False`` preserves the legacy
-        fail-fast contract: the first failure raises
-        :class:`WorkerCrashed` after a pool respawn.
+        ladder rung).
         """
         if not payloads:
             return []
@@ -355,12 +344,6 @@ class SupervisedPool:
                 if reset is not None:
                     for i in pending:
                         reset(payloads[i])
-                if not retryable:
-                    self._respawn_pool(self._level_size())
-                    raise WorkerCrashed(
-                        f"supervised round failed (kind={kind!r}): "
-                        f"{fail.detail or 'worker failure'}"
-                    )
                 attempts += 1
                 if attempts > self.policy.max_respawns:
                     self._demote()

@@ -9,18 +9,16 @@ state arrays as direct references (``common["views"]``), workers mutate
 the engine's own d/sigma/delta rows, and results return by reference
 (``queue_bytes == 0`` by construction).
 
-On free-threaded CPython (3.13t+/3.14t, ``sys._is_gil_enabled() is
-False``) the workers genuinely run in parallel and this backend beats
-the process pool by skipping fork, shm setup and framing entirely.  On
-GIL builds it is a *correct but serialized* fallback — useful for
-differential testing (bit-identity is backend-independent) and chosen
-automatically only when shared memory is unusable
-(:func:`resolve_pool_backend`).
+The engine selects this backend only on free-threaded CPython
+(3.13t+/3.14t, ``sys._is_gil_enabled() is False``), where the workers
+genuinely run in parallel and skip fork, shm setup and framing
+entirely.  On GIL builds it is correct but serialized; the tests reach
+it there for differential checks (bit-identity is backend-independent).
 
-Supervision compatibility: the pool exposes the same round primitives
-(:meth:`enqueue_round`, :meth:`poll_result`, :meth:`worker_status`,
-:meth:`kill_worker`, :meth:`respawn`) and per-worker heartbeat slots,
-so :class:`~repro.parallel.supervisor.SupervisedPool` drives both
+Supervision compatibility: the pool shares the process pool's round
+bookkeeping (:class:`~repro.parallel.pool.RoundPool`) and keeps
+per-worker heartbeat slots, so
+:class:`~repro.parallel.supervisor.SupervisedPool` drives both
 backends unchanged.  The fault hooks are cooperative — a *crash* makes
 the worker thread exit without reporting (liveness polling sees a dead
 handle), a *stall* makes it stop heartbeating and park on its kill
@@ -37,18 +35,10 @@ import queue as _queue
 import threading
 import time
 from types import SimpleNamespace
-from typing import Any, Dict, List, Optional
+from typing import Optional
 
 from repro.parallel import worker as _worker
-from repro.parallel.pool import (
-    DEFAULT_JOIN_TIMEOUT,
-    WorkerCrashed,
-    WorkerStatus,
-    WorkerTaskError,
-    ParallelExecutionError,
-    _POLL_SECONDS,
-    _STATS_ZERO,
-)
+from repro.parallel.pool import _POLL_SECONDS, RoundPool
 
 
 def free_threading_active() -> bool:
@@ -59,33 +49,6 @@ def free_threading_active() -> bool:
 
     probe = getattr(sys, "_is_gil_enabled", None)
     return probe is not None and not probe()
-
-
-def resolve_pool_backend(requested: str = "auto") -> str:
-    """Resolve an execution backend name to ``processes``/``threads``.
-
-    ``auto`` prefers an explicit ``REPRO_POOL_BACKEND`` environment
-    override, then threads when free-threading is active (parallel and
-    zero-setup), then processes when shared memory works, and finally
-    threads as the always-available correct fallback.
-    """
-    import os
-
-    if requested in ("processes", "threads"):
-        return requested
-    if requested != "auto":
-        raise ValueError(
-            f"pool backend must be 'auto', 'processes' or 'threads', "
-            f"got {requested!r}"
-        )
-    env = os.environ.get("REPRO_POOL_BACKEND", "").strip().lower()
-    if env in ("processes", "threads"):
-        return env
-    if free_threading_active():
-        return "threads"
-    from repro.parallel.shm import shm_available
-
-    return "processes" if shm_available() else "threads"
 
 
 class _ThreadHandle:
@@ -117,62 +80,21 @@ class _ThreadHandle:
             self.thread.join(timeout)
 
 
-class ThreadWorkerPool:
+class ThreadWorkerPool(RoundPool):
     """Thread-backed drop-in for :class:`~repro.parallel.pool.
-    WorkerPool`: same ctor shape, same round protocol, results by
-    reference."""
+    WorkerPool`: same round protocol, results by reference."""
 
     backend = "threads"
-
-    def __init__(
-        self,
-        workers: int,
-        start_method: Optional[str] = None,
-        join_timeout: float = DEFAULT_JOIN_TIMEOUT,
-        heartbeat_interval: float = 0.0,
-        result_transport: str = "slab",
-        slab_bytes: int = 0,
-    ) -> None:
-        if workers < 2:
-            raise ValueError(f"WorkerPool needs >= 2 workers, got {workers}")
-        if join_timeout <= 0:
-            raise ValueError(f"join_timeout must be > 0, got {join_timeout}")
-        self.workers = int(workers)
-        #: kept for API parity with the process pool; threads have no
-        #: start method
-        self.start_method = "thread"
-        self.join_timeout = float(join_timeout)
-        self.heartbeat_interval = float(heartbeat_interval)
-        #: accepted for ctor parity; threads return results by
-        #: reference, so there is nothing to transport
-        self.result_transport = "reference"
-        self._round = 0
-        self._crash_chunks = 0
-        self._procs: List[_ThreadHandle] = []
-        self._tasks: Any = None
-        self._results: Any = None
-        self._heartbeat: Optional[List[float]] = None
-        self._stats: Dict[str, float] = dict(_STATS_ZERO)
-        self._spawn()
-
-    # ------------------------------------------------------------------
-    @property
-    def transport(self) -> str:
-        """Results move by reference — no bytes cross any channel."""
-        return "reference"
+    transport = "reference"
 
     def _spawn(self) -> None:
         self._tasks = _queue.Queue()
         self._results = _queue.Queue()
         self._heartbeat = None
         if self.heartbeat_interval > 0:
-            now = time.monotonic()
-            self._heartbeat = [0.0] * (_worker.HB_SLOTS * self.workers)
-            for j in range(self.workers):
-                base = _worker.HB_SLOTS * j
-                self._heartbeat[base + _worker.HB_BEAT] = now
-                self._heartbeat[base + _worker.HB_ROUND] = -1.0
-                self._heartbeat[base + _worker.HB_CHUNK] = -1.0
+            self._heartbeat = self._init_heartbeat(
+                [0.0] * (_worker.HB_SLOTS * self.workers)
+            )
         self._procs = []
         for j in range(self.workers):
             handle = _ThreadHandle(j)
@@ -254,35 +176,6 @@ class ThreadWorkerPool:
                     heartbeat[base + _worker.HB_ROUND] = -1.0
                     heartbeat[base + _worker.HB_CHUNK] = -1.0
 
-    # ------------------------------------------------------------------
-    def arm_crash(self, chunks: int = 1) -> None:
-        """Make the next round's first *chunks* task(s) take their
-        worker thread down mid-task (cooperative analogue of the
-        process pool's crash hook)."""
-        if chunks < 1:
-            raise ValueError(f"chunks must be >= 1, got {chunks}")
-        self._crash_chunks = int(chunks)
-
-    def enqueue_round(self, kind: str, common: dict,
-                      payloads: List[dict]) -> int:
-        """Enqueue one round's chunks and return its round id (same
-        contract as the process pool)."""
-        if not self._procs:
-            self._spawn()
-        start = time.perf_counter()
-        self._round += 1
-        round_id = self._round
-        for chunk_id, payload in enumerate(payloads):
-            if self._crash_chunks > 0 and chunk_id < self._crash_chunks:
-                payload = dict(payload)
-                payload[_worker.CRASH_KEY] = True
-            self._tasks.put((kind, round_id, chunk_id, common, payload))
-        self._crash_chunks = 0
-        self._stats["rounds"] += 1
-        self._stats["chunks"] += len(payloads)
-        self._stats["dispatch_seconds"] += time.perf_counter() - start
-        return round_id
-
     def poll_result(self, timeout: float = _POLL_SECONDS):
         """One ``(status, round_id, chunk_id, result)`` message, or
         ``None`` after *timeout* seconds — nothing to decode, results
@@ -291,33 +184,6 @@ class ThreadWorkerPool:
             return self._results.get(timeout=timeout)
         except _queue.Empty:
             return None
-
-    def transport_stats(self) -> Dict[str, Any]:
-        """Cumulative round accounting; all byte counters stay zero
-        because results never leave the address space."""
-        out: Dict[str, Any] = dict(self._stats)
-        out["transport"] = self.transport
-        out["backend"] = self.backend
-        return out
-
-    def worker_status(self, j: int, now: Optional[float] = None) -> WorkerStatus:
-        """Health snapshot of worker *j* from its heartbeat slots."""
-        handle = self._procs[j]
-        if self._heartbeat is None:
-            return WorkerStatus(j, handle.is_alive(), 0.0, 0.0, -1, -1)
-        if now is None:
-            now = time.monotonic()
-        base = _worker.HB_SLOTS * j
-        beat = self._heartbeat[base + _worker.HB_BEAT]
-        start = self._heartbeat[base + _worker.HB_TASK_START]
-        return WorkerStatus(
-            worker=j,
-            alive=handle.is_alive(),
-            beat_age=max(0.0, now - beat),
-            busy_seconds=max(0.0, now - start) if start > 0.0 else 0.0,
-            round_id=int(self._heartbeat[base + _worker.HB_ROUND]),
-            chunk_id=int(self._heartbeat[base + _worker.HB_CHUNK]),
-        )
 
     def kill_worker(self, j: int) -> None:
         """Cooperatively remove worker *j*: release its kill event
@@ -328,58 +194,6 @@ class ThreadWorkerPool:
         handle.kill_event.set()
         handle.dead = True
         handle.join(timeout=self.join_timeout)
-
-    def respawn(self, workers: Optional[int] = None) -> None:
-        """Tear down (non-graceful) and bring up a fresh thread pool,
-        optionally resized."""
-        self._teardown(graceful=False)
-        if workers is not None:
-            if workers < 2:
-                raise ValueError(
-                    f"WorkerPool needs >= 2 workers, got {workers}"
-                )
-            self.workers = int(workers)
-        self._spawn()
-
-    def run(self, kind: str, common: dict, payloads: List[dict]) -> List[Any]:
-        """Execute one round; results in payload order (same contract
-        and failure semantics as the process pool)."""
-        if not payloads:
-            return []
-        round_id = self.enqueue_round(kind, common, payloads)
-        outputs: dict = {}
-        try:
-            while len(outputs) < len(payloads):
-                message = self.poll_result(_POLL_SECONDS)
-                if message is None:
-                    dead = [h.name for h in self._procs if not h.is_alive()]
-                    if dead:
-                        raise WorkerCrashed(
-                            f"worker(s) {', '.join(dead)} died mid-round "
-                            f"(kind={kind!r})"
-                        )
-                    continue
-                status, rid, chunk_id, result = message
-                if rid != round_id:
-                    continue  # stale result from an aborted round
-                if status == "error":
-                    raise WorkerTaskError(
-                        f"task {kind!r} chunk {chunk_id} failed in worker:\n"
-                        f"{result}"
-                    )
-                outputs[chunk_id] = result
-        except ParallelExecutionError:
-            # Same containment as the process pool: stale chunks of
-            # this round must never race the next round's writes.
-            self._teardown(graceful=False)
-            self._spawn()
-            raise
-        return [outputs[chunk_id] for chunk_id in range(len(payloads))]
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Stop the workers and drop the queues (idempotent)."""
-        self._teardown(graceful=True)
 
     def _teardown(self, graceful: bool) -> None:
         if self._procs:
@@ -399,16 +213,3 @@ class ThreadWorkerPool:
         self._tasks = None
         self._results = None
         self._heartbeat = None
-
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "ThreadWorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"ThreadWorkerPool(workers={self.workers}, "
-            f"alive={sum(h.is_alive() for h in self._procs)})"
-        )

@@ -53,8 +53,8 @@ from repro.parallel.shm import ShmAttachment
 STOP = "__stop__"
 
 #: payload key that makes the worker die abruptly mid-task — the
-#: crash-injection hook for the resilience tests (WorkerPool.arm_crash);
-#: never set by production dispatch
+#: crash-injection hook for the resilience tests
+#: (SupervisedPool.arm_crash); never set by production dispatch
 CRASH_KEY = "__crash__"
 
 #: payload key that makes the worker SIGSTOP itself mid-task — the
@@ -97,34 +97,28 @@ def _start_heartbeat(heartbeat, base: int, interval: float) -> None:
                      name="repro-heartbeat").start()
 
 
-def post_result(results, writer, transport: str,
-                round_id: int, chunk_id: int, result) -> None:
-    """Ship one chunk result to the parent on the cheapest channel.
+def post_result(results, writer, round_id: int, chunk_id: int,
+                result) -> None:
+    """Ship one chunk result to the parent through the result slab.
 
-    Slab transport stages the framed result in this worker's slab row
-    and posts only a ``(worker, offset, length)`` header (``ok-slab``);
-    an oversized result spills as framed bytes through the queue
-    (``ok-enc``).  The queue transport always sends framed bytes.  A
-    result the framing cannot carry falls back to the legacy pickled
-    ``ok`` message — correctness never depends on the fast path.
+    The framed result is staged in this worker's slab row and only a
+    ``(worker, offset, length)`` header crosses the queue
+    (``ok-slab``); a result too big for the remaining slab space
+    spills as framed bytes through the queue (``ok-enc``).  A result
+    the framing cannot carry raises
+    :class:`~repro.parallel.slabs.SlabEncodeError`, which the task
+    loop reports as the task's error.
     """
-    if writer is not None:
-        ref = writer.write(round_id, result)
-        if ref is not None:
-            results.put(("ok-slab", round_id, chunk_id,
-                         (writer.worker_id, ref[0], ref[1])))
-            return
-    try:
-        data = _slabs.encode(result)
-    except _slabs.SlabEncodeError:
-        results.put(("ok", round_id, chunk_id, result))
+    ref = writer.write(round_id, result)
+    if ref is None:
+        results.put(("ok-enc", round_id, chunk_id, _slabs.encode(result)))
     else:
-        results.put(("ok-enc", round_id, chunk_id, data))
+        results.put(("ok-slab", round_id, chunk_id,
+                     (writer.worker_id, ref[0], ref[1])))
 
 
-def worker_main(tasks, results, worker_id: int = 0, heartbeat=None,
-                heartbeat_interval: float = 0.0, slab_spec=None,
-                transport: str = "queue") -> None:
+def worker_main(tasks, results, worker_id: int, heartbeat,
+                heartbeat_interval: float, slab_spec: dict) -> None:
     """Pull tasks until :data:`STOP`; never let an exception escape
     (errors travel back to the parent as structured results).
 
@@ -133,14 +127,11 @@ def worker_main(tasks, results, worker_id: int = 0, heartbeat=None,
     per-task (round, chunk, start-time) bookkeeping into its slots so
     the supervisor can detect hangs and attribute them to a chunk.
 
-    When *slab_spec* is provided (``transport="slab"``), results are
-    staged in this worker's shared result slab via :func:`post_result`
-    instead of being pickled through the queue.
+    Results are staged in this worker's row of the pool's result slabs
+    (*slab_spec*) via :func:`post_result`.
     """
     attachment = None
-    writer = None
-    if slab_spec is not None and transport == "slab":
-        writer = _slabs.SlabWriter(slab_spec, worker_id)
+    writer = _slabs.SlabWriter(slab_spec, worker_id)
     base = HB_SLOTS * int(worker_id)
     beating = heartbeat is not None and heartbeat_interval > 0
     if beating:
@@ -172,6 +163,7 @@ def worker_main(tasks, results, worker_id: int = 0, heartbeat=None,
                     attachment.close()
                 attachment = ShmAttachment(spec)
             result = _HANDLERS[kind](attachment, common, payload)
+            post_result(results, writer, round_id, chunk_id, result)
         except BaseException as exc:
             detail = (
                 f"{type(exc).__name__}: {exc}\n"
@@ -181,16 +173,12 @@ def worker_main(tasks, results, worker_id: int = 0, heartbeat=None,
                 results.put(("error", round_id, chunk_id, detail))
             except Exception:  # pragma: no cover - queue already gone
                 os._exit(1)
-        else:
-            post_result(results, writer, transport,
-                        round_id, chunk_id, result)
         finally:
             if beating:
                 heartbeat[base + HB_TASK_START] = 0.0
                 heartbeat[base + HB_ROUND] = -1.0
                 heartbeat[base + HB_CHUNK] = -1.0
-    if writer is not None:
-        writer.close()
+    writer.close()
     if attachment is not None:
         attachment.close()
 

@@ -7,7 +7,7 @@ the resilience subsystem and checks the recovery claims hold:
 2. replay under a :class:`~repro.resilience.guards.GuardPolicy` while a
    :class:`~repro.resilience.faults.FaultInjector` corrupts state rows
    (mid-stream), injects structural damage, fires a mid-update fault
-   and — on supervised pools — freezes a worker (``SIGSTOP``) so the
+   and — on pooled engines — freezes a worker (``SIGSTOP``) so the
    heartbeat deadline must catch it; the guarded replay must *finish*
    and the final :meth:`~repro.bc.engine.DynamicBC.verify` must pass;
 3. separately, replay the same stream uninterrupted and
@@ -151,17 +151,6 @@ def _build(seed: int, num_events: int, backend: str, workers: int = 1):
     return graph, stream, engine
 
 
-def _supervised_pool(engine):
-    """The engine's :class:`SupervisedPool`, or ``None`` (serial engine,
-    legacy pool, or platform without shared memory)."""
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        pool = getattr(engine, "_ensure_pool", lambda: None)()
-    return pool if pool is not None and hasattr(pool, "arm_stall") else None
-
-
 def _harvest_supervision(report: ChaosReport, engine, *replays) -> None:
     """Fold *engine*'s supervision activity into *report*: counters
     from :meth:`DynamicBC.health_report`, plus every health event the
@@ -173,13 +162,9 @@ def _harvest_supervision(report: ChaosReport, engine, *replays) -> None:
         for e in res.guard_events:
             if e.action == HEALTH:
                 report.health_events.append(f"{e.kind}: {e.detail}")
-    drain = getattr(engine, "drain_health_events", None)
-    if drain is not None:
-        for ev in drain():
-            report.health_events.append(
-                f"{ev.action}: [{ev.level}] {ev.detail}"
-            )
-    hr = engine.health_report() if hasattr(engine, "health_report") else {}
+    for ev in engine.drain_health_events():
+        report.health_events.append(f"{ev.action}: [{ev.level}] {ev.detail}")
+    hr = engine.health_report()
     report.worker_kills += int(hr.get("kills", 0))
     report.hung_detections += int(hr.get("hung", 0))
     report.respawns += int(hr.get("respawns", 0))
@@ -188,9 +173,8 @@ def _harvest_supervision(report: ChaosReport, engine, *replays) -> None:
         hr.get("parallel_disabled") or hr.get("level") == "serial"
     ):
         report.permanent_serial = True
-    pool = getattr(engine, "_pool", None)
-    if pool is not None and hasattr(pool, "pending_faults"):
-        report.unrecovered_faults += pool.pending_faults()
+    if engine._pool is not None:
+        report.unrecovered_faults += engine._pool.pending_faults()
 
 
 def run_chaos(
@@ -239,7 +223,7 @@ def run_chaos(
         # Mid-stream hang: on a supervised pool a worker SIGSTOPs
         # itself, so the rest of the replay must survive a heartbeat
         # detection + SIGKILL + respawn cycle too.
-        if _supervised_pool(engine) is not None:
+        if engine._ensure_pool() is not None:
             injector.arm_update_stall(engine)
         res2 = replay(engine, second, guard=policy)
 
@@ -343,7 +327,7 @@ def run_chaos(
         _, stream_s, eng_s = _build(seed, num_events, backend, workers=1)
         _, stream_p, eng_p = _build(seed, num_events, backend, workers)
         try:
-            pool = _supervised_pool(eng_p)
+            pool = eng_p._ensure_pool()
             if pool is not None:
                 # Round 1 of the first dispatched update crashes the
                 # chunk's worker; the retry round stalls it (SIGSTOP).

@@ -13,7 +13,8 @@ handles:
 * **mid-kernel faults** — a one-shot trap that raises
   :class:`~repro.resilience.errors.FaultInjected` partway through an
   update, after some source rows are already written (what the
-  transactional engine rolls back);
+  engine's update transaction rolls back), or on a pooled engine a
+  worker crash (what the pool's supervisor retries);
 * **journal disk faults** — a seeded ``ENOSPC``/``EIO`` at the
   journal's append, write, or fsync stage (what the durable service
   must answer with a refused ack and read-only degradation, never a
@@ -110,14 +111,17 @@ class FaultInjector:
 
         On an engine with a live worker pool (``workers > 1``) the trap
         instead kills the worker that picks up the next update's first
-        chunk — the pool-era equivalent of dying mid-batch.  Either
-        flavour surfaces as a rolled-back
-        :class:`~repro.resilience.errors.UpdateError`, so guards and
-        replay recover identically.
+        chunk — the pool-era equivalent of dying mid-batch.  The two
+        flavours end differently: the serial trap surfaces as a
+        rolled-back :class:`~repro.resilience.errors.UpdateError`,
+        while the pool's supervisor restores the chunk's journaled
+        rows, respawns the worker and retries the round, so the update
+        lands bit-identical to a clean run (one ``deaths`` and one
+        ``respawns`` in :meth:`DynamicBC.health_report`).
         """
         if after_sources < 0:
             raise ValueError(f"after_sources must be >= 0, got {after_sources}")
-        pool = getattr(engine, "_ensure_pool", lambda: None)()
+        pool = engine._ensure_pool()
         if pool is not None:
             pool.arm_crash()
             self.log.append("arm_update_fault armed worker crash (pool mode)")
@@ -145,24 +149,15 @@ class FaultInjector:
         chunk(s) freezes (``SIGSTOP``) instead of crashing — the hang
         the supervisor's heartbeat deadline must catch and SIGKILL.
 
-        On an engine with a supervised pool this arms the pool's stall
-        marks directly.  A legacy (unsupervised) pool has no stall
-        detection — a frozen worker would hang the run forever — so the
-        trap degrades to a worker *crash*, which that pool does
-        contain.  On a serial engine it degrades to the mid-kernel
+        On a pooled engine this arms the pool's stall marks directly.
+        On a serial engine it degrades to the mid-kernel
         :class:`FaultInjected` trap (a serial engine cannot hang
         part-way and keep serving).
         """
-        pool = getattr(engine, "_ensure_pool", lambda: None)()
-        if pool is not None and hasattr(pool, "arm_stall"):
+        pool = engine._ensure_pool()
+        if pool is not None:
             pool.arm_stall(chunks=chunks, rounds=rounds)
             self.log.append("arm_update_stall armed worker stall (pool mode)")
-            return
-        if pool is not None:
-            pool.arm_crash()
-            self.log.append(
-                "arm_update_stall degraded to worker crash (legacy pool)"
-            )
             return
         original = engine._before_commit
         log = self.log

@@ -66,6 +66,7 @@ from repro.sanitize.astcache import (
     iter_python_files,
     parse_source,
 )
+from repro.sanitize.callgraph import WALL_CLOCK_FUNCS
 
 #: schema version of the ``--format json`` document
 LINT_VERSION = 1
@@ -112,10 +113,6 @@ _RNG_CONSTRUCTORS = {
     "default_rng", "Generator", "SeedSequence", "BitGenerator",
     "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
 }
-
-_WALL_CLOCK_FUNCS = {"time", "perf_counter", "perf_counter_ns",
-                     "monotonic", "monotonic_ns", "process_time",
-                     "process_time_ns"}
 
 _PRAGMA = re.compile(r"#\s*sanitize:\s*ignore\[([A-Z0-9,\s]+)\]")
 
@@ -264,7 +261,7 @@ class R001WallClock(LintRule):
         if not _in_kernel_tree(ctx.path):
             return
         if (len(chain) == 2 and chain[0] in ctx.time_aliases
-                and chain[1] in _WALL_CLOCK_FUNCS):
+                and chain[1] in WALL_CLOCK_FUNCS):
             ctx.flag(node, "R001", f"`{'.'.join(chain)}()` in kernel code")
         elif len(chain) == 1 and chain[0] in ctx.wall_clock_names:
             ctx.flag(node, "R001", f"`{chain[0]}()` in kernel code")
@@ -419,7 +416,7 @@ class _Walker(ast.NodeVisitor):
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module == "time":
             for alias in node.names:
-                if alias.name in _WALL_CLOCK_FUNCS:
+                if alias.name in WALL_CLOCK_FUNCS:
                     self.ctx.wall_clock_names.add(alias.asname or alias.name)
         for rule in self.rules:
             rule.on_import_from(self.ctx, node)

@@ -32,8 +32,7 @@ On top of the replay semantics it adds the service bookkeeping:
 Because the core owns one engine for its whole life, a parallel engine
 keeps its worker pool **warm across batches** — successive
 :meth:`apply_batch` calls reuse the same workers, shared-memory arena
-and result slabs with no respawn (and an externally supplied
-``DynamicBC(pool=...)`` pool even survives engine replacement).
+and result slabs with no respawn.
 :meth:`transport_report` exposes the engine's cumulative result-path
 accounting for the service's observability surface.
 

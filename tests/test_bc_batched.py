@@ -224,11 +224,15 @@ def test_property_executor_matches_oracle(seed, backend, steps):
 class TestCostSummary:
     def test_summary_matches_trace_fold(self, karate):
         from repro.bc.cases import classify_insertion
+        from repro.resilience.transactions import UpdateTransaction
 
         engine = DynamicBC.from_graph(karate, num_sources=8, seed=1,
                                       vectorized=False, backend="gpu-node")
         model = CostModel(TESLA_C2075)
         engine.graph.insert_edge(0, 9)
+        # _run_source journals each row into the open update's
+        # transaction, as it does inside insert_edge
+        engine._txn = UpdateTransaction(engine, 0, 9, "insert")
         snap = engine.graph.snapshot()
         for i in range(engine.state.num_sources):
             case, hi, lo = classify_insertion(engine.state.d[i], 0, 9)
@@ -269,16 +273,22 @@ class TestCostSummary:
 
 class TestPool:
     @pytest.mark.parametrize("pool_backend", ["processes", "threads"])
-    def test_workers_run_the_executor_bit_identically(self, pool_backend):
+    def test_workers_run_the_executor_bit_identically(self, pool_backend,
+                                                      monkeypatch):
         from repro.graph.stream import EdgeStream, replay
 
+        # the platform picks the backend; the seam reaches threads on
+        # GIL builds (and processes on free-threaded ones)
+        monkeypatch.setattr("repro.bc.engine.free_threading_active",
+                            lambda: pool_backend == "threads")
         graph = gen.kronecker(9, 8, seed=1)
         stream = EdgeStream.churn(graph, 25, delete_fraction=0.35, seed=2)
         oracle = DynamicBC.from_graph(graph, num_sources=32, seed=3,
                                       vectorized=False)
         expected = replay(oracle, stream)
-        with DynamicBC.from_graph(graph, num_sources=32, seed=3, workers=2,
-                                  pool_backend=pool_backend) as par:
+        with DynamicBC.from_graph(graph, num_sources=32, seed=3,
+                                  workers=2) as par:
+            assert par.health_report()["pool_backend"] == pool_backend
             got = replay(par, stream)
             assert par.transport_report()["rounds"] > 0
             assert len(got.reports) == len(expected.reports)

@@ -18,8 +18,8 @@ from repro.bc.engine import DynamicBC
 from repro.graph import generators as gen
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.stream import EdgeStream, replay
-from repro.parallel.pool import WorkerCrashed
 from repro.parallel.shm import shm_available
+from repro.parallel.supervisor import ChunkEscalated
 from repro.resilience import FaultInjector, UpdateError
 from repro.resilience.chaos import reports_identical
 from repro.resilience.guards import GuardPolicy
@@ -204,24 +204,31 @@ def test_checkpoint_resume_workers4_matches_uninterrupted_serial(
 # Failure containment
 # ----------------------------------------------------------------------
 class TestWorkerCrash:
-    def test_crash_rolls_back_and_engine_survives(self, er_graph):
-        # Legacy (unsupervised) pool: a crash demotes to serial for
-        # good.  The supervised recovery paths are covered by
-        # tests/test_parallel_supervisor.py.
-        clean, par = build_pair(er_graph, 2, supervised=False)
+    def test_crash_rolls_back_and_engine_survives(self, er_graph,
+                                                  monkeypatch):
+        # The ladder's last rung: a chunk that kills two workers is
+        # quarantined, and when its in-parent retry fails too the
+        # update rolls back as a structured UpdateError.  The engine
+        # keeps its pool and goes on matching a clean twin.
+        clean, par = build_pair(er_graph, 2)
         try:
             u, v = active_insert_edge(par)
             before = (
                 par.state.d.copy(), par.state.sigma.copy(),
                 par.state.delta.copy(), par.state.bc.copy(), par.counters,
             )
-            par._ensure_pool().arm_crash()
-            with pytest.warns(RuntimeWarning, match="falling back to serial"):
-                with pytest.raises(UpdateError) as info:
-                    par.insert_edge(u, v)
+            par._ensure_pool().arm_crash(rounds=2)
+
+            def failing_retry(kind, common, payload):
+                raise RuntimeError("in-parent retry failed")
+
+            monkeypatch.setattr(par, "_serial_chunk", failing_retry)
+            with pytest.raises(UpdateError) as info:
+                par.insert_edge(u, v)
+            monkeypatch.undo()
             assert info.value.rolled_back
             assert info.value.edge == (u, v)
-            assert isinstance(info.value.cause, WorkerCrashed)
+            assert isinstance(info.value.cause, ChunkEscalated)
             assert not par.graph.has_edge(u, v)
             d, sigma, delta, bc, counters = before
             assert np.array_equal(par.state.d, d)
@@ -229,49 +236,56 @@ class TestWorkerCrash:
             assert np.array_equal(par.state.delta, delta)
             assert np.array_equal(par.state.bc, bc)
             assert par.counters == counters
+            health = par.health_report()
+            assert health["quarantined"] == 1
+            assert health["escalations"] == 1
 
-            # The engine keeps working (serially) and still matches the
-            # clean twin exactly.
             rs = clean.insert_edge(u, v)
             rp = par.insert_edge(u, v)
             assert reports_identical(rs, rp)
             assert_states_equal(clean, par)
+            assert not par.health_report()["parallel_disabled"]
             par.verify()
         finally:
             par.close()
 
     def test_injector_arms_pool_crash(self, er_graph):
-        _, par = build_pair(er_graph, 2, supervised=False)
+        # The supervisor restores the chunk's journaled rows, respawns
+        # the worker and retries the round: the armed crash costs one
+        # death and nothing else — the update lands as on a clean twin.
+        clean, par = build_pair(er_graph, 2)
         try:
             injector = FaultInjector(0)
             injector.arm_update_fault(par, after_sources=1)
             assert any("pool mode" in line for line in injector.log)
             u, v = active_insert_edge(par)
-            with pytest.warns(RuntimeWarning):
-                with pytest.raises(UpdateError) as info:
-                    par.insert_edge(u, v)
-            assert info.value.rolled_back
+            rs = clean.insert_edge(u, v)
+            rp = par.insert_edge(u, v)
+            assert reports_identical(rs, rp)
+            assert_states_equal(clean, par)
+            health = par.health_report()
+            assert health["deaths"] == 1
+            assert health["respawns"] == 1
+            assert not health["parallel_disabled"]
         finally:
             par.close()
 
     def test_guarded_replay_recovers_from_crash(self, er_graph):
-        serial, par = build_pair(er_graph, 2, supervised=False)
+        serial, par = build_pair(er_graph, 2)
         try:
             stream = EdgeStream.churn(er_graph, 15, seed=17)
             policy = GuardPolicy(check_every=50, seed=1)
             par._ensure_pool().arm_crash()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                rp = replay(par, stream, guard=policy)
+            rp = replay(par, stream, guard=policy)
             rs = replay(serial, stream, guard=policy)
-            # The crashed update rolled back and was retried (serially)
-            # once — recovered, not skipped — and every report matches.
-            assert len(rp.recovered) == 1
-            assert not rp.skipped or rp.skipped == rs.skipped
+            # The crash is recovered inside its update: nothing rolls
+            # back or is skipped, and every report matches.
+            assert not rp.recovered and not rp.skipped
             assert len(rs.reports) == len(rp.reports)
             for x, y in zip(rs.reports, rp.reports):
                 assert reports_identical(x, y)
             assert_states_equal(serial, par)
+            assert par.health_report()["deaths"] == 1
         finally:
             par.close()
 
@@ -281,17 +295,16 @@ class TestWorkerCrash:
 # ----------------------------------------------------------------------
 class TestFallbackAndLifecycle:
     def test_fallback_when_shm_unavailable(self, er_graph, monkeypatch):
-        # Pin the process backend: on free-threaded builds (or with
-        # REPRO_POOL_BACKEND=threads) auto would resolve to threads,
-        # which runs happily without shm and never needs the fallback.
-        monkeypatch.delenv("REPRO_POOL_BACKEND", raising=False)
+        # A GIL build picks processes, which need shm; free-threaded
+        # builds pick threads and never need the fallback.
+        monkeypatch.setattr("repro.bc.engine.free_threading_active",
+                            lambda: False)
         monkeypatch.setattr("repro.bc.engine.shm_available", lambda: False)
         serial = DynamicBC.from_graph(DynamicGraph.from_csr(er_graph),
                                       num_sources=K, seed=SEED)
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             par = DynamicBC.from_graph(DynamicGraph.from_csr(er_graph),
-                                       num_sources=K, seed=SEED, workers=2,
-                                       pool_backend="processes")
+                                       num_sources=K, seed=SEED, workers=2)
         assert par._pool is None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)

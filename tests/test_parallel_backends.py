@@ -1,6 +1,7 @@
-"""Backend matrix for the parallel runtime (PR-8): thread-backend
-bit-identity, warm-pool reuse across engines and replay streams, and
-the supervision ladder parameterized over both backends."""
+"""Backend matrix for the parallel runtime: the platform rule that
+picks the pool backend, thread-backend bit-identity, warm-pool reuse
+across replay streams, and the supervision ladder parameterized over
+both backends."""
 
 import numpy as np
 import pytest
@@ -9,17 +10,11 @@ from repro.bc.engine import DynamicBC
 from repro.graph import generators as gen
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.stream import EdgeStream, replay
-from repro.parallel.pool import WorkerCrashed
 from repro.parallel.shm import shm_available
 from repro.parallel.supervisor import (
     FULL_POOL,
     SupervisedPool,
     SupervisorPolicy,
-)
-from repro.parallel.threadpool import (
-    ThreadWorkerPool,
-    free_threading_active,
-    resolve_pool_backend,
 )
 from repro.resilience.chaos import reports_identical
 
@@ -84,23 +79,24 @@ def _mutate(engine):
 # Backend resolution
 # ----------------------------------------------------------------------
 class TestResolve:
-    def test_explicit_choices_pass_through(self):
-        assert resolve_pool_backend("processes") == "processes"
-        assert resolve_pool_backend("threads") == "threads"
+    def test_auto_prefers_free_threading_then_processes(self, er_graph,
+                                                       monkeypatch):
+        """The platform picks the pool: threads on free-threaded
+        CPython, else processes over shm, else serial with a warning."""
+        def resolved(free_threaded, shm):
+            monkeypatch.setattr("repro.bc.engine.free_threading_active",
+                                lambda: free_threaded)
+            monkeypatch.setattr("repro.bc.engine.shm_available", lambda: shm)
+            with DynamicBC.from_graph(DynamicGraph.from_csr(er_graph),
+                                      num_sources=K, seed=SEED, workers=2,
+                                      supervisor_policy=FAST) as engine:
+                return engine.health_report()["pool_backend"]
 
-    def test_invalid_choice_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_pool_backend("fibers")
-
-    def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_BACKEND", "threads")
-        assert resolve_pool_backend("auto") == "threads"
-
-    def test_auto_prefers_free_threading_then_processes(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POOL_BACKEND", raising=False)
-        expected = "threads" if free_threading_active() else (
-            "processes" if shm_available() else "threads")
-        assert resolve_pool_backend("auto") == expected
+        assert resolved(free_threaded=True, shm=False) == "threads"
+        if shm_available():
+            assert resolved(free_threaded=False, shm=True) == "processes"
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
+            assert resolved(free_threaded=False, shm=False) == "serial"
 
 
 # ----------------------------------------------------------------------
@@ -108,7 +104,7 @@ class TestResolve:
 # ----------------------------------------------------------------------
 class TestThreadPool:
     def test_ping_round(self):
-        with ThreadWorkerPool(2) as pool:
+        with SupervisedPool(2, policy=FAST, backend="threads") as pool:
             outs = pool.run("ping", {}, [{"items": [i]} for i in range(5)])
             assert outs == [[i] for i in range(5)]
             stats = pool.transport_stats()
@@ -116,20 +112,13 @@ class TestThreadPool:
             assert stats["transport"] == "reference"
             assert stats["queue_bytes"] == 0
 
-    def test_cooperative_crash_raises_and_pool_recovers(self):
-        with ThreadWorkerPool(2) as pool:
-            pool.arm_crash()
-            with pytest.raises(WorkerCrashed):
-                pool.run("ping", {}, [{"items": [i]} for i in range(3)])
-            outs = pool.run("ping", {}, [{"items": [i]} for i in range(3)])
-            assert outs == [[i] for i in range(3)]
-
-    def test_engine_bit_identity_vs_serial(self, er_graph):
+    def test_engine_bit_identity_vs_serial(self, er_graph, monkeypatch):
+        monkeypatch.setattr("repro.bc.engine.free_threading_active",
+                            lambda: True)
         serial = DynamicBC.from_graph(DynamicGraph.from_csr(er_graph),
                                       num_sources=K, seed=SEED)
         par = DynamicBC.from_graph(DynamicGraph.from_csr(er_graph),
                                    num_sources=K, seed=SEED, workers=2,
-                                   pool_backend="threads",
                                    supervisor_policy=FAST)
         try:
             rs = _mutate(serial)
@@ -187,7 +176,7 @@ class TestSupervisionMatrix:
 
 
 # ----------------------------------------------------------------------
-# Warm pools: one pool outliving streams and engines
+# Warm pools: one pool outliving streams
 # ----------------------------------------------------------------------
 @pytest.mark.skipif(not shm_available(), reason="POSIX shm unavailable")
 class TestWarmPool:
@@ -208,31 +197,3 @@ class TestWarmPool:
             assert pool.counts["respawns"] == 0
         finally:
             engine.close()
-
-    def test_external_pool_survives_engine_instances(self, er_graph):
-        # One externally owned pool serves two engine lifetimes and a
-        # serial twin confirms both runs stay bit-identical; the
-        # workers never respawn and the engine never closes the pool.
-        serial = DynamicBC.from_graph(DynamicGraph.from_csr(er_graph),
-                                      num_sources=K, seed=SEED)
-        _mutate(serial)
-        pool = SupervisedPool(2, policy=FAST)
-        try:
-            rounds_after_first = None
-            for _ in range(2):
-                eng = DynamicBC.from_graph(DynamicGraph.from_csr(er_graph),
-                                           num_sources=K, seed=SEED,
-                                           workers=2, pool=pool)
-                _mutate(eng)
-                assert_states_equal(serial, eng)
-                eng.close()
-                stats = pool.transport_stats()
-                if rounds_after_first is None:
-                    rounds_after_first = stats["rounds"]
-            assert pool.counts["respawns"] == 0
-            # The second engine really used the same pool: the round
-            # counter kept growing instead of starting over.
-            assert pool.transport_stats()["rounds"] > rounds_after_first
-        finally:
-            pool.close()
-        serial.close()

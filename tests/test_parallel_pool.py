@@ -1,5 +1,7 @@
 """Unit tests for the parallel substrate: chunk planning, the
-shared-memory arena, the worker pool, and the deterministic reducer.
+shared-memory arena, the worker pool (its rounds driven through
+:class:`SupervisedPool`, the one collect loop), and the deterministic
+reducer.
 
 The end-to-end bit-identity claims live in tests/test_parallel.py;
 this module pins the contracts of each layer in isolation.
@@ -11,48 +13,55 @@ import numpy as np
 import pytest
 
 from repro.parallel import (
-    ParallelExecutionError,
     ShmArena,
     ShmAttachment,
-    WorkerCrashed,
+    SupervisedPool,
     WorkerPool,
     WorkerTaskError,
     merge_indexed,
-    plan_chunks,
+    plan_chunks_guided,
     rebuild_trace,
     shm_available,
 )
+from repro.parallel.chunks import MAX_CHUNKS_PER_WORKER
 from repro.gpu.counters import Step
 
 
 # ----------------------------------------------------------------------
-# plan_chunks
+# plan_chunks_guided
 # ----------------------------------------------------------------------
 class TestPlanChunks:
     def test_concat_preserves_items_and_order(self):
         items = list(range(23))
-        chunks = plan_chunks(items, 3)
+        chunks = plan_chunks_guided(items, 3)
+        assert [x for c in chunks for x in c] == items
+        weights = [float(i % 5) for i in items]
+        chunks = plan_chunks_guided(items, 3, weights=weights)
         assert [x for c in chunks for x in c] == items
 
     def test_chunks_are_contiguous_and_bounded(self):
-        chunks = plan_chunks(list(range(100)), 4, chunks_per_worker=4)
-        assert len(chunks) <= 16
-        sizes = {len(c) for c in chunks}
-        assert max(sizes) - min(sizes) <= 1 or len(sizes) <= 2
+        chunks = plan_chunks_guided(list(range(100)), 4)
+        assert len(chunks) <= MAX_CHUNKS_PER_WORKER * 4
+        # the guided taper: big chunks first, never growing again
+        sizes = [len(c) for c in chunks]
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[0] > sizes[-1]
 
     def test_fewer_items_than_chunks(self):
-        chunks = plan_chunks([7, 8], 4)
+        chunks = plan_chunks_guided([7, 8], 4)
         assert [x for c in chunks for x in c] == [7, 8]
         assert all(c for c in chunks)  # no empty chunks
 
     def test_empty_items(self):
-        assert plan_chunks([], 4) == []
+        assert plan_chunks_guided([], 4) == []
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
-            plan_chunks([1], 0)
+            plan_chunks_guided([1], 0)
         with pytest.raises(ValueError):
-            plan_chunks([1], 2, chunks_per_worker=0)
+            plan_chunks_guided([1], 2, factor=0.0)
+        with pytest.raises(ValueError):
+            plan_chunks_guided([1, 2], 2, weights=[1.0])
 
 
 # ----------------------------------------------------------------------
@@ -179,33 +188,26 @@ class TestLeakGuard:
 @pytest.mark.skipif(not shm_available(), reason="POSIX shm unavailable")
 class TestWorkerPool:
     def test_ping_returns_chunks_in_payload_order(self):
-        with WorkerPool(2) as pool:
+        with SupervisedPool(2) as pool:
             payloads = [{"items": [i, i + 1]} for i in range(0, 10, 2)]
             outs = pool.run("ping", {}, payloads)
             assert outs == [[i, i + 1] for i in range(0, 10, 2)]
 
     def test_task_error_carries_remote_traceback(self):
-        with WorkerPool(2) as pool:
+        with SupervisedPool(2) as pool:
             with pytest.raises(WorkerTaskError) as info:
                 pool.run("no-such-kind", {}, [{"items": []}])
             assert "KeyError" in str(info.value)
             # The pool respawned: the next round must still work.
             assert pool.run("ping", {}, [{"items": [1]}]) == [[1]]
 
-    def test_worker_crash_detected_and_pool_respawns(self):
-        with WorkerPool(2) as pool:
-            pool.arm_crash()
-            with pytest.raises(WorkerCrashed):
-                pool.run("ping", {}, [{"items": [0]}, {"items": [1]}])
-            assert pool.run("ping", {}, [{"items": [2]}]) == [[2]]
-
-    def test_crash_is_one_shot(self):
-        with WorkerPool(2) as pool:
-            pool.arm_crash()
-            with pytest.raises(ParallelExecutionError):
-                pool.run("ping", {}, [{"items": [0]}])
-            outs = pool.run("ping", {}, [{"items": [0]}, {"items": [1]}])
-            assert outs == [[0], [1]]
+    def test_unencodable_result_raises_task_error(self):
+        # Results travel only through the slab framing: one it cannot
+        # carry (a set) is the task's error, never a pickled bypass.
+        with SupervisedPool(2) as pool:
+            with pytest.raises(WorkerTaskError, match="SlabEncodeError"):
+                pool.run("ping", {}, [{"items": [{1, 2}]}])
+            assert pool.run("ping", {}, [{"items": [1]}]) == [[1]]
 
     def test_close_idempotent_and_rejects_tiny_pool(self):
         pool = WorkerPool(2)
@@ -215,8 +217,9 @@ class TestWorkerPool:
             WorkerPool(1)
 
     def test_empty_round_short_circuits(self):
-        with WorkerPool(2) as pool:
+        with SupervisedPool(2) as pool:
             assert pool.run("ping", {}, []) == []
+            assert pool.transport_stats()["rounds"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -265,28 +268,28 @@ class TestTeardown:
         assert elapsed < 10.0
 
     def test_kill_worker_reaps_and_respawn_restores_service(self):
-        with WorkerPool(2, join_timeout=0.5) as pool:
-            victim = pool._procs[0].pid
-            pool.kill_worker(0)
+        with SupervisedPool(2, join_timeout=0.5) as pool:
+            raw = pool._pool
+            victim = raw._procs[0].pid
+            raw.kill_worker(0)
             _assert_reaped(victim)
-            pool.respawn()
+            raw.respawn()
             assert pool.run("ping", {}, [{"items": [5]}]) == [[5]]
 
     def test_sigkilled_run_leaves_no_zombies(self):
         import os
         import signal
 
-        with WorkerPool(2, join_timeout=0.5) as pool:
-            pids = [p.pid for p in pool._procs]
+        with SupervisedPool(2, join_timeout=0.5) as pool:
+            pids = [p.pid for p in pool._pool._procs]
             os.kill(pids[0], signal.SIGKILL)
             # The survivor may drain every chunk before the death is
-            # noticed (success) or the pool may fail the round and
-            # respawn — either way close() must reap everything.
-            try:
-                outs = pool.run("ping", {}, [{"items": [0]}, {"items": [1]}])
-                assert outs == [[0], [1]]
-            except ParallelExecutionError:
-                pass
+            # noticed, or the supervisor may fail the round, respawn
+            # and retry it — either way the round completes and
+            # close() must reap everything.
+            outs = pool.run("ping", {}, [{"items": [0]}, {"items": [1]}])
+            assert outs == [[0], [1]]
+            pids += [p.pid for p in pool._pool._procs]
         for pid in pids:
             _assert_reaped(pid)
 

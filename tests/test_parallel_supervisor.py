@@ -285,23 +285,6 @@ class TestEngineSupervised:
         finally:
             par.close()
 
-    def test_unsupervised_opt_out_keeps_legacy_pool(self, er_graph):
-        from repro.parallel.pool import WorkerPool
-
-        # Backend pinned: the point is the supervision opt-out, and
-        # under REPRO_POOL_BACKEND=threads (or free-threaded builds)
-        # auto would legitimately hand back a ThreadWorkerPool.
-        _, par = build_pair(er_graph, 2, supervised=False,
-                            pool_backend="processes")
-        try:
-            pool = par._ensure_pool()
-            assert type(pool) is WorkerPool
-            hr = par.health_report()
-            assert hr["supervised"] is False
-            assert hr["level"] == FULL_POOL
-        finally:
-            par.close()
-
 
 def _active_edge(engine):
     from repro.bc.cases import Case, classify_insertions_batch

@@ -71,13 +71,6 @@ class TestRollback:
         assert np.array_equal(faulty.bc_scores, clean.bc_scores)
         assert faulty.counters == clean.counters
 
-    def test_non_transactional_engine_propagates_raw_fault(self, karate):
-        eng = DynamicBC.from_graph(karate, num_sources=8, seed=1,
-                                   transactional=False)
-        FaultInjector(3).arm_update_fault(eng, after_sources=0)
-        with pytest.raises(FaultInjected):
-            eng.insert_edge(0, 9)
-
     def test_looped_path_rolls_back_too(self, karate):
         eng = DynamicBC.from_graph(karate, num_sources=8, seed=1,
                                    vectorized=False)
@@ -87,16 +80,6 @@ class TestRollback:
             eng.insert_edge(0, 9)
         assert_state_equal(eng, before)
         eng.verify()
-
-    def test_transactional_reports_match_non_transactional(self, karate):
-        a = DynamicBC.from_graph(karate, num_sources=8, seed=1)
-        b = DynamicBC.from_graph(karate, num_sources=8, seed=1,
-                                 transactional=False)
-        from repro.resilience.chaos import reports_identical
-
-        assert reports_identical(a.insert_edge(0, 9), b.insert_edge(0, 9))
-        assert reports_identical(a.delete_edge(0, 9), b.delete_edge(0, 9))
-        assert np.array_equal(a.bc_scores, b.bc_scores)
 
 
 class TestRepairSource:
