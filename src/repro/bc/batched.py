@@ -29,6 +29,14 @@ whole.  A level's rows are split into whole-row passes of at most
 :data:`PASS_ARCS` gathered arcs so temporaries stay in cache, and a
 row that fills a pass alone runs with the per-source gather (int32
 vertex ids into its own row views, no key arithmetic).
+
+A dependency level finds its predecessor arcs from the smaller side,
+per row (direction-optimizing, as Beamer et al.'s BFS): top-down over
+every arc of the level's keys, or bottom-up over every arc of the
+row's previous level, kept when it reaches a key.  Both select the
+same arcs in the same order, and each row is charged the top-down scan
+the per-source kernel performs, so only host time depends on the
+direction.
 """
 
 from __future__ import annotations
@@ -50,6 +58,10 @@ from repro.resilience.errors import CorruptRowError
 #: most arcs one level pass gathers; a level whose rows need more is
 #: split into several passes of whole rows
 PASS_ARCS = 1 << 15
+#: a dependency level's row weighs a bottom-up gather only when its
+#: top-down gather reaches this many arcs; lighter rows keep the
+#: top-down path unweighed (docs/MODEL.md §6)
+BOTTOM_UP_ARCS = 1 << 11
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -233,6 +245,17 @@ class _Arcs:
         return np.bincount(self.kb, weights=self.counts,
                            minlength=m).astype(np.int64)
 
+    def preds(self, level: int, case3: bool):
+        """Top-down: the dependency level's predecessor arcs among all
+        arcs of the keys, and (Case 3) the old-DAG arcs of its unmoved
+        keys; ``(p, old)``."""
+        _, _, _, DN, MV, D, _, _ = self.batch.views(self.b)
+        p = self.select((DN[self.lh] if case3 else D[self.gh]) == level - 1)
+        if not case3:
+            return p, None
+        return p, self.select((D[self.gh] == self.spread(D[self.gt_keys] - 1))
+                              & self.spread(~MV[self.lt_keys]))
+
 
 class _Sel:
     """A selection of a pass's arcs, in arc order: ``kidx`` (owning
@@ -277,6 +300,61 @@ class _Sel:
         return np.bincount(self.rb, minlength=self.m)
 
 
+class _BottomUp:
+    """A dependency level's pass that finds its rows' predecessor arcs
+    bottom-up; it stands in for the top-down :class:`_Arcs` of *keys*
+    (every key of its rows at *level*).
+
+    Every arc leaving the rows' previous level *prev* is gathered and
+    kept when its head is one of the keys: a touched vertex at stage
+    distance *level*, since the level's bucket holds every such vertex
+    by the time the level runs.  The kept arcs are reversed (adjacency
+    is symmetric) and put in the order the top-down scan finds them,
+    keys ascending then CSR order — (key, predecessor) order, CSR rows
+    being sorted — so :meth:`preds` returns the :class:`_Sel` that
+    :meth:`_Arcs.preds` would, and every scatter-add sees the same
+    sequence.
+    """
+
+    def __init__(self, batch: "_Batch", keys: np.ndarray, deg: np.ndarray,
+                 b: Optional[int], prev: np.ndarray, level: int,
+                 case3: bool) -> None:
+        self.batch, self.keys, self.deg, self.b = batch, keys, deg, b
+        up = _Arcs(batch, prev, b)
+        self.total = up.total
+        T, _, _, DN, MV, D, _, _ = batch.views(b)
+        lh = up.lh
+        key = (DN[lh] if case3 else D[up.gh]) == level
+        key &= T[lh] != UNTOUCHED
+        if not case3:  # prev is exactly the stored level - 1
+            self.p, self.old = self._reverse(up.select(key)), None
+            return
+        # prev holds the new and the stored level - 1: the new-DAG
+        # predecessors and the old-DAG arcs of unmoved keys
+        self.p = self._reverse(
+            up.select(key & up.spread(DN[up.lt_keys] == level - 1)))
+        self.old = self._reverse(
+            up.select(key & ~MV[lh] & up.spread(D[up.gt_keys] == level - 1)))
+
+    def _reverse(self, q: _Sel) -> _Sel:
+        """Arcs ``prev -> key`` as ``key -> prev``, in top-down order."""
+        order = np.argsort(q.lh, kind="stable")
+        lt = q.lh[order]
+        local = lt if self.b is None else lt + self.batch.lbase[self.b]
+        rb = q.rb if self.b is not None else q.rb[order]
+        return _Sel(self.batch.m, np.searchsorted(self.keys, local), rb,
+                    lt, q.gh[order], q.lt[order], q.gt[order])
+
+    def preds(self, level: int, case3: bool):
+        return self.p, self.old
+
+    def row_arcs(self) -> np.ndarray:
+        """Arcs per batch row the top-down scan of the keys gathers:
+        what the per-source kernel is charged."""
+        return np.bincount(self.keys // self.batch.n, weights=self.deg,
+                           minlength=self.batch.m).astype(np.int64)
+
+
 class _Batch:
     """Scratch and per-row bookkeeping for one case's rows of an update.
 
@@ -291,6 +369,7 @@ class _Batch:
         n, m = graph.num_vertices, len(items)
         self.ex, self.n, self.m = ex, n, m
         self.offsets, self.cols = graph.row_offsets, graph.col_indices
+        self.deg = np.diff(self.offsets)
         self.rows = np.fromiter((it[0] for it in items), np.int64, m)
         self.uh = np.fromiter((it[2] for it in items), np.int64, m)
         self.ul = np.fromiter((it[3] for it in items), np.int64, m)
@@ -318,14 +397,21 @@ class _Batch:
         self.sp_levels = np.zeros(m, dtype=np.int64)
         self.dep_levels = np.zeros(m, dtype=np.int64)
         self.moved = np.zeros(m, dtype=np.int64)
+        #: the running dependency level's previous level, for the rows
+        #: :meth:`bottom_up` sent bottom-up: row -> (local keys, arcs)
+        self.prev: Dict[int, Tuple[np.ndarray, int]] = {}
 
     # ------------------------------------------------------------------
     # passes, views and per-row counts
     # ------------------------------------------------------------------
-    def passes(self, keys: np.ndarray):
+    def degrees(self, keys: np.ndarray) -> np.ndarray:
+        """Degree of the vertex of each local key."""
+        return self.deg[keys % self.n]
+
+    def passes(self, keys: np.ndarray, deg: Optional[np.ndarray] = None):
         """Split one level's sorted local *keys* into whole-row passes
         of at most :data:`PASS_ARCS` arcs; yields the :class:`_Arcs` of
-        each pass."""
+        each pass.  *deg* is the keys' degrees, when known."""
         if keys.size == 0:
             return
         n = self.n
@@ -333,8 +419,8 @@ class _Batch:
         if first == last:
             yield _Arcs(self, keys, first)
             return
-        v = keys % n
-        deg = self.offsets[v + 1] - self.offsets[v]
+        if deg is None:
+            deg = self.degrees(keys)
         if int(deg.sum()) <= PASS_ARCS:
             yield _Arcs(self, keys, None)
             return
@@ -342,18 +428,11 @@ class _Batch:
         bounds = np.searchsorted(
             keys, np.arange(self.m + 1, dtype=np.int64) * n
         ).tolist()
-        start, total = first, 0.0
-        for b, arcs in enumerate(row_arcs.tolist()[first:last + 1], first):
-            if b > start and total + arcs > PASS_ARCS:
-                yield from self._emit(keys, bounds, start, b)
-                start, total = b, 0.0
-            total += arcs
-        yield from self._emit(keys, bounds, start, last + 1)
-
-    def _emit(self, keys, bounds, b0, b1):
-        part = keys[bounds[b0]:bounds[b1]]
-        if part.size:
-            yield _Arcs(self, part, b0 if b1 - b0 == 1 else None)
+        for s, e in _runs(row_arcs.tolist()[first:last + 1]):
+            b0, b1 = first + s, first + e
+            part = keys[bounds[b0]:bounds[b1]]
+            if part.size:
+                yield _Arcs(self, part, b0 if b1 - b0 == 1 else None)
 
     def views(self, b: Optional[int]):
         """Scratch and shared arrays a pass indexes: ``(T, SH, DH, DN,
@@ -396,6 +475,70 @@ class _Batch:
             np.maximum.at(out, keys // self.n, counts)
 
     # ------------------------------------------------------------------
+    # dependency-level direction
+    # ------------------------------------------------------------------
+    def dep_passes(self, w: np.ndarray, level: int, case3: bool):
+        """The passes of dependency level *level* over its sorted local
+        keys *w*: top-down, except for the rows :meth:`bottom_up`
+        picks."""
+        self.prev = {}
+        deg = self.degrees(w)
+        rows = self.bottom_up(w, deg, level, case3)
+        if not rows.size:
+            yield from self.passes(w, deg)
+            return
+        up = np.zeros(self.m, dtype=bool)
+        up[rows] = True
+        mask = up[w // self.n]
+        yield from self.passes(w[~mask], deg[~mask])
+        yield from self.up_passes(w[mask], deg[mask], rows, level, case3)
+
+    def bottom_up(self, w: np.ndarray, deg: np.ndarray, level: int,
+                  case3: bool) -> np.ndarray:
+        """Rows (ascending, each holding keys in *w*) that find level
+        *level*'s predecessors bottom-up: those whose top-down gather
+        reaches :data:`BOTTOM_UP_ARCS` and exceeds their previous
+        level's arcs.  The direction seam: tests force either direction
+        here."""
+        if int(deg.sum()) < BOTTOM_UP_ARCS:
+            return _EMPTY
+        top_down = np.bincount(w // self.n, weights=deg, minlength=self.m)
+        rows = []
+        for b in np.flatnonzero(top_down >= BOTTOM_UP_ARCS).tolist():
+            prev = self.previous(b, level, case3)
+            if prev[1] < top_down[b]:
+                self.prev[b] = prev  # held: fewer arcs than the scan
+                rows.append(b)
+        return np.array(rows, dtype=np.int64)
+
+    def previous(self, b: int, level: int, case3: bool):
+        """Row *b*'s previous level, read from its stage distances:
+        ``(local keys, arcs)`` of its vertices at ``level - 1`` — stored
+        distance, or (Case 3) new or stored distance, which covers the
+        new-DAG predecessors and the old-DAG retirements."""
+        at = self.D[self.rows[b]] == level - 1
+        if case3:
+            at |= self.DN[b] == level - 1
+        v = np.flatnonzero(at)
+        return v + self.lbase[b], int(self.deg[v].sum())
+
+    def up_passes(self, keys: np.ndarray, deg: np.ndarray, rows: np.ndarray,
+                  level: int, case3: bool):
+        """Bottom-up passes of *rows* (ascending), whose level keys are
+        *keys*: whole rows, at most :data:`PASS_ARCS` previous-level
+        arcs gathered per pass."""
+        n = self.n
+        prev = [self.prev.get(b) or self.previous(b, level, case3)
+                for b in rows.tolist()]
+        lo = np.searchsorted(keys, rows * n).tolist()
+        hi = np.searchsorted(keys, (rows + 1) * n).tolist()
+        for s, e in _runs([arcs for _, arcs in prev]):
+            part = slice(lo[s], hi[e - 1])
+            yield _BottomUp(self, keys[part], deg[part],
+                            int(rows[s]) if e - s == 1 else None,
+                            _concat([k for k, _ in prev[s:e]]), level, case3)
+
+    # ------------------------------------------------------------------
     # Case 2
     # ------------------------------------------------------------------
     def case2(self, insert: bool, on_source) -> Dict[int, SourceResult]:
@@ -431,7 +574,7 @@ class _Batch:
                 if o.size:
                     atomic_scatter_add(SH, o.lh, SH[o.lt] - S[o.gt],
                                        array="sigma_hat")
-                new = np.unique(raw_new)
+                new = _unique(raw_new)
                 if new.size:
                     T[new] = DOWN
                 arcs += a.row_arcs()
@@ -513,12 +656,12 @@ class _Batch:
                 s = _Arcs(self, front, b)
                 heads = s.lh
                 next_level = s.rowwise(level) + 1
-                movers = np.unique(heads[DN[heads] > next_level])
+                movers = _unique(heads[DN[heads] > next_level])
                 if movers.size:
                     DN[movers] = level[movers // n if b is None else b] + 1
                     MV[movers] = True
                 cand = DN[heads] == next_level
-                nxt = np.unique(heads[cand])
+                nxt = _unique(heads[cand])
                 if nxt.size:
                     T[nxt] = DOWN
                 scan += s.row_arcs()
@@ -548,7 +691,7 @@ class _Batch:
             T, _, DH, _, _, D, S, DL = self.views(b)
             x = a.select(D[a.gh] == a.spread(D[a.gt_keys] - 1))
             x = x[T[x.lh] != DOWN]
-            new_up = np.unique(x.lh[T[x.lh] == UNTOUCHED])
+            new_up = _unique(x.lh[T[x.lh] == UNTOUCHED])
             if new_up.size:
                 T[new_up] = UP
                 DH[new_up] = DL[self.to_global(new_up, b)]
@@ -578,9 +721,9 @@ class _Batch:
         part in levels ``max_level .. 1`` of its own; *removed_base*
         (deletions only) is each row's ``d[u_low]``, the level where
         the removed arc is retired explicitly."""
-        n, m = self.n, self.m
+        m = self.m
         max_level = np.zeros(m, dtype=np.int64)
-        np.maximum.at(max_level, touched // n, levels)
+        np.maximum.at(max_level, touched // self.n, levels)
         order = np.argsort(levels, kind="stable")
         touched, levels = touched[order], levels[order]
         cuts = (np.flatnonzero(np.diff(levels)) + 1).tolist()
@@ -590,7 +733,7 @@ class _Batch:
         }
         for level in range(int(max_level.max()), 0, -1):
             parts = buckets.pop(level, [])
-            w = np.unique(_concat(parts)) if parts else _EMPTY
+            w = _unique(_concat(parts)) if parts else _EMPTY
             live = np.flatnonzero(max_level >= level)
             self.dep_levels[live] += 1
             arcs = np.zeros(m, dtype=np.int64)
@@ -601,20 +744,21 @@ class _Batch:
             removed = (_EMPTY if removed_base is None
                        else np.flatnonzero(removed_base == level))
             ups: List[np.ndarray] = []
-            for a in self.passes(w):
+            for a in self.dep_passes(w, level, case3):
                 b = a.b
                 T, SH, DH, DN, MV, D, S, DL = self.views(b)
-                p = a.select((DN[a.lh] if case3 else D[a.gh]) == level - 1)
-                fresh = np.unique(p.lh[T[p.lh] == UNTOUCHED])
+                p, old = a.preds(level, case3)
+                fresh = _unique(p.lh[T[p.lh] == UNTOUCHED])
                 if fresh.size:
                     T[fresh] = UP
                     DH[fresh] = DL[self.to_global(fresh, b)]
                     fresh = self.to_keys(fresh, b)
                     new_up += self.per_row(fresh)
                     ups.append(fresh)
-                lo = b if b is not None else int(a.keys[0]) // n
-                hi = b + 1 if b is not None else int(a.keys[-1]) // n + 1
-                here = removed[(removed >= lo) & (removed < hi)]
+                # rows whose removed arc retires here: u_low is one of
+                # this pass's keys (its row's keys are all in one pass)
+                here = (removed[_holds(a.keys, self.lul[removed])]
+                        if removed.size else removed)
                 if here.size:
                     # The removed arc's predecessor may be reachable
                     # only through the arc that no longer exists:
@@ -636,10 +780,6 @@ class _Batch:
                 # "up" predecessors only (Case 3: by unmoved successors
                 # over old DAG arcs; moved ones left in the pre-pass).
                 if case3:
-                    old = a.select(
-                        (D[a.gh] == a.spread(D[a.gt_keys] - 1))
-                        & a.spread(~MV[a.lt_keys])
-                    )
                     s = old[T[old.lh] == UP]
                 else:
                     up = T[p.lh] == UP
@@ -730,6 +870,37 @@ class _Batch:
                 loc[nz] - self.lbase[b], vals[nz],
             )
         return out
+
+
+def _runs(costs: List[int]):
+    """Split consecutive items into runs ``[s, e)`` of at most
+    :data:`PASS_ARCS` total cost; an item that exceeds it runs alone."""
+    start, total = 0, 0
+    for j, cost in enumerate(costs):
+        if j > start and total + cost > PASS_ARCS:
+            yield start, j
+            start, total = j, 0
+        total += cost
+    yield start, len(costs)
+
+
+def _holds(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Which of *probe* the sorted, non-empty *keys* hold."""
+    pos = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
+    return keys[pos] == probe
+
+
+def _unique(x: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of *x*, as ``np.unique`` returns them;
+    sorting is several times faster than its hashing on the
+    few-thousand-element arrays a level produces."""
+    x = np.sort(x)
+    if x.size > 1:
+        keep = np.empty(x.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(x[1:], x[:-1], out=keep[1:])
+        x = x[keep]
+    return x
 
 
 def _concat(parts: List[np.ndarray]) -> np.ndarray:

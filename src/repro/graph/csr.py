@@ -43,12 +43,35 @@ class CSRGraph:
     row_offsets : numpy.ndarray
         ``int64[n + 1]`` offsets into :attr:`col_indices`.
     col_indices : numpy.ndarray
-        ``int32[2 m]`` neighbor lists, sorted within each row.
+        ``int32[2 m]`` neighbor lists, sorted and duplicate-free within
+        each row (the constructor rejects other rows with
+        :class:`ValueError`).
     """
 
     __slots__ = ("num_vertices", "num_edges", "row_offsets", "col_indices", "_arcs")
 
     def __init__(self, row_offsets: np.ndarray, col_indices: np.ndarray) -> None:
+        self._adopt(row_offsets, col_indices)
+        bad = _unsorted_arcs(self.row_offsets, self.col_indices)
+        if bad.size:
+            v = int(np.searchsorted(self.row_offsets, bad[0], side="right")) - 1
+            raise ValueError(
+                f"row {v} of col_indices is not sorted and free of "
+                "duplicates"
+            )
+
+    @classmethod
+    def from_sorted_rows(
+        cls, row_offsets: np.ndarray, col_indices: np.ndarray
+    ) -> "CSRGraph":
+        """Adopt CSR arrays whose rows the caller knows to be sorted and
+        duplicate-free (spliced or rebuilt from a valid graph): every
+        check of the constructor but that O(m) one."""
+        graph = cls.__new__(cls)
+        graph._adopt(row_offsets, col_indices)
+        return graph
+
+    def _adopt(self, row_offsets: np.ndarray, col_indices: np.ndarray) -> None:
         row_offsets = np.asarray(row_offsets, dtype=np.int64)
         col_indices = np.asarray(col_indices, dtype=np.int32)
         if row_offsets.ndim != 1 or row_offsets.size == 0:
@@ -300,3 +323,15 @@ class CSRGraph:
 
     def __repr__(self) -> str:
         return f"CSRGraph(n={self.num_vertices}, m={self.num_edges})"
+
+
+def _unsorted_arcs(row_offsets: np.ndarray, col_indices: np.ndarray) -> np.ndarray:
+    """Positions of arcs that do not exceed their predecessor in the
+    same row (an unsorted or duplicated neighbor)."""
+    if col_indices.size < 2:
+        return np.empty(0, dtype=np.int64)
+    ok = np.diff(col_indices) > 0
+    # a row's first arc need not exceed the previous row's last
+    starts = row_offsets[1:-1]
+    ok[starts[(starts > 0) & (starts < col_indices.size)] - 1] = True
+    return np.flatnonzero(~ok) + 1

@@ -158,7 +158,9 @@ class DynamicGraph:
         delta = 1 if insert else -1
         new_offsets[u + 1:] += delta
         new_offsets[v + 1:] += delta
-        self._snapshot = CSRGraph(new_offsets, new_cols.astype(np.int32))
+        self._snapshot = CSRGraph.from_sorted_rows(
+            new_offsets, new_cols.astype(np.int32)
+        )
 
     def remove_random_edges(
         self, rng: np.random.Generator, count: int
@@ -203,7 +205,9 @@ class DynamicGraph:
                     np.arange(self.num_vertices, dtype=np.int64), self._deg
                 )
                 cols = cols[np.lexsort((cols, rows))]
-            self._snapshot = CSRGraph(offsets, cols.astype(np.int32))
+            self._snapshot = CSRGraph.from_sorted_rows(
+                offsets, cols.astype(np.int32)
+            )
         return self._snapshot
 
     # ------------------------------------------------------------------

@@ -200,7 +200,8 @@ def _views(attachment, common):
     n = common["n"]
     arcs = common["arcs"]
     arrays = attachment.arrays
-    graph = CSRGraph(
+    # the parent's snapshot, already checked
+    graph = CSRGraph.from_sorted_rows(
         arrays["row_offsets"][: n + 1], arrays["col_indices"][:arcs]
     )
     return (

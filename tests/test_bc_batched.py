@@ -5,8 +5,16 @@
 Each scenario replays the same updates on an executor engine and an
 oracle engine and compares every report field, every
 :class:`UpdateStats`, the counters and the final ``d``/``sigma``/
-``delta``/``bc`` state exactly.
+``delta``/``bc`` state exactly.  The dependency stage picks each
+level's direction per row; the ``*Forced*`` tests rerun the scenarios
+with every level forced top-down or bottom-up through the seam
+(``_Batch.bottom_up``).
 """
+
+import contextlib
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +30,30 @@ from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph
 from repro.resilience.chaos import reports_identical
+
+
+#: the direction seam's forced settings: no row bottom-up, or every row
+#: with keys at the level
+FORCE = {
+    "top-down": lambda self, w, deg, level, case3: batched._EMPTY,
+    "bottom-up": lambda self, w, deg, level, case3: np.unique(w // self.n),
+}
+
+
+@contextlib.contextmanager
+def forced(direction):
+    """Run the executor with every dependency level's direction forced
+    (``"auto"``: the rule)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if direction != "auto":
+            mp.setattr(batched._Batch, "bottom_up", FORCE[direction])
+        yield
+
+
+@pytest.fixture(params=["top-down", "bottom-up"])
+def force_direction(request):
+    with forced(request.param):
+        yield request.param
 
 
 def pair(graph, backend="gpu-node", **kwargs):
@@ -139,6 +171,11 @@ class TestDifferential:
         assert counts[2] and counts[3]
 
 
+@pytest.mark.usefixtures("force_direction")
+class TestDifferentialForced(TestDifferential):
+    """Every differential scenario with the direction forced."""
+
+
 def test_state_in_fortran_order(karate):
     """The executor writes rows through flat views of the state, so a
     state handed over in Fortran order must still be updated in place
@@ -154,16 +191,33 @@ def test_state_in_fortran_order(karate):
     assert_same(fast, oracle, [("insert", 0, 9), ("delete", 0, 1)])
 
 
+def kron_hub_scenario():
+    """Kronecker scale 12, 64 sources, six insertions at hubs: Case-2
+    dependency levels whose top-down scans of hub adjacency exceed
+    :data:`PASS_ARCS`."""
+    graph = gen.kronecker(12, 16, seed=5)
+    fast, oracle = pair(graph, "gpu-node", num_sources=64, seed=3)
+    rng = np.random.default_rng(11)
+    hubs = np.argsort(graph.degrees)[::-1][:8]
+    ops = []
+    for _ in range(6):
+        u = int(rng.choice(hubs))
+        v = int(rng.integers(0, graph.num_vertices))
+        if u != v and not fast.graph.has_edge(u, v):
+            ops.append(("insert", u, v))
+    return fast, oracle, ops
+
+
 class TestArcBudget:
     def test_kron_levels_exceed_the_budget(self, monkeypatch):
-        """On a Kronecker graph the Case-2 dependency scans of hub
-        adjacency exceed :data:`PASS_ARCS`; the level is split into
-        several passes, single-row ones included, and stays exact."""
+        """Top-down, the Case-2 dependency scans of hub adjacency exceed
+        :data:`PASS_ARCS`; the level is split into several passes,
+        single-row ones included, and stays exact."""
         seen = {"multi": 0, "single": 0, "split": 0}
         original = batched._Batch.passes
 
-        def spy(self, keys):
-            out = list(original(self, keys))
+        def spy(self, keys, deg=None):
+            out = list(original(self, keys, deg))
             if len(out) > 1:
                 seen["split"] += 1
             for arcs in out:
@@ -171,19 +225,32 @@ class TestArcBudget:
             return iter(out)
 
         monkeypatch.setattr(batched._Batch, "passes", spy)
-        graph = gen.kronecker(12, 16, seed=5)
-        fast, oracle = pair(graph, "gpu-node", num_sources=64, seed=3)
-        rng = np.random.default_rng(11)
-        hubs = np.argsort(graph.degrees)[::-1][:8]
-        ops = []
-        for _ in range(6):
-            u = int(rng.choice(hubs))
-            v = int(rng.integers(0, graph.num_vertices))
-            if u != v and not fast.graph.has_edge(u, v):
-                ops.append(("insert", u, v))
-        assert_same(fast, oracle, ops)
+        with forced("top-down"):
+            assert_same(*kron_hub_scenario())
         assert seen["split"] > 0
         assert seen["single"] > 0 and seen["multi"] > 0
+
+    def test_bottom_up_saves_hub_scans(self, monkeypatch):
+        """The direction rule gathers at most a quarter of the
+        dependency arcs the top-down scans gather, with identical
+        reports."""
+        gathered = []
+        original = batched._Batch.dep_passes
+
+        def spy(self, *args):
+            for a in original(self, *args):
+                gathered.append(a.total)
+                yield a
+
+        monkeypatch.setattr(batched._Batch, "dep_passes", spy)
+        with forced("top-down"):
+            top_down = assert_same(*kron_hub_scenario())
+        top_down_arcs = sum(gathered)
+        gathered.clear()
+        rule = assert_same(*kron_hub_scenario())
+        assert len(rule) == len(top_down)
+        assert all(reports_identical(a, b) for a, b in zip(rule, top_down))
+        assert 0 < sum(gathered) <= top_down_arcs // 4
 
     @pytest.mark.parametrize("budget", [1, 7, 100])
     def test_tiny_budgets_stay_exact(self, budget, monkeypatch, small_er):
@@ -194,16 +261,125 @@ class TestArcBudget:
         stream = EdgeStream.churn(small_er, 30, delete_fraction=0.4, seed=2)
         assert_same(fast, oracle, [(e.op, e.u, e.v) for e in stream])
 
+    @pytest.mark.parametrize("budget", [1, 7, 100])
+    def test_tiny_budgets_forced(self, budget, monkeypatch, small_er,
+                                 force_direction):
+        self.test_tiny_budgets_stay_exact(budget, monkeypatch, small_er)
+
+
+class TestDirection:
+    """Both directions select the same arcs in the same order, on any
+    stored row, and each row's removed arc retires once."""
+
+    def test_bottom_up_selection_equals_top_down(self, monkeypatch,
+                                                 small_er):
+        """Every bottom-up pass yields the :class:`_Sel` the top-down
+        scan of its keys yields: arc order, rows, local and global
+        tail and head indices."""
+        checked = {"single": 0, "multi": 0, "arcs": 0}
+        original = batched._Batch.dep_passes
+
+        def spy(self, w, level, case3):
+            for a in original(self, w, level, case3):
+                if isinstance(a, batched._BottomUp):
+                    down = batched._Arcs(self, a.keys, a.b)
+                    for got, want in zip(a.preds(level, case3),
+                                         down.preds(level, case3)):
+                        if want is None:
+                            assert got is None
+                            continue
+                        for name in ("kidx", "rb", "lt", "gt", "lh", "gh"):
+                            assert np.array_equal(getattr(got, name),
+                                                  getattr(want, name)), name
+                        checked["arcs"] += want.size
+                    assert np.array_equal(a.row_arcs(), down.row_arcs())
+                    checked["single" if a.b is not None else "multi"] += 1
+                yield a
+
+        monkeypatch.setattr(batched._Batch, "dep_passes", spy)
+        monkeypatch.setattr(batched, "PASS_ARCS", 60)  # multi and single
+        from repro.graph.stream import EdgeStream
+
+        with forced("bottom-up"):
+            fast, oracle = pair(small_er, "gpu-node", num_sources=16, seed=6)
+            stream = EdgeStream.churn(small_er, 30, delete_fraction=0.4,
+                                      seed=2)
+            reports = assert_same(fast, oracle,
+                                  [(e.op, e.u, e.v) for e in stream])
+        assert checked["single"] and checked["multi"] and checked["arcs"]
+        assert case_counts(reports)[2] and case_counts(reports)[3]
+
+    @pytest.mark.parametrize("direction", ["top-down", "bottom-up"])
+    def test_case2_deletion_retires_at_level_two(self, direction):
+        """Deleting (1, 3) from source 0 of the diamond retires the
+        removed arc at d[u_low] = 2, where 1 is reachable only through
+        it and is stamped explicitly."""
+        with forced(direction):
+            fast, oracle = pair(diamond(), "gpu-node", sources=[0])
+            reports = assert_same(fast, oracle, [("delete", 1, 3)])
+        assert reports[0].case_histogram == {2: 1}
+
+    @pytest.mark.parametrize("direction", ["top-down", "bottom-up"])
+    def test_case2_deletion_retires_at_level_one(self, direction):
+        """A stored row whose level 0 holds a second vertex: deleting
+        the source's arc to 1 keeps 1's distance (4 is a level-0
+        predecessor), so the removed arc retires at d[u_low] = 1.  The
+        previous level is read from the row, never assumed to be the
+        source: the executor must find the predecessor 4."""
+        from repro.bc.state import BCState
+
+        graph = CSRGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
+        state = BCState.compute(graph, [0])
+        state.d[0, 4] = 0
+        state.sigma[0, 1:4] = 2.0  # paths through 0 and through 4
+        runs = []
+        for vectorized in (True, False):
+            eng = DynamicBC(DynamicGraph.from_csr(graph), state.copy(),
+                            vectorized=vectorized)
+            with forced(direction):
+                runs.append((eng, eng.delete_edge(0, 1)))
+        (fast, a), (oracle, b) = runs
+        assert a.case_histogram == {2: 1}
+        assert reports_identical(a, b)
+        for name in ("d", "sigma", "delta", "bc"):
+            assert np.array_equal(getattr(fast.state, name),
+                                  getattr(oracle.state, name)), name
+        assert fast.counters == oracle.counters
+
+    def test_top_down_pass_straddling_a_bottom_up_row(self, monkeypatch,
+                                                      karate):
+        """Alternate rows bottom-up: a multi-row top-down pass's key
+        range then spans bottom-up rows, whose removed arcs must retire
+        in their own pass only."""
+        seen = {"straddles": 0}
+
+        def alternate(self, w, deg, level, case3):
+            rows = np.unique(w // self.n)[1::2]
+            if rows.size and (w[0] // self.n < rows[0] < w[-1] // self.n):
+                seen["straddles"] += 1
+            return rows
+
+        monkeypatch.setattr(batched._Batch, "bottom_up", alternate)
+        fast, oracle = pair(karate, "gpu-node", sources=list(range(0, 34, 2)))
+        reports = assert_same(fast, oracle, [
+            ("delete", 0, 1), ("delete", 2, 3), ("insert", 0, 26),
+            ("delete", 33, 8), ("delete", 0, 26),
+        ])
+        assert seen["straddles"] > 0
+        assert case_counts(reports)[2] >= 10
+
 
 @given(
     seed=st.integers(0, 10_000),
     backend=st.sampled_from(BACKENDS),
+    direction=st.sampled_from(["auto", "top-down", "bottom-up"]),
     steps=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)),
                    min_size=1, max_size=12),
 )
-def test_property_executor_matches_oracle(seed, backend, steps):
+def test_property_executor_matches_oracle(seed, backend, direction, steps):
     """Any toggle sequence on a sparse random graph (so merges and
-    splits occur) gives bit-identical reports and state."""
+    splits occur) gives bit-identical reports and state, in either
+    direction."""
     graph = gen.erdos_renyi(30, 35, seed=seed)
     fast, oracle = pair(graph, backend, num_sources=10, seed=seed)
     ops = []
@@ -218,7 +394,8 @@ def test_property_executor_matches_oracle(seed, backend, steps):
         else:
             ops.append(("insert", u, v))
             present.add(key)
-    assert_same(fast, oracle, ops)
+    with forced(direction):
+        assert_same(fast, oracle, ops)
 
 
 class TestCostSummary:
@@ -271,29 +448,56 @@ class TestCostSummary:
             assert reused.steps == fresh.steps
 
 
+def replay_pooled(pool_backend, monkeypatch):
+    """Replay a kron-9 churn stream through a two-worker engine on
+    *pool_backend* and through the looped oracle; compare everything."""
+    from repro.graph.stream import EdgeStream, replay
+
+    # the platform picks the backend; the seam reaches threads on
+    # GIL builds (and processes on free-threaded ones)
+    monkeypatch.setattr("repro.bc.engine.free_threading_active",
+                        lambda: pool_backend == "threads")
+    graph = gen.kronecker(9, 8, seed=1)
+    stream = EdgeStream.churn(graph, 25, delete_fraction=0.35, seed=2)
+    oracle = DynamicBC.from_graph(graph, num_sources=32, seed=3,
+                                  vectorized=False)
+    expected = replay(oracle, stream)
+    with DynamicBC.from_graph(graph, num_sources=32, seed=3,
+                              workers=2) as par:
+        assert par.health_report()["pool_backend"] == pool_backend
+        got = replay(par, stream)
+        assert par.transport_report()["rounds"] > 0
+        assert len(got.reports) == len(expected.reports)
+        assert all(reports_identical(a, b)
+                   for a, b in zip(got.reports, expected.reports))
+        assert np.array_equal(par.state.bc, oracle.state.bc)
+        assert np.array_equal(par.state.sigma, oracle.state.sigma)
+        assert par.counters == oracle.counters
+
+
 class TestPool:
     @pytest.mark.parametrize("pool_backend", ["processes", "threads"])
     def test_workers_run_the_executor_bit_identically(self, pool_backend,
                                                       monkeypatch):
-        from repro.graph.stream import EdgeStream, replay
+        replay_pooled(pool_backend, monkeypatch)
 
-        # the platform picks the backend; the seam reaches threads on
-        # GIL builds (and processes on free-threaded ones)
-        monkeypatch.setattr("repro.bc.engine.free_threading_active",
-                            lambda: pool_backend == "threads")
-        graph = gen.kronecker(9, 8, seed=1)
-        stream = EdgeStream.churn(graph, 25, delete_fraction=0.35, seed=2)
-        oracle = DynamicBC.from_graph(graph, num_sources=32, seed=3,
-                                      vectorized=False)
-        expected = replay(oracle, stream)
-        with DynamicBC.from_graph(graph, num_sources=32, seed=3,
-                                  workers=2) as par:
-            assert par.health_report()["pool_backend"] == pool_backend
-            got = replay(par, stream)
-            assert par.transport_report()["rounds"] > 0
-            assert len(got.reports) == len(expected.reports)
-            assert all(reports_identical(a, b)
-                       for a, b in zip(got.reports, expected.reports))
-            assert np.array_equal(par.state.bc, oracle.state.bc)
-            assert np.array_equal(par.state.sigma, oracle.state.sigma)
-            assert par.counters == oracle.counters
+    @pytest.mark.parametrize("direction", ["top-down", "bottom-up"])
+    @pytest.mark.parametrize("pool_backend", ["processes", "threads"])
+    def test_workers_forced(self, pool_backend, direction, monkeypatch):
+        """The forced seam reaches the workers (forked after it is
+        set, or threads of this process): it counts its calls outside
+        the parent's main thread in shared memory."""
+        calls = multiprocessing.Value("q", 0)
+        parent = os.getpid()
+        force = FORCE[direction]
+
+        def seam(self, w, deg, level, case3):
+            if (os.getpid() != parent
+                    or threading.current_thread() is not threading.main_thread()):
+                with calls.get_lock():
+                    calls.value += 1
+            return force(self, w, deg, level, case3)
+
+        monkeypatch.setattr(batched._Batch, "bottom_up", seam)
+        replay_pooled(pool_backend, monkeypatch)
+        assert calls.value > 0

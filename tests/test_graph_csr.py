@@ -57,6 +57,32 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CSRGraph(np.array([0, 1]), np.array([0], dtype=np.int32))
 
+    def test_raw_ctor_rejects_unsorted_rows(self):
+        """A triangle with row 0 listed as (2, 1): has_edge's binary
+        search would miss both of vertex 0's edges."""
+        with pytest.raises(ValueError, match="row 0"):
+            CSRGraph(np.array([0, 2, 4, 6]),
+                     np.array([2, 1, 0, 2, 0, 1], dtype=np.int32))
+
+    def test_raw_ctor_rejects_duplicate_arcs(self):
+        """Edge {1, 2} stored twice."""
+        with pytest.raises(ValueError, match="row 1"):
+            CSRGraph(np.array([0, 1, 4, 6]),
+                     np.array([1, 0, 2, 2, 1, 1], dtype=np.int32))
+
+    def test_raw_ctor_accepts_rows_across_empty_rows(self):
+        g = CSRGraph(np.array([0, 1, 1, 2]), np.array([2, 0], dtype=np.int32))
+        assert g.has_edge(0, 2) and g.degree(1) == 0
+
+    def test_from_sorted_rows_skips_only_the_row_check(self):
+        rows = (np.array([0, 2, 4, 6]),
+                np.array([1, 2, 0, 2, 0, 1], dtype=np.int32))
+        assert CSRGraph.from_sorted_rows(*rows) == CSRGraph(*rows)
+        CSRGraph.from_sorted_rows(rows[0], rows[1][[1, 0, 2, 3, 4, 5]])
+        with pytest.raises(ValueError):
+            CSRGraph.from_sorted_rows(np.array([0, 1]),
+                                      np.array([0], dtype=np.int32))
+
     def test_symmetry(self, small_er):
         tails, heads = small_er.arcs()
         fwd = set(zip(tails.tolist(), heads.tolist()))

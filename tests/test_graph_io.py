@@ -92,6 +92,13 @@ class TestNpz:
         save_npz(sample, path)
         assert load_npz(path) == sample
 
+    def test_unsorted_rows_rejected(self, tmp_path):
+        path = tmp_path / "t.npz"
+        np.savez(path, row_offsets=np.array([0, 2, 4, 6]),
+                 col_indices=np.array([2, 1, 0, 2, 0, 1], dtype=np.int32))
+        with pytest.raises(ValueError, match="row 0"):
+            load_npz(path)
+
     def test_round_trip_random(self, tmp_path):
         g = gen.erdos_renyi(80, 200, seed=1)
         path = tmp_path / "r.npz"

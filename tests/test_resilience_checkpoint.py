@@ -106,12 +106,9 @@ class TestAtomicityAndValidation:
         # version check itself (not the checksum) is what trips.
         data = dict(np.load(path, allow_pickle=False))
         data["version"] = np.asarray(CHECKPOINT_VERSION + 1, dtype=np.int64)
-        data.pop("checksum")
-        data["checksum"] = np.frombuffer(
-            _digest(data).encode("ascii"), dtype=np.uint8
-        )
+        data["checksum"] = np.array(_digest(data))  # as save_checkpoint does
         np.savez(path, **data)
-        with pytest.raises(CheckpointError, match="version"):
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
             load_checkpoint(path)
 
     def test_checksum_covers_every_array(self, karate, tmp_path):
@@ -124,6 +121,24 @@ class TestAtomicityAndValidation:
         np.savez(path, **data)
         with pytest.raises(CheckpointError, match="checksum"):
             load_checkpoint(path)
+
+    def test_unsorted_graph_rows_rejected_on_restore(self, karate,
+                                                     tmp_path):
+        """A checkpoint whose graph rows are out of order, under a valid
+        checksum, loads but cannot be restored."""
+        eng = make_engine(karate)
+        path = str(tmp_path / "ckpt.npz")
+        save_checkpoint(eng, path, event_index=0, simulated_prefix=0.0,
+                        applied_count=0)
+        data = dict(np.load(path, allow_pickle=False))
+        data["col_indices"][[0, 1]] = data["col_indices"][[1, 0]]
+        data["checksum"] = np.array(_digest(data))
+        np.savez(path, **data)
+        ckpt = load_checkpoint(path)
+        with pytest.raises(ValueError, match="row 0"):
+            ckpt.restore_engine()
+        with pytest.raises(ValueError, match="row 0"):
+            ckpt.restore_into(make_engine(karate))
 
     def test_digest_is_deterministic(self, karate):
         eng = make_engine(karate)
