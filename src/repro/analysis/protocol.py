@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.analysis.config import ExperimentConfig
 from repro.bc.engine import DynamicBC, UpdateReport
+from repro.gpu.costmodel import left_fold
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.suite import BenchmarkGraph, make_suite_graph
 from repro.utils.prng import default_rng
@@ -37,7 +38,7 @@ class StreamRun:
 
     @property
     def total_simulated(self) -> float:
-        return float(sum(r.simulated_seconds for r in self.reports))
+        return left_fold(r.simulated_seconds for r in self.reports)
 
     @property
     def per_update_simulated(self) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from repro.analysis.config import ExperimentConfig
 from repro.analysis.protocol import prepare_stream
 from repro.bc.engine import DynamicBC
-from repro.gpu.costmodel import CostModel
+from repro.gpu.costmodel import CostModel, left_fold
 from repro.gpu.device import TESLA_C2075, DeviceSpec
 from repro.gpu.executor import schedule_blocks
 
@@ -75,14 +75,14 @@ def run_scaling_study(
 
     launch = CostModel(base_device).launch_overhead_seconds * 4
     critical = float(
-        sum(src.max() for src in per_update_sources)
+        left_fold(float(src.max()) for src in per_update_sources)
         + launch * len(per_update_sources)
     )
     points = []
     base_total = None
     for mult in sm_multipliers:
         device = base_device.with_sms(base_device.num_sms * mult)
-        total = sum(
+        total = left_fold(
             schedule_blocks(src, device, device.num_sms, launch).total_seconds
             for src in per_update_sources
         )

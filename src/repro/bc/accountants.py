@@ -17,16 +17,23 @@ units of work, and therefore what each barrier-delimited phase costs:
   queue ``QQ`` each level (its small inefficiency, §III-B); duplicate
   removal pays the bitonic-sort pipeline of §III-A.
 
-Each accountant accumulates one :class:`~repro.gpu.counters.Trace` per
-source update; the cost model and scheduler turn traces into seconds.
+Each strategy writes its per-event step quantities once, in the
+``*_steps`` formulas: expressions that work on Python ints and on
+arrays over rows alike.  An accountant charges them one source at a
+time into a :class:`~repro.gpu.counters.Trace` (the per-source oracle);
+the executor charges the same formulas over all rows of a batch into a
+:class:`~repro.gpu.ledger.CostLedger`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.gpu.costmodel import DEFAULT_OP_COSTS, OpCosts
 from repro.gpu.counters import Step, Trace
+from repro.gpu.ledger import Dedup
 from repro.gpu.primitives import bitonic_sort_steps, prefix_sum_steps
 
 #: The exact step :meth:`UpdateAccountant.classify` records — the same
@@ -44,8 +51,13 @@ CLASSIFY_STEP = Step(
 class UpdateAccountant:
     """Base class: defines the event vocabulary of the update kernels.
 
-    Subclasses override the per-event charging; the shared update core
-    (:mod:`repro.bc.update_core`) calls these hooks as it executes.
+    Subclasses write each event's step formulas (``*_steps``); the
+    shared update core (:mod:`repro.bc.update_core`) calls the event
+    hooks as it executes, and each hook charges its formula's steps.
+    A formula returns ``(stage, items, cycles, bytes, atomics,
+    conflict)`` tuples and :class:`~repro.gpu.ledger.Dedup` pipelines,
+    in trace order;
+    steps with zero work and zero atomics are dropped when charged.
     """
 
     #: human-readable strategy name (used in reports)
@@ -70,221 +82,98 @@ class UpdateAccountant:
             op_costs.arc_scan_cycles if access_cycles is None else float(access_cycles)
         )
 
-    # -- shared trivial events -----------------------------------------
-    def classify(self) -> None:
+    # -- step formulas (shared trivial events) ---------------------------
+    def classify_steps(self):
         """Read d[u], d[v] and branch (paper: 'figuring out which case
         each source node has to compute is trivial')."""
-        # Append the shared frozen step so the bulk (vectorized) path
-        # charges the bit-identical quantity per source.
-        self.trace.steps.append(CLASSIFY_STEP)
+        s = CLASSIFY_STEP
+        return ((s.stage, s.work_items, s.cycles_per_item, s.bytes_moved,
+                 s.atomic_ops, s.max_conflict),)
 
-    def init(self, n: int) -> None:
+    def init_steps(self, n):
         """Algorithm 3: reset t, copy sigma -> sigma_hat, zero delta_hat."""
-        self.trace.add(n, self.ops.init_cycles, self.ops.init_bytes * n,
-                       stage="init")
+        return (("init", n, self.ops.init_cycles, self.ops.init_bytes * n,
+                 0, 1),)
 
-    def commit(self, n: int, touched: int) -> None:
-        """Algorithm 8: fold delta_hat/sigma_hat back, atomically add BC."""
-        self.trace.add(
-            n,
-            self.ops.commit_cycles,
-            self.ops.commit_bytes * n,
-            atomic_ops=touched,
-            max_conflict=1,  # one block per source: BC adds rarely collide
-            stage="commit",
-        )
+    def commit_steps(self, n, touched):
+        """Algorithm 8: fold delta_hat/sigma_hat back, atomically add BC
+        (one block per source: BC adds rarely collide)."""
+        return (("commit", n, self.ops.commit_cycles,
+                 self.ops.commit_bytes * n, touched, 1),)
 
-    # -- stage events (overridden) -------------------------------------
-    def sp_level(self, frontier: int, arcs: int, onpath: int,
-                 raw_new: int, new: int, max_conflict: int = 1) -> None:
+    # -- step formulas (overridden) --------------------------------------
+    def sp_steps(self, frontier, arcs, onpath, raw_new, new, max_conflict=1):
         """One level of the shortest-path stage: *frontier* queued
         vertices scanned *arcs* arcs, *onpath* hit the next level,
         *raw_new* enqueue attempts produced *new* unique vertices."""
         raise NotImplementedError
 
-    def dep_level(self, qq: int, level_nodes: int, arcs: int, adds: int,
-                  subs: int, new_up: int, max_conflict: int = 1) -> None:
+    def dep_steps(self, qq, level_nodes, arcs, adds, subs, new_up,
+                  max_conflict=1):
         """One level of the dependency stage: *qq* entries in the
         multi-level queue, of which *level_nodes* matched this level
         and scanned *arcs* arcs, issuing *adds* new and *subs* retired
         contributions and discovering *new_up* predecessors."""
         raise NotImplementedError
 
-    def pull_level(self, frontier: int, pull_arcs: int, scan_arcs: int,
-                   raw_new: int, new: int) -> None:
+    def pull_steps(self, frontier, pull_arcs, scan_arcs, raw_new, new):
         """One level of the Case-3 distance/sigma repair: *frontier*
         candidates pulled sigma over *pull_arcs* predecessor arcs and
         scanned *scan_arcs* arcs for the next level."""
         raise NotImplementedError
 
-    def prepass(self, moved: int, arcs: int, subs: int) -> None:
+    def prepass_steps(self, moved, arcs, subs):
         """The Case-3 pre-pass retiring *moved* vertices' old
         contributions (*subs* of them) over *arcs* scanned arcs."""
         raise NotImplementedError
+
+    # -- events: charge one source's formulas into its trace -------------
+    def classify(self) -> None:
+        """Charge :meth:`classify_steps`."""
+        # Append the shared frozen step so the bulk (vectorized) path
+        # charges the bit-identical quantity per source.
+        self.trace.steps.append(CLASSIFY_STEP)
+
+    def init(self, n: int) -> None:
+        """Charge :meth:`init_steps`."""
+        self._charge(self.init_steps(n))
+
+    def commit(self, n: int, touched: int) -> None:
+        """Charge :meth:`commit_steps`."""
+        self._charge(self.commit_steps(n, touched))
+
+    def sp_level(self, frontier: int, arcs: int, onpath: int,
+                 raw_new: int, new: int, max_conflict: int = 1) -> None:
+        """Charge :meth:`sp_steps`."""
+        self._charge(self.sp_steps(frontier, arcs, onpath, raw_new, new,
+                                   max_conflict))
+
+    def dep_level(self, qq: int, level_nodes: int, arcs: int, adds: int,
+                  subs: int, new_up: int, max_conflict: int = 1) -> None:
+        """Charge :meth:`dep_steps`."""
+        self._charge(self.dep_steps(qq, level_nodes, arcs, adds, subs,
+                                    new_up, max_conflict))
+
+    def pull_level(self, frontier: int, pull_arcs: int, scan_arcs: int,
+                   raw_new: int, new: int) -> None:
+        """Charge :meth:`pull_steps`."""
+        self._charge(self.pull_steps(frontier, pull_arcs, scan_arcs,
+                                     raw_new, new))
+
+    def prepass(self, moved: int, arcs: int, subs: int) -> None:
+        """Charge :meth:`prepass_steps`."""
+        self._charge(self.prepass_steps(moved, arcs, subs))
 
     def finish(self) -> Trace:
         """Return the accumulated work trace for this source update."""
         return self.trace
 
-
-class CPUAccountant(UpdateAccountant):
-    """Sequential execution: cost tracks exactly the useful operations."""
-
-    strategy = "cpu"
-
-    def init(self, n: int) -> None:
-        # Algorithm 2 lines 2-8 construct fresh per-update structures —
-        # including the n-level multi-queue QQ — so the sequential
-        # baseline pays allocation and scattered writes on top of the
-        # array resets (Green et al.'s reference implementation does
-        # exactly this).
-        self.trace.add(n, 24.0, 1.5 * self.ops.init_bytes * n, stage="init")
-
-    def sp_level(self, frontier, arcs, onpath, raw_new, new, max_conflict=1):
-        ops = self.ops
-        items = frontier + arcs + onpath + new
-        bytes_moved = (
-            frontier * ops.node_pop_bytes
-            + arcs * ops.arc_scan_bytes
-            + onpath * ops.edge_hit_bytes
-            + new * 12.0
-        )
-        self.trace.add_stage("sp", items, self.access_cycles, bytes_moved)
-
-    def dep_level(self, qq, level_nodes, arcs, adds, subs, new_up, max_conflict=1):
-        # Sequential dequeue touches only this level's nodes, not all of QQ.
-        ops = self.ops
-        items = level_nodes + arcs + 2 * (adds + subs) + new_up
-        bytes_moved = (
-            level_nodes * ops.node_pop_bytes
-            + arcs * ops.arc_scan_bytes
-            + (adds + subs) * ops.dep_update_bytes
-            + new_up * 16.0
-        )
-        self.trace.add_stage("dep", items, self.access_cycles, bytes_moved)
-
-    def pull_level(self, frontier, pull_arcs, scan_arcs, raw_new, new):
-        ops = self.ops
-        items = frontier + pull_arcs + scan_arcs + new
-        bytes_moved = (
-            frontier * ops.node_pop_bytes
-            + (pull_arcs + scan_arcs) * ops.arc_scan_bytes
-            + new * 12.0
-        )
-        self.trace.add_stage("pull", items, self.access_cycles, bytes_moved)
-
-    def prepass(self, moved, arcs, subs):
-        ops = self.ops
-        self.trace.add_stage("prepass", 
-            moved + arcs + 2 * subs,
-            self.access_cycles,
-            moved * ops.node_pop_bytes + arcs * ops.arc_scan_bytes
-            + subs * ops.dep_update_bytes,
-        )
-
-
-class EdgeParallelAccountant(UpdateAccountant):
-    """One thread per arc, re-launched every level (Algorithms 4 & 6)."""
-
-    strategy = "gpu-edge"
-
-    def sp_level(self, frontier, arcs, onpath, raw_new, new, max_conflict=1):
-        ops = self.ops
-        self.trace.add_stage("sp", 
-            self.arcs_total,  # every arc checks d[v] == current_depth
-            ops.edge_check_cycles,
-            self.arcs_total * ops.edge_check_bytes + onpath * ops.edge_hit_bytes,
-            atomic_ops=onpath,
-            max_conflict=max_conflict,
-        )
-
-    def dep_level(self, qq, level_nodes, arcs, adds, subs, new_up, max_conflict=1):
-        ops = self.ops
-        self.trace.add_stage("dep", 
-            self.arcs_total,
-            ops.edge_check_cycles,
-            self.arcs_total * ops.edge_check_bytes
-            + (adds + subs) * ops.dep_update_bytes,
-            atomic_ops=adds,  # dsv is accumulated in-register, one atomic per hit
-            max_conflict=max_conflict,
-        )
-
-    def pull_level(self, frontier, pull_arcs, scan_arcs, raw_new, new):
-        # Distance relabel pass plus sigma pull pass, each a full scan.
-        ops = self.ops
-        self.trace.add_stage("pull", 
-            2 * self.arcs_total,
-            ops.edge_check_cycles,
-            2 * self.arcs_total * ops.edge_check_bytes
-            + (pull_arcs + scan_arcs) * ops.edge_hit_bytes,
-            atomic_ops=pull_arcs,
-        )
-
-    def prepass(self, moved, arcs, subs):
-        ops = self.ops
-        self.trace.add_stage("prepass", 
-            self.arcs_total,
-            ops.edge_check_cycles,
-            self.arcs_total * ops.edge_check_bytes + subs * ops.dep_update_bytes,
-            atomic_ops=subs,
-        )
-
-
-class NodeParallelAccountant(UpdateAccountant):
-    """One thread per queued vertex (Algorithms 5 & 7)."""
-
-    strategy = "gpu-node"
-
-    def sp_level(self, frontier, arcs, onpath, raw_new, new, max_conflict=1):
-        ops = self.ops
-        self.trace.add_stage("sp", 
-            frontier + arcs,
-            ops.arc_scan_cycles,
-            frontier * ops.node_pop_bytes + arcs * ops.arc_scan_bytes
-            + onpath * ops.edge_hit_bytes,
-            atomic_ops=onpath + raw_new,
-            # Q2 appends all hit one counter; sigma hits collide per-vertex.
-            max_conflict=max(max_conflict, raw_new),
-        )
-        self._charge_dedup(raw_new, new)
-        if new:
-            # Transfer unique entries Q2 -> Q and append to QQ (Alg. 5
-            # lines 25-28; the QQ append is an atomic counter bump).
-            self.trace.add_stage("sp", new, 2.0, 12.0 * new, atomic_ops=new, max_conflict=new)
-
-    def dep_level(self, qq, level_nodes, arcs, adds, subs, new_up, max_conflict=1):
-        ops = self.ops
-        self.trace.add_stage("dep", 
-            qq + arcs,  # every queued vertex re-checks its level (Alg. 7 line 5)
-            ops.arc_scan_cycles,
-            qq * ops.node_pop_bytes + arcs * ops.arc_scan_bytes
-            + (adds + subs) * ops.dep_update_bytes,
-            atomic_ops=adds + new_up,
-            max_conflict=max(max_conflict, new_up),
-        )
-
-    def pull_level(self, frontier, pull_arcs, scan_arcs, raw_new, new):
-        ops = self.ops
-        self.trace.add_stage("pull", 
-            frontier + pull_arcs + scan_arcs,
-            ops.arc_scan_cycles,
-            frontier * ops.node_pop_bytes
-            + (pull_arcs + scan_arcs) * ops.arc_scan_bytes
-            + new * 12.0,
-            atomic_ops=raw_new,
-            max_conflict=raw_new,
-        )
-        self._charge_dedup(raw_new, new)
-
-    def prepass(self, moved, arcs, subs):
-        ops = self.ops
-        self.trace.add_stage("prepass", 
-            moved + arcs,
-            ops.arc_scan_cycles,
-            moved * ops.node_pop_bytes + arcs * ops.arc_scan_bytes
-            + subs * ops.dep_update_bytes,
-            atomic_ops=subs,
-        )
+    def _charge(self, steps) -> None:
+        for step in steps:
+            if isinstance(step, Dedup):
+                self._charge_dedup(*step)
+            else:
+                self.trace.add_stage(*step)
 
     def _charge_dedup(self, raw_len: int, unique_len: int) -> None:
         """Bitonic sort + adjacent compare + prefix sum + scatter
@@ -297,7 +186,138 @@ class NodeParallelAccountant(UpdateAccountant):
         self.trace.add_stage("dedup", raw_len, 2.0, 9.0 * raw_len)
         for _ in range(prefix_sum_steps(raw_len)):
             self.trace.add_stage("dedup", raw_len, 2.0, 8.0 * raw_len)
-        self.trace.add_stage("dedup", raw_len, 2.0, 4.0 * raw_len + 4.0 * unique_len)
+        self.trace.add_stage("dedup", raw_len, 2.0,
+                             4.0 * raw_len + 4.0 * unique_len)
+
+
+class CPUAccountant(UpdateAccountant):
+    """Sequential execution: cost tracks exactly the useful operations."""
+
+    strategy = "cpu"
+
+    def init_steps(self, n):
+        # Algorithm 2 lines 2-8 construct fresh per-update structures —
+        # including the n-level multi-queue QQ — so the sequential
+        # baseline pays allocation and scattered writes on top of the
+        # array resets (Green et al.'s reference implementation does
+        # exactly this).
+        return (("init", n, 24.0, 1.5 * self.ops.init_bytes * n, 0, 1),)
+
+    def sp_steps(self, frontier, arcs, onpath, raw_new, new, max_conflict=1):
+        ops = self.ops
+        return (("sp", frontier + arcs + onpath + new, self.access_cycles,
+                 frontier * ops.node_pop_bytes + arcs * ops.arc_scan_bytes
+                 + onpath * ops.edge_hit_bytes + new * 12.0, 0, 1),)
+
+    def dep_steps(self, qq, level_nodes, arcs, adds, subs, new_up,
+                  max_conflict=1):
+        # Sequential dequeue touches only this level's nodes, not all of QQ.
+        ops = self.ops
+        return (("dep", level_nodes + arcs + 2 * (adds + subs) + new_up,
+                 self.access_cycles,
+                 level_nodes * ops.node_pop_bytes + arcs * ops.arc_scan_bytes
+                 + (adds + subs) * ops.dep_update_bytes + new_up * 16.0,
+                 0, 1),)
+
+    def pull_steps(self, frontier, pull_arcs, scan_arcs, raw_new, new):
+        ops = self.ops
+        return (("pull", frontier + pull_arcs + scan_arcs + new,
+                 self.access_cycles,
+                 frontier * ops.node_pop_bytes
+                 + (pull_arcs + scan_arcs) * ops.arc_scan_bytes + new * 12.0,
+                 0, 1),)
+
+    def prepass_steps(self, moved, arcs, subs):
+        ops = self.ops
+        return (("prepass", moved + arcs + 2 * subs, self.access_cycles,
+                 moved * ops.node_pop_bytes + arcs * ops.arc_scan_bytes
+                 + subs * ops.dep_update_bytes, 0, 1),)
+
+
+class EdgeParallelAccountant(UpdateAccountant):
+    """One thread per arc, re-launched every level (Algorithms 4 & 6)."""
+
+    strategy = "gpu-edge"
+
+    def sp_steps(self, frontier, arcs, onpath, raw_new, new, max_conflict=1):
+        ops = self.ops
+        return (("sp",
+                 self.arcs_total,  # every arc checks d[v] == current_depth
+                 ops.edge_check_cycles,
+                 self.arcs_total * ops.edge_check_bytes
+                 + onpath * ops.edge_hit_bytes,
+                 onpath, max_conflict),)
+
+    def dep_steps(self, qq, level_nodes, arcs, adds, subs, new_up,
+                  max_conflict=1):
+        ops = self.ops
+        return (("dep", self.arcs_total, ops.edge_check_cycles,
+                 self.arcs_total * ops.edge_check_bytes
+                 + (adds + subs) * ops.dep_update_bytes,
+                 # dsv is accumulated in-register, one atomic per hit
+                 adds, max_conflict),)
+
+    def pull_steps(self, frontier, pull_arcs, scan_arcs, raw_new, new):
+        # Distance relabel pass plus sigma pull pass, each a full scan.
+        ops = self.ops
+        return (("pull", 2 * self.arcs_total, ops.edge_check_cycles,
+                 2 * self.arcs_total * ops.edge_check_bytes
+                 + (pull_arcs + scan_arcs) * ops.edge_hit_bytes,
+                 pull_arcs, 1),)
+
+    def prepass_steps(self, moved, arcs, subs):
+        ops = self.ops
+        return (("prepass", self.arcs_total, ops.edge_check_cycles,
+                 self.arcs_total * ops.edge_check_bytes
+                 + subs * ops.dep_update_bytes, subs, 1),)
+
+
+class NodeParallelAccountant(UpdateAccountant):
+    """One thread per queued vertex (Algorithms 5 & 7)."""
+
+    strategy = "gpu-node"
+
+    def sp_steps(self, frontier, arcs, onpath, raw_new, new, max_conflict=1):
+        ops = self.ops
+        return (
+            ("sp", frontier + arcs, ops.arc_scan_cycles,
+             frontier * ops.node_pop_bytes + arcs * ops.arc_scan_bytes
+             + onpath * ops.edge_hit_bytes,
+             onpath + raw_new,
+             # Q2 appends all hit one counter; sigma hits collide
+             # per-vertex.
+             np.maximum(max_conflict, raw_new)),
+            Dedup(raw_new, new),
+            # Transfer unique entries Q2 -> Q and append to QQ (Alg. 5
+            # lines 25-28; the QQ append is an atomic counter bump).
+            ("sp", new, 2.0, 12.0 * new, new, new),
+        )
+
+    def dep_steps(self, qq, level_nodes, arcs, adds, subs, new_up,
+                  max_conflict=1):
+        ops = self.ops
+        return (("dep",
+                 qq + arcs,  # every queued vertex re-checks its level (Alg. 7 line 5)
+                 ops.arc_scan_cycles,
+                 qq * ops.node_pop_bytes + arcs * ops.arc_scan_bytes
+                 + (adds + subs) * ops.dep_update_bytes,
+                 adds + new_up, np.maximum(max_conflict, new_up)),)
+
+    def pull_steps(self, frontier, pull_arcs, scan_arcs, raw_new, new):
+        ops = self.ops
+        return (
+            ("pull", frontier + pull_arcs + scan_arcs, ops.arc_scan_cycles,
+             frontier * ops.node_pop_bytes
+             + (pull_arcs + scan_arcs) * ops.arc_scan_bytes + new * 12.0,
+             raw_new, raw_new),
+            Dedup(raw_new, new),
+        )
+
+    def prepass_steps(self, moved, arcs, subs):
+        ops = self.ops
+        return (("prepass", moved + arcs, ops.arc_scan_cycles,
+                 moved * ops.node_pop_bytes + arcs * ops.arc_scan_bytes
+                 + subs * ops.dep_update_bytes, subs, 1),)
 
 
 class NodeParallelAtomicDedupAccountant(NodeParallelAccountant):
@@ -312,34 +332,25 @@ class NodeParallelAtomicDedupAccountant(NodeParallelAccountant):
 
     strategy = "gpu-node-atomic"
 
-    def sp_level(self, frontier, arcs, onpath, raw_new, new, max_conflict=1):
+    def sp_steps(self, frontier, arcs, onpath, raw_new, new, max_conflict=1):
         ops = self.ops
-        self.trace.add_stage("sp", 
-            frontier + arcs,
-            ops.arc_scan_cycles,
-            frontier * ops.node_pop_bytes + arcs * ops.arc_scan_bytes
-            + onpath * ops.edge_hit_bytes,
-            # one CAS per on-path arc (test-and-set) + sigma atomics +
-            # exactly `new` queue appends; CAS conflicts mirror sigma's.
-            atomic_ops=2 * onpath + new,
-            max_conflict=max(max_conflict, new),
-        )
-        if new:
+        return (
+            ("sp", frontier + arcs, ops.arc_scan_cycles,
+             frontier * ops.node_pop_bytes + arcs * ops.arc_scan_bytes
+             + onpath * ops.edge_hit_bytes,
+             # one CAS per on-path arc (test-and-set) + sigma atomics +
+             # exactly `new` queue appends; CAS conflicts mirror sigma's.
+             2 * onpath + new, np.maximum(max_conflict, new)),
             # Q2 holds unique entries already: plain transfer, no sort.
-            self.trace.add_stage("sp", new, 2.0, 12.0 * new, atomic_ops=new,
-                           max_conflict=new)
-
-    def pull_level(self, frontier, pull_arcs, scan_arcs, raw_new, new):
-        ops = self.ops
-        self.trace.add_stage("pull", 
-            frontier + pull_arcs + scan_arcs,
-            ops.arc_scan_cycles,
-            frontier * ops.node_pop_bytes
-            + (pull_arcs + scan_arcs) * ops.arc_scan_bytes
-            + new * 12.0,
-            atomic_ops=pull_arcs + scan_arcs,
-            max_conflict=max(1, new),
+            ("sp", new, 2.0, 12.0 * new, new, new),
         )
+
+    def pull_steps(self, frontier, pull_arcs, scan_arcs, raw_new, new):
+        ops = self.ops
+        return (("pull", frontier + pull_arcs + scan_arcs, ops.arc_scan_cycles,
+                 frontier * ops.node_pop_bytes
+                 + (pull_arcs + scan_arcs) * ops.arc_scan_bytes + new * 12.0,
+                 pull_arcs + scan_arcs, np.maximum(1, new)),)
 
 
 #: strategy name -> accountant class

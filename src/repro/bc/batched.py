@@ -17,11 +17,16 @@ oracle and its sanitize-mode path).  Results are bit-identical to it:
   gathered in the per-source kernel's order — vertices ascending, then
   CSR row order — so every ``atomic_scatter_add`` adds the same values
   to each address in the same order;
-* each row keeps its own accountant, charged with the same per-level
-  quantities, so its trace — and the :class:`~repro.gpu.counters.
-  CostSummary` reduced from it — is the per-source kernel's;
+* each batch charges its per-level quantities, as arrays over rows,
+  through the backend's step formulas into one
+  :class:`~repro.gpu.ledger.CostLedger`, which costs and folds each
+  row's steps as the per-source kernel's trace would be;
 * bc is not touched here: each source's adjustment comes back sparse
   and the caller folds them in ascending source order.
+
+:meth:`SourceExecutor.run` returns one :class:`RowResults`: flat
+columns over its rows, which a pool chunk ships as a handful of
+arrays.
 
 Work scratch is ``(rows, n)`` per batch; the shared ``d``/``sigma``/
 ``delta`` rows are indexed in place through flat keys, never copied
@@ -41,7 +46,7 @@ direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,7 +55,8 @@ from repro.bc.accountants import UpdateAccountant, make_accountant
 from repro.bc.cases import Case
 from repro.bc.update_core import DOWN, UNTOUCHED, UP, UpdateStats
 from repro.gpu.costmodel import CostModel, OpCosts
-from repro.gpu.counters import CostSummary
+from repro.gpu.counters import Trace
+from repro.gpu.ledger import CostLedger
 from repro.gpu.primitives import atomic_scatter_add
 from repro.graph.csr import CSRGraph
 from repro.resilience.errors import CorruptRowError
@@ -67,19 +73,48 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 
 @dataclass
-class SourceResult:
-    """One source's share of an update, as the engine's fold needs it."""
+class RowResults:
+    """An update's active rows, ascending, as the engine's fold needs
+    them: one flat column per field (:meth:`arrays`), which is also
+    what a pool chunk ships."""
 
-    cost: CostSummary
-    stats: UpdateStats
-    #: sparse bc adjustment: vertex ids and the values to add
+    #: state row ids, ascending
+    rows: np.ndarray
+    #: per row: simulated seconds, stage seconds (columns in
+    #: :data:`~repro.gpu.ledger.STAGES` order), and counter totals
+    seconds: np.ndarray
+    stages: np.ndarray
+    steps: np.ndarray
+    items: np.ndarray
+    bytes_moved: np.ndarray
+    atomics: np.ndarray
+    #: :class:`UpdateStats` fields per row, in field order
+    stats: np.ndarray
+    #: sparse bc adjustments, CSR-packed: row *j*'s ``bc_len[j]``
+    #: vertex ids and values to add, rows in order
+    bc_len: np.ndarray
     bc_idx: np.ndarray
     bc_vals: np.ndarray
 
+    def arrays(self) -> tuple:
+        """The columns in field order (``RowResults(*arrays)`` rebuilds
+        the result)."""
+        return tuple(getattr(self, f.name) for f in fields(self))
 
-#: ``rebuild(i, acc)`` — rewrite state row *i* from scratch with
-#: Brandes, charge the static trace to *acc*, return the row's stats
-Rebuild = Callable[[int, UpdateAccountant], UpdateStats]
+    def sorted(self) -> "RowResults":
+        """These rows in ascending order."""
+        order = np.argsort(self.rows, kind="stable")
+        starts = np.cumsum(self.bc_len) - self.bc_len
+        lens = self.bc_len[order]
+        at = (np.arange(int(lens.sum()))
+              + np.repeat(starts[order] - (np.cumsum(lens) - lens), lens))
+        per_row = [a[order] for a in self.arrays()[:-3]]
+        return RowResults(*per_row, lens, self.bc_idx[at], self.bc_vals[at])
+
+
+#: ``rebuild(i)`` — rewrite state row *i* with a fresh Brandes pass;
+#: returns the row's stats and its static trace
+Rebuild = Callable[[int], Tuple[UpdateStats, Trace]]
 
 
 class SourceExecutor:
@@ -103,11 +138,10 @@ class SourceExecutor:
         operation: str,
         rebuild: Rebuild,
         on_source: Optional[Callable[[int], None]] = None,
-    ) -> List[Tuple[int, SourceResult]]:
+    ) -> RowResults:
         """Apply the update to every ``(i, case, u_high, u_low)`` item
-        (ascending *i*, Cases 2 and 3 only) in place on the ``(k, n)``
-        state arrays; returns ``[(i, SourceResult), ...]`` in item
-        order.
+        (ascending *i*, Cases 2 and 3 only, at least one) in place on
+        the ``(k, n)`` state arrays; returns the items' rows, ascending.
 
         *on_source(i)* runs just before row *i* is first written: the
         fault-injection seam, and how a transaction learns which row
@@ -116,7 +150,15 @@ class SourceExecutor:
         insert = operation == "insert"
         adjacent = [it for it in items if int(it[1]) == Case.ADJACENT_LEVEL]
         distant = [it for it in items if int(it[1]) == Case.DISTANT_LEVEL]
-        results: Dict[int, SourceResult] = {}
+        # The strategy's step formulas, charged over every batch's rows
+        # into one ledger: the adjacent rows first, then the distant.
+        book = make_accountant(
+            self.backend, graph.num_vertices, 2 * graph.num_edges,
+            self.op_costs,
+            access_cycles=self.access if self.backend == "cpu" else None,
+        )
+        ledger = CostLedger(len(items))
+        parts: List[tuple] = []
         # Zero divisors only come from corrupted rows; the pre-commit
         # check turns their inf/nan into a CorruptRowError, raised
         # before any row of the batch is written.
@@ -124,43 +166,48 @@ class SourceExecutor:
             # One batch's scratch at a time: each is freed before the
             # next is allocated.
             if adjacent:
-                results.update(_Batch(self, graph, sources, d, sigma, delta,
-                                      adjacent, case3=False)
-                               .case2(insert, on_source))
+                parts.append(_Batch(self, book, ledger, 0, graph, sources, d,
+                                    sigma, delta, adjacent, case3=False)
+                             .case2(insert, on_source))
             if distant and insert:
-                results.update(_Batch(self, graph, sources, d, sigma, delta,
-                                      distant, case3=True)
-                               .case3(on_source))
+                parts.append(_Batch(self, book, ledger, len(adjacent), graph,
+                                    sources, d, sigma, delta, distant,
+                                    case3=True)
+                             .case3(on_source))
             elif distant:
-                for it in distant:
-                    i = int(it[0])
-                    results[i] = self._rebuild(i, graph, delta, rebuild,
-                                               on_source)
-        return [(int(it[0]), results[int(it[0])]) for it in items]
+                parts.append(self._rebuild(book, ledger, len(adjacent),
+                                           distant, delta, rebuild,
+                                           on_source))
+        rows, stats, bc_len, bc_idx, bc_vals = (
+            np.concatenate(col) for col in zip(*parts))
+        out = RowResults(rows, *ledger.close(self.cost_model), stats, bc_len,
+                         bc_idx, bc_vals)
+        return out if len(parts) == 1 else out.sorted()
 
-    def accountant(self, graph: CSRGraph) -> UpdateAccountant:
-        """A fresh per-source accountant with the classify step charged
-        (the per-source kernel's first event)."""
-        acc = make_accountant(
-            self.backend, graph.num_vertices, 2 * graph.num_edges,
-            self.op_costs,
-            access_cycles=self.access if self.backend == "cpu" else None,
-        )
-        acc.classify()
-        return acc
-
-    def _rebuild(self, i, graph, delta, rebuild, on_source) -> SourceResult:
-        """Distance-increasing deletion: the per-source Brandes
-        fallback; the bc adjustment is the full dependency difference."""
-        acc = self.accountant(graph)
-        delta_old = delta[i].copy()
-        if on_source is not None:
-            on_source(i)
-        stats = rebuild(i, acc)
-        diff = delta[i] - delta_old
-        idx = np.flatnonzero(diff)
-        return SourceResult(self.cost_model.summarize(acc.finish()), stats,
-                            idx, diff[idx])
+    def _rebuild(self, book: UpdateAccountant, ledger: CostLedger,
+                 offset: int, items, delta, rebuild, on_source) -> tuple:
+        """Distance-increasing deletions: the per-source Brandes
+        fallback, charged to *ledger* rows ``offset, offset + 1, ...``.
+        A row's cost is its classify step plus the static trace of the
+        rebuild; its bc adjustment is the full dependency difference.
+        Returns the rows' ``(rows, stats, bc_len, bc_idx, bc_vals)``."""
+        rows = np.array([int(it[0]) for it in items], dtype=np.int64)
+        ledger.charge(np.arange(rows.size) + offset, book.classify_steps())
+        stats, idx, vals = [], [], []
+        for b, i in enumerate(rows.tolist()):
+            delta_old = delta[i].copy()
+            if on_source is not None:
+                on_source(i)
+            row_stats, trace = rebuild(i)
+            ledger.add_trace(offset + b, trace.steps)
+            diff = delta[i] - delta_old
+            nz = np.flatnonzero(diff)
+            stats.append(astuple(row_stats))
+            idx.append(nz)
+            vals.append(diff[nz])
+        return (rows, np.array(stats, dtype=np.int64),
+                np.array([a.size for a in idx], dtype=np.int64),
+                _concat(idx), np.concatenate(vals))
 
 
 class _Arcs:
@@ -364,10 +411,11 @@ class _Batch:
     vertex.
     """
 
-    def __init__(self, ex: SourceExecutor, graph: CSRGraph, sources, d,
-                 sigma, delta, items, case3: bool) -> None:
+    def __init__(self, ex: SourceExecutor, book: UpdateAccountant,
+                 ledger: CostLedger, offset: int, graph: CSRGraph, sources,
+                 d, sigma, delta, items, case3: bool) -> None:
         n, m = graph.num_vertices, len(items)
-        self.ex, self.n, self.m = ex, n, m
+        self.ex, self.book, self.n, self.m = ex, book, n, m
         self.offsets, self.cols = graph.row_offsets, graph.col_indices
         self.deg = np.diff(self.offsets)
         self.rows = np.fromiter((it[0] for it in items), np.int64, m)
@@ -390,9 +438,13 @@ class _Batch:
                                        self.DH.reshape(-1))
         self.DNf = self.DN.reshape(-1) if case3 else None
         self.MVf = self.MV.reshape(-1) if case3 else None
-        self.accs = [ex.accountant(graph) for _ in range(m)]
-        for acc in self.accs:
-            acc.init(n)
+        #: every row's steps, charged as the per-source kernel's
+        #: accountant would be, to ledger rows ``offset + b``: classify
+        #: and init first
+        self.ledger, self.offset = ledger, offset
+        self.all = np.arange(m, dtype=np.int64)
+        self.charge(self.all, book.classify_steps())
+        self.charge(self.all, book.init_steps(n))
         self.qq = np.zeros(m, dtype=np.int64)
         self.sp_levels = np.zeros(m, dtype=np.int64)
         self.dep_levels = np.zeros(m, dtype=np.int64)
@@ -404,6 +456,10 @@ class _Batch:
     # ------------------------------------------------------------------
     # passes, views and per-row counts
     # ------------------------------------------------------------------
+    def charge(self, live: np.ndarray, steps) -> None:
+        """Charge a step formula's quantities over batch rows *live*."""
+        self.ledger.charge(live + self.offset, steps)
+
     def degrees(self, keys: np.ndarray) -> np.ndarray:
         """Degree of the vertex of each local key."""
         return self.deg[keys % self.n]
@@ -541,7 +597,7 @@ class _Batch:
     # ------------------------------------------------------------------
     # Case 2
     # ------------------------------------------------------------------
-    def case2(self, insert: bool, on_source) -> Dict[int, SourceResult]:
+    def case2(self, insert: bool, on_source) -> tuple:
         m = self.m
         d_low, d_high = self.Df[self.gul], self.Df[self.guh]
         bad = np.flatnonzero(d_low != d_high + 1)
@@ -587,13 +643,9 @@ class _Batch:
             self.qq += new_sizes
             live = np.flatnonzero(sizes)
             self.sp_levels[live] += 1
-            for b, f, a_, o_, r, w, c in zip(
-                live.tolist(), sizes[live].tolist(), arcs[live].tolist(),
-                onpath[live].tolist(), raw[live].tolist(),
-                new_sizes[live].tolist(), conflict[live].tolist(),
-            ):
-                self.accs[b].sp_level(frontier=f, arcs=a_, onpath=o_,
-                                      raw_new=r, new=w, max_conflict=c)
+            self.charge(live, self.book.sp_steps(
+                sizes[live], arcs[live], onpath[live], raw[live],
+                new_sizes[live], conflict[live]))
             below += 1
 
         # Stage 3: dependency accumulation.  Distances are unchanged,
@@ -607,7 +659,7 @@ class _Batch:
     # ------------------------------------------------------------------
     # Case 3 (insertion)
     # ------------------------------------------------------------------
-    def case3(self, on_source) -> Dict[int, SourceResult]:
+    def case3(self, on_source) -> tuple:
         n, m = self.n, self.m
         d_low, d_high = self.Df[self.gul], self.Df[self.guh]
         bad = np.flatnonzero(~(d_low > d_high + 1))
@@ -671,13 +723,9 @@ class _Batch:
             new_sizes = self.per_row(pending)
             live = np.flatnonzero(sizes)
             self.sp_levels[live] += 1
-            for b, f, p_, s_, r, w in zip(
-                live.tolist(), sizes[live].tolist(), pull[live].tolist(),
-                scan[live].tolist(), raw[live].tolist(),
-                new_sizes[live].tolist(),
-            ):
-                self.accs[b].pull_level(frontier=f, pull_arcs=p_,
-                                        scan_arcs=s_, raw_new=r, new=w)
+            self.charge(live, self.book.pull_steps(
+                sizes[live], pull[live], scan[live], raw[live],
+                new_sizes[live]))
             level = level + 1
 
         # Pre-pass: retire moved vertices' old contributions from their
@@ -703,9 +751,7 @@ class _Batch:
                 )
             arcs += a.row_arcs()
             subs += x.row_count()
-        for acc, mv, a_, s_ in zip(self.accs, self.moved.tolist(),
-                                   arcs.tolist(), subs.tolist()):
-            acc.prepass(moved=mv, arcs=a_, subs=s_)
+        self.charge(self.all, self.book.prepass_steps(self.moved, arcs, subs))
 
         # Stage 3': dependency accumulation over the new levels.
         touched = np.flatnonzero(self.Tf)
@@ -808,24 +854,20 @@ class _Batch:
                 arcs += a.row_arcs()
             if ups:
                 buckets.setdefault(level - 1, []).extend(ups)
-            nodes = self.per_row(w)
-            for b, q, w_, a_, ad, sb, nu, c in zip(
-                live.tolist(), self.qq[live].tolist(), nodes[live].tolist(),
-                arcs[live].tolist(), adds[live].tolist(), subs[live].tolist(),
-                new_up[live].tolist(), conflict[live].tolist(),
-            ):
-                self.accs[b].dep_level(qq=q, level_nodes=w_, arcs=a_, adds=ad,
-                                       subs=sb, new_up=nu, max_conflict=c)
+            self.charge(live, self.book.dep_steps(
+                self.qq[live], self.per_row(w)[live], arcs[live], adds[live],
+                subs[live], new_up[live], conflict[live]))
             self.qq += new_up
 
     # ------------------------------------------------------------------
     # Commit (Algorithm 8)
     # ------------------------------------------------------------------
-    def _commit(self, on_source, case3: bool) -> Dict[int, SourceResult]:
+    def _commit(self, on_source, case3: bool) -> tuple:
         """Check every row, then fold each row's hat values into the
         shared state, one row at a time in ascending order.  Untouched
         entries of σ̂ (and of the new distances) equal the stored ones,
-        so writing the touched entries is the full-row commit."""
+        so writing the touched entries is the full-row commit.  Returns
+        the rows' ``(rows, stats, bc_len, bc_idx, bc_vals)``."""
         n, m = self.n, self.m
         touched = np.flatnonzero(self.Tf)
         sh, dh = self.SHf[touched], self.DHf[touched]
@@ -843,33 +885,28 @@ class _Batch:
             touched, np.arange(m + 1, dtype=np.int64) * n
         ).tolist()
         glob = self.to_global(touched, None)
-        apply = touched != (self.lbase + self.src)[touched // n]
+        row_of = touched // n
+        apply = touched != (self.lbase + self.src)[row_of]
         adjust = np.where(apply, dh - self.DLf[glob], 0.0)
-        out: Dict[int, SourceResult] = {}
         for b in range(m):
-            i = int(self.rows[b])
             lo, hi = bounds[b], bounds[b + 1]
             loc, g, keep = touched[lo:hi], glob[lo:hi], apply[lo:hi]
-            vals = adjust[lo:hi]
-            nz = np.flatnonzero(vals)
             if on_source is not None:
-                on_source(i)
+                on_source(int(self.rows[b]))
             self.Sf[g] = self.SHf[loc]
             self.DLf[g[keep]] = self.DHf[loc[keep]]
             if case3:
                 self.Df[g] = self.DNf[loc]
-            acc = self.accs[b]
-            acc.commit(n, hi - lo)
-            stats = UpdateStats(
-                touched=hi - lo, moved=int(self.moved[b]),
-                sp_levels=int(self.sp_levels[b]),
-                dep_levels=int(self.dep_levels[b]),
-            )
-            out[i] = SourceResult(
-                self.ex.cost_model.summarize(acc.finish()), stats,
-                loc[nz] - self.lbase[b], vals[nz],
-            )
-        return out
+        counts = np.diff(np.asarray(bounds, dtype=np.int64))
+        self.charge(self.all, self.book.commit_steps(n, counts))
+        # Sparse replay of the kernel's masked commit: zero-valued
+        # adjustments are dropped, a bitwise no-op on the bc accumulator.
+        nz = np.flatnonzero(adjust)
+        return (self.rows,
+                np.column_stack([counts, self.moved, self.sp_levels,
+                                 self.dep_levels]),
+                np.bincount(row_of[nz], minlength=m),
+                touched[nz] - row_of[nz] * n, adjust[nz])
 
 
 def _runs(costs: List[int]):

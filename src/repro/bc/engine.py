@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.bc.accountants import ACCOUNTANTS, CLASSIFY_STEP, make_accountant
-from repro.bc.batched import SourceExecutor, SourceResult
+from repro.bc.batched import RowResults, SourceExecutor
 from repro.bc.brandes import single_source_state
 from repro.bc.cases import (
     Case,
@@ -47,6 +47,7 @@ from repro.gpu.costmodel import (
 from repro.gpu.counters import KernelCounters, Trace
 from repro.gpu.device import CORE_I7_2600K, TESLA_C2075, DeviceSpec
 from repro.gpu.executor import schedule_blocks
+from repro.gpu.ledger import STAGES, stage_order
 from repro.graph.csr import CSRGraph, DIST_INF
 from repro.graph.dynamic import DynamicGraph
 from repro.parallel.chunks import plan_chunks_guided
@@ -507,21 +508,14 @@ class DynamicBC:
                 return self._repair_parallel(snap, i)
             except ParallelExecutionError:
                 pass  # supervision gave up on the round: repair here
-        access = cpu_access_cycles(self.device, snap.num_vertices,
-                                   2 * snap.num_edges)
-        acc = make_accountant(
-            self.backend, snap.num_vertices, 2 * snap.num_edges,
-            self.op_costs, label=f"repair:{int(self.state.sources[i])}",
-            access_cycles=access if self.backend == "cpu" else None,
-        )
         if self._tracer is not None:
             with _san.tracing(self._tracer):
-                stats = self._rebuild_row(snap, i, acc)
+                stats, trace = self._rebuild_row(snap, i)
         else:
-            stats = self._rebuild_row(snap, i, acc)
+            stats, trace = self._rebuild_row(snap, i)
         self.state.rebuild_bc()
         counters = KernelCounters()
-        counters.absorb(acc.finish(), kernel="repair")
+        counters.absorb(trace, kernel="repair")
         self.counters = self.counters.merged(counters)
         return stats
 
@@ -875,10 +869,10 @@ class DynamicBC:
     def _run_active(
         self, snap: CSRGraph, operation: str, cases, highs, lows,
         active: np.ndarray,
-    ) -> List[tuple]:
-        """Run the executor over the active rows and return ``[(i,
-        SourceResult), ...]`` in ascending *i*: in-process, or — with a
-        live pool — by each worker on its chunk.
+    ) -> RowResults:
+        """Run the executor over the active rows and return their
+        results in ascending order: in-process, or — with a live pool —
+        by each worker on its chunk, the chunks' columns concatenated.
 
         Pool chunks follow the guided self-scheduling taper, weighted
         by each source's cost EWMA from previous rounds — big chunks
@@ -903,11 +897,10 @@ class DynamicBC:
             for payload in payloads:
                 self._reset_update_chunk(payload)
             return self._run_in_process(snap, operation, items)
-        merged = merge_indexed(outputs, active.tolist())
-        return [(i, SourceResult(*merged[i])) for i in active.tolist()]
+        return RowResults(*merge_indexed(outputs, active))
 
     def _run_in_process(self, snap: CSRGraph, operation: str,
-                        items: List[tuple]) -> List[tuple]:
+                        items: List[tuple]) -> RowResults:
         state = self.state
         executor = SourceExecutor(
             self.backend, self.op_costs,
@@ -918,7 +911,7 @@ class DynamicBC:
         return executor.run(
             snap, state.sources, state.d, state.sigma, state.delta,
             items, operation,
-            rebuild=lambda i, acc: self._rebuild_row(snap, i, acc),
+            rebuild=lambda i: self._rebuild_row(snap, i),
             on_source=self._before_commit,
         )
 
@@ -943,10 +936,12 @@ class DynamicBC:
         :meth:`~repro.gpu.costmodel.CostModel.fold_step_seconds`, the
         counters bulk-charge scales exactly
         (:meth:`~repro.gpu.counters.KernelCounters.absorb_step_repeated`),
-        each active source's cost summary equals its per-source trace's
-        (:meth:`~repro.gpu.costmodel.CostModel.summarize`), and the
-        sparse bc adjustments are added in the order the per-source
-        kernels would have added them.
+        each active row's ledger totals equal its per-source trace's
+        (:mod:`repro.gpu.ledger`), each stage total is the loop's left
+        fold over ascending sources (``np.add.accumulate``; a source
+        without the stage adds 0.0), and ``np.add.at`` adds the sparse
+        bc adjustments in the order the per-source kernels would have
+        added them.
         """
         snap = self.graph.snapshot()
         state = self.state
@@ -983,28 +978,19 @@ class DynamicBC:
                 # half written, and the rollback must cover all of them.
                 self._txn.save_rows(active)
                 self._txn.current_source = -1
-                results = self._run_active(snap, operation, cases, highs,
-                                           lows, active)
+                res = self._run_active(snap, operation, cases, highs,
+                                       lows, active)
                 fold_timer = WallTimer().start()
-                for i, result in results:
-                    cost = result.cost
-                    per_source[i] = cost.seconds
-                    for stage, sec in cost.stages.items():
-                        if stage == "classify":
-                            continue  # folded into the bulk total
-                        stage_seconds[stage] = (
-                            stage_seconds.get(stage, 0.0) + sec
-                        )
-                    counters.absorb_summary(
-                        cost, kernel=f"{operation}-case{int(cases[i])}"
-                    )
-                    if result.bc_idx.size:
-                        # Sparse replay of the kernel's masked commit:
-                        # zero-valued adjustments are dropped, which is
-                        # a bitwise no-op on the bc accumulator.
-                        state.bc[result.bc_idx] += result.bc_vals
-                    touched[i] = result.stats.touched
-                    stats_list[i] = result.stats
+                per_source[res.rows] = res.seconds
+                for stage in stage_order(res.stages):
+                    if stage != "classify":  # folded into the bulk total
+                        stage_seconds[stage] = float(np.add.accumulate(
+                            res.stages[:, STAGES.index(stage)])[-1])
+                self._absorb_rows(counters, operation, cases[res.rows], res)
+                np.add.at(state.bc, res.bc_idx, res.bc_vals)
+                touched[res.rows] = res.stats[:, 0]
+                for i, row in zip(res.rows.tolist(), res.stats.tolist()):
+                    stats_list[i] = UpdateStats(*row)
                 self._fold_seconds += fold_timer.stop()
                 # Feed the guided planner: EWMA of each active source's
                 # *simulated* seconds (deterministic, so the next
@@ -1021,6 +1007,25 @@ class DynamicBC:
             u, v, operation, cases, per_source, touched, stats_list,
             stage_seconds, counters, timer,
         )
+
+    @staticmethod
+    def _absorb_rows(counters: KernelCounters, operation: str,
+                     row_cases: np.ndarray, res: RowResults) -> None:
+        """:meth:`KernelCounters.absorb` of every active row's trace, in
+        ascending order, from the rows' counter columns.  The totals are
+        exact integer (and half-integer byte) sums, so their order does
+        not matter."""
+        steps = int(res.steps.sum())
+        counters.steps += steps
+        counters.barriers += steps
+        counters.work_items += int(res.items.sum())
+        counters.bytes_moved += float(res.bytes_moved.sum())
+        counters.atomic_ops += int(res.atomics.sum())
+        _, first = np.unique(row_cases, return_index=True)
+        for case in row_cases[np.sort(first)].tolist():
+            key = f"{operation}-case{case}"
+            counters.by_kernel[key] = (counters.by_kernel.get(key, 0)
+                                       + int(res.items[row_cases == case].sum()))
 
     # ------------------------------------------------------------------
     def _apply(
@@ -1198,14 +1203,15 @@ class DynamicBC:
         """
         state = self.state
         delta_old = state.delta[i].copy()
-        stats = self._rebuild_row(snap, i, acc)
+        stats, trace = self._rebuild_row(snap, i)
+        acc.trace.extend(trace)
         state.bc += state.delta[i] - delta_old
         return stats
 
-    def _rebuild_row(self, snap: CSRGraph, i: int, acc) -> UpdateStats:
+    def _rebuild_row(self, snap: CSRGraph, i: int) -> Tuple[UpdateStats, Trace]:
         """Overwrite source *i*'s ``d``/``sigma``/``delta`` rows with a
-        fresh Brandes pass (BC untouched) and charge the static
-        per-source trace to *acc*."""
+        fresh Brandes pass (BC untouched); returns the pass's stats and
+        the static per-source trace it is charged."""
         state = self.state
         s = int(state.sources[i])
         # Brandes writes straight into the state rows (no transient
@@ -1224,10 +1230,9 @@ class DynamicBC:
             snap, s, self._static_strategy(), self.op_costs, access,
             rebuilt=(d, levels),
         )
-        acc.trace.extend(trace)
         touched = int(np.count_nonzero(state.d[i] != DIST_INF))
-        return UpdateStats(touched=touched, moved=0,
-                           sp_levels=len(levels), dep_levels=len(levels) - 1)
+        return UpdateStats(touched=touched, moved=0, sp_levels=len(levels),
+                           dep_levels=len(levels) - 1), trace
 
     def __repr__(self) -> str:
         return (

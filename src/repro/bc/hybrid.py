@@ -27,7 +27,7 @@ from repro.bc.accountants import make_accountant
 from repro.bc.cases import Case, classify_insertion
 from repro.bc.state import BCState
 from repro.bc.update_core import adjacent_level_update, distant_level_update
-from repro.gpu.costmodel import CostModel, cpu_access_cycles
+from repro.gpu.costmodel import CostModel, cpu_access_cycles, left_fold
 from repro.gpu.device import CORE_I7_2600K, TESLA_C2075, DeviceSpec
 from repro.gpu.executor import schedule_blocks
 from repro.graph.csr import CSRGraph
@@ -199,7 +199,7 @@ class HybridDynamicBC:
             gpu_per_source, self.gpu_device, self.gpu_device.num_sms,
             4 * self.gpu_model.launch_overhead_seconds,
         ).total_seconds if len(gpu_per_source) else 0.0
-        cpu_time = float(sum(cpu_per_source))
+        cpu_time = left_fold(cpu_per_source)
         report = HybridReport(
             edge=(u, v),
             gpu_seconds=gpu_time,

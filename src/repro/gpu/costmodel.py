@@ -28,8 +28,21 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.gpu.counters import CostSummary, Step, Trace
+import numpy as np
+
+from repro.gpu.counters import Step, Trace
 from repro.gpu.device import DeviceSpec
+
+
+def left_fold(seconds: Iterable[float]) -> float:
+    """``((0.0 + s0) + s1) + ...``: the one summation order simulated
+    seconds use.  Builtin ``sum`` compensates float rounding since
+    CPython 3.12 and ``np.sum`` adds pairwise, so either would make a
+    total depend on the interpreter or on the array layout."""
+    total = 0.0
+    for sec in seconds:
+        total += sec
+    return total
 
 
 @dataclass(frozen=True)
@@ -152,6 +165,31 @@ class CostModel:
             floor = (40.0 if not dev.is_cpu else 2.0) / dev.clock_hz
         return max(compute, memory, atomic, floor) * self._contention
 
+    def steps_seconds(self, items: np.ndarray, cycles: np.ndarray,
+                      bytes_moved: np.ndarray, atomics: np.ndarray,
+                      conflict: np.ndarray) -> np.ndarray:
+        """:meth:`step_seconds` of many steps at once, given as arrays
+        of their fields (*conflict* already clamped to >= 1).
+
+        Each element goes through the IEEE operations of
+        :meth:`step_seconds` in the same order, so it equals that
+        method's result for the same :class:`Step` bit for bit.
+        """
+        dev = self.device
+        threads = dev.threads_per_block
+        compute = np.ceil(items / threads) * cycles * dev.cpi / dev.clock_hz
+        memory = bytes_moved / self._bw_per_block
+        pipelined = np.ceil(atomics / max(1, threads // dev.warp_size))
+        atomic = np.where(
+            atomics > 0,
+            np.maximum(pipelined, conflict) * dev.atomic_cycles / dev.clock_hz,
+            0.0,
+        )
+        floor = np.where((items > 0) | (atomics > 0),
+                         (40.0 if not dev.is_cpu else 2.0) / dev.clock_hz, 0.0)
+        out = np.maximum(np.maximum(compute, memory), np.maximum(atomic, floor))
+        return out * self._contention
+
     def fold_step_seconds(self, step: Step, count: int) -> float:
         """Sequential fold of *count* additions of ``step_seconds(step)``.
 
@@ -175,7 +213,7 @@ class CostModel:
         steps: Iterable[Step] = (
             trace_or_steps.steps if isinstance(trace_or_steps, Trace) else trace_or_steps
         )
-        return sum(self.step_seconds(s) for s in steps)
+        return left_fold(self.step_seconds(s) for s in steps)
 
     def stage_breakdown(self, trace_or_steps) -> dict:
         """Simulated seconds grouped by each step's stage tag.
@@ -193,35 +231,6 @@ class CostModel:
             key = s.stage or "other"
             out[key] = out.get(key, 0.0) + self.step_seconds(s)
         return out
-
-    def summarize(self, trace_or_steps) -> CostSummary:
-        """:meth:`trace_seconds`, :meth:`stage_breakdown` and the
-        counter totals of one trace in a single pass over its steps.
-
-        Each step is costed once.  The totals use the builtin ``sum``
-        over the same sequences as :meth:`trace_seconds` and
-        :class:`~repro.gpu.counters.Trace`'s properties, so they match
-        bit for bit on every Python version.
-        """
-        steps = (
-            trace_or_steps.steps
-            if isinstance(trace_or_steps, Trace)
-            else trace_or_steps
-        )
-        step_seconds = self.step_seconds
-        seconds = [step_seconds(s) for s in steps]
-        stages: dict = {}
-        for s, sec in zip(steps, seconds):
-            key = s.stage or "other"
-            stages[key] = stages.get(key, 0.0) + sec
-        return CostSummary(
-            seconds=sum(seconds),
-            stages=stages,
-            steps=len(steps),
-            work_items=sum(s.work_items for s in steps),
-            bytes_moved=sum(s.bytes_moved for s in steps),
-            atomic_ops=sum(s.atomic_ops for s in steps),
-        )
 
     @property
     def launch_overhead_seconds(self) -> float:

@@ -107,28 +107,6 @@ class Trace:
 
 
 @dataclass
-class CostSummary:
-    """Everything the engine's fold reads from one source's trace.
-
-    Built by :meth:`repro.gpu.costmodel.CostModel.summarize`; the
-    fields equal, bit for bit, what ``trace_seconds``,
-    ``stage_breakdown`` and :meth:`KernelCounters.absorb` derive from
-    the same steps, so a trace can be reduced where it is produced (a
-    pool worker ships this instead of its step list).
-    """
-
-    #: total simulated seconds (``CostModel.trace_seconds``)
-    seconds: float
-    #: simulated seconds per stage tag, in first-appearance order
-    #: (``CostModel.stage_breakdown``)
-    stages: Dict[str, float]
-    steps: int
-    work_items: int
-    bytes_moved: float
-    atomic_ops: int
-
-
-@dataclass
 class KernelCounters:
     """Aggregate counters across many traces (per engine run).
 
@@ -154,20 +132,6 @@ class KernelCounters:
         self.atomic_ops += trace.total_atomics
         if kernel is not None:
             self.by_kernel[kernel] = self.by_kernel.get(kernel, 0) + trace.total_items
-
-    def absorb_summary(self, summary: CostSummary,
-                       kernel: Optional[str] = None) -> None:
-        """Accumulate a summarized trace; equal to :meth:`absorb` on the
-        trace the summary was built from."""
-        self.steps += summary.steps
-        self.barriers += summary.steps
-        self.work_items += summary.work_items
-        self.bytes_moved += summary.bytes_moved
-        self.atomic_ops += summary.atomic_ops
-        if kernel is not None:
-            self.by_kernel[kernel] = (
-                self.by_kernel.get(kernel, 0) + summary.work_items
-            )
 
     def absorb_all(self, traces: Iterable[Trace], kernel: Optional[str] = None) -> None:
         """Accumulate many traces."""

@@ -44,8 +44,9 @@ class CSRGraph:
         ``int64[n + 1]`` offsets into :attr:`col_indices`.
     col_indices : numpy.ndarray
         ``int32[2 m]`` neighbor lists, sorted and duplicate-free within
-        each row (the constructor rejects other rows with
-        :class:`ValueError`).
+        each row, holding every edge as both of its arcs (the
+        constructor rejects other rows, and an arc without its reverse,
+        with :class:`ValueError`).
     """
 
     __slots__ = ("num_vertices", "num_edges", "row_offsets", "col_indices", "_arcs")
@@ -59,14 +60,24 @@ class CSRGraph:
                 f"row {v} of col_indices is not sorted and free of "
                 "duplicates"
             )
+        # Bottom-up traversals reverse arcs, so a one-way arc would
+        # silently give a different graph in each direction.
+        bad = _one_way_arcs(self.row_offsets, self.col_indices)
+        if bad.size:
+            u = int(np.searchsorted(self.row_offsets, bad[0], side="right")) - 1
+            v = int(self.col_indices[bad[0]])
+            raise ValueError(
+                f"arc ({u}, {v}) has no reverse arc ({v}, {u}); an "
+                "undirected CSR stores every edge in both rows"
+            )
 
     @classmethod
     def from_sorted_rows(
         cls, row_offsets: np.ndarray, col_indices: np.ndarray
     ) -> "CSRGraph":
-        """Adopt CSR arrays whose rows the caller knows to be sorted and
-        duplicate-free (spliced or rebuilt from a valid graph): every
-        check of the constructor but that O(m) one."""
+        """Adopt CSR arrays the caller knows to be valid (spliced or
+        rebuilt from a valid graph): every check of the constructor but
+        the O(m) sortedness and symmetry ones."""
         graph = cls.__new__(cls)
         graph._adopt(row_offsets, col_indices)
         return graph
@@ -145,7 +156,9 @@ class CSRGraph:
         row_offsets = np.zeros(num_vertices + 1, dtype=np.int64)
         np.add.at(row_offsets, tails + 1, 1)
         np.cumsum(row_offsets, out=row_offsets)
-        return cls(row_offsets, heads.astype(np.int32))
+        # rows sorted by the lexsort, duplicate-free and symmetric by
+        # construction
+        return cls.from_sorted_rows(row_offsets, heads.astype(np.int32))
 
     @classmethod
     def empty(cls, num_vertices: int) -> "CSRGraph":
@@ -335,3 +348,20 @@ def _unsorted_arcs(row_offsets: np.ndarray, col_indices: np.ndarray) -> np.ndarr
     starts = row_offsets[1:-1]
     ok[starts[(starts > 0) & (starts < col_indices.size)] - 1] = True
     return np.flatnonzero(~ok) + 1
+
+
+def _one_way_arcs(row_offsets: np.ndarray, col_indices: np.ndarray) -> np.ndarray:
+    """Positions of arcs ``(u, v)`` whose reverse ``(v, u)`` is absent,
+    given rows already sorted and duplicate-free (so the arcs' ``u * n
+    + v`` keys ascend)."""
+    n = row_offsets.size - 1
+    heads = col_indices.astype(np.int64)
+    if not heads.size:
+        return np.empty(0, dtype=np.int64)
+    tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(row_offsets))
+    keys = tails * n + heads
+    reverse = heads * n + tails
+    if np.array_equal(np.sort(reverse), keys):
+        return np.empty(0, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(keys, reverse), keys.size - 1)
+    return np.flatnonzero(keys[pos] != reverse)

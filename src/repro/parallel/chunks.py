@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, TypeVar
 
+from repro.gpu.costmodel import left_fold
+
 T = TypeVar("T")
 
 #: divisor of the remaining weight per scheduling step: each chunk
@@ -76,11 +78,11 @@ def plan_chunks_guided(
             )
     # A zero-weight tail must still be scheduled: floor every weight at
     # a fraction of the mean so progress is always positive.
-    mean = sum(costs) / n
+    mean = left_fold(costs) / n
     floor = mean / 16.0 if mean > 0 else 1.0
     costs = [max(c, floor) for c in costs]
     min_size = max(min_chunk, -(-n // (MAX_CHUNKS_PER_WORKER * num_workers)))
-    remaining = sum(costs)
+    remaining = left_fold(costs)
     chunks: List[List[T]] = []
     start = 0
     while start < n:

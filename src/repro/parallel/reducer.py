@@ -6,44 +6,49 @@ The reduction protocol:
 
 1. chunk outputs are returned by :meth:`SupervisedPool.run` in *chunk*
    order (which is ascending source order — chunks are contiguous);
-2. :func:`merge_indexed` flattens them into an index-keyed map,
-   refusing duplicates or gaps;
+2. an update chunk's output is a tuple of flat columns whose first is
+   the chunk's source indices; :func:`merge_indexed` concatenates the
+   chunks column by column and refuses duplicated or missing indices;
 3. the caller then replays every order-sensitive float accumulation
-   (bc scatter-adds, stage folds, counter absorption) by walking its
-   own ascending index list — the same left-fold order as the serial
-   loop and as checkpoint resume, which is what makes the parallel
-   engine bit-identical instead of merely close.
+   (bc scatter-adds, stage folds, counter absorption) over the merged
+   columns in ascending index order — the same left-fold order as the
+   serial loop and as checkpoint resume, which is what makes the
+   parallel engine bit-identical instead of merely close.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Iterable, Sequence, Tuple
+
+import numpy as np
 
 from repro.gpu.counters import Trace
 
 
 def merge_indexed(
-    chunk_outputs: Iterable[Sequence[Sequence[Any]]],
+    chunk_outputs: Iterable[Sequence[np.ndarray]],
     expected: Sequence[int],
-) -> Dict[int, tuple]:
-    """Flatten per-chunk ``[(index, *payload), ...]`` lists into
-    ``{index: payload}``, validating exact coverage of *expected*.
+) -> Tuple[np.ndarray, ...]:
+    """Concatenate per-chunk column tuples ``(indices, *columns)``
+    column by column, validating that the indices are exactly
+    *expected*, in order.
 
     A missing or duplicated index means a scheduling bug that would
     silently corrupt the deterministic replay, so both are errors.
     """
-    merged: Dict[int, tuple] = {}
-    for output in chunk_outputs:
-        for record in output:
-            index = int(record[0])
-            if index in merged:
-                raise ValueError(f"duplicate result for source index {index}")
-            merged[index] = tuple(record[1:])
-    missing = [i for i in expected if int(i) not in merged]
-    if missing or len(merged) != len(expected):
+    merged = tuple(np.concatenate(col) for col in zip(*chunk_outputs))
+    index = merged[0] if merged else np.empty(0, dtype=np.int64)
+    expected = np.asarray(expected, dtype=np.int64)
+    ordered = np.sort(index)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
         raise ValueError(
-            f"worker results cover {sorted(merged)} but the round "
-            f"dispatched {list(expected)}"
+            f"duplicate result for source index {int(repeated[0])}"
+        )
+    if not np.array_equal(index, expected):
+        raise ValueError(
+            f"worker results cover {index.tolist()} but the round "
+            f"dispatched {expected.tolist()}"
         )
     return merged
 

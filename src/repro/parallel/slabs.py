@@ -28,13 +28,14 @@ Little-endian, tag-prefixed, recursive::
     'b' <I len> raw             bytes
     'l' <I count> items...      list
     't' <I count> items...      tuple
-    'S' <q d d q q> str         gpu.counters.Step
-    'U' <q q q q>               bc.update_core.UpdateStats
-    'C' <d q q d q> <I count> (str <d>)*
-                                gpu.counters.CostSummary
+    'S' <q d d q q> str         gpu.counters.Step (repair traces)
     'a' <B dlen> dtype <B ndim> <q dims...> pad8 raw
                                 numpy ndarray (C-contiguous payload,
                                 8-byte aligned for zero-copy views)
+
+An update chunk's result is a tuple of about a dozen such arrays (the
+columns of :class:`~repro.bc.batched.RowResults`), so decoding it
+costs the same handful of frames whatever the chunk's source count.
 
 Every frame is prefixed with ``MAGIC`` (u32) + payload length (u64) so
 a torn or stale header can never be silently misread.
@@ -62,13 +63,13 @@ lexically, exactly as for bare arenas).
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.bc.update_core import UpdateStats
-from repro.gpu.counters import CostSummary, Step
+from repro.gpu.counters import Step
 from repro.parallel.shm import ShmArena, ShmAttachment
 
 #: frame prefix: magic + u64 payload length
@@ -90,8 +91,6 @@ _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _U32 = struct.Struct("<I")
 _STEP = struct.Struct("<qddqq")
-_STATS = struct.Struct("<qqqq")
-_COST = struct.Struct("<dqqdq")
 
 
 class SlabEncodeError(TypeError):
@@ -142,18 +141,6 @@ class _Encoder:
             self._pack(_STEP, obj.work_items, obj.cycles_per_item,
                        obj.bytes_moved, obj.atomic_ops, obj.max_conflict)
             self._str(obj.stage)
-        elif isinstance(obj, UpdateStats):
-            self._tag(b"U")
-            self._pack(_STATS, obj.touched, obj.moved, obj.sp_levels,
-                       obj.dep_levels)
-        elif isinstance(obj, CostSummary):
-            self._tag(b"C")
-            self._pack(_COST, obj.seconds, obj.steps, obj.work_items,
-                       obj.bytes_moved, obj.atomic_ops)
-            self._pack(_U32, len(obj.stages))
-            for stage, seconds in obj.stages.items():
-                self._str(stage)
-                self._pack(_F64, seconds)
         elif isinstance(obj, (int, np.integer)):
             self._tag(b"i")
             try:
@@ -254,15 +241,6 @@ class _Decoder:
             stage = bytes(self._bytes()).decode("utf-8")
             return Step(fields[0], fields[1], fields[2], fields[3],
                         fields[4], stage)
-        if tag == ord("U"):
-            return UpdateStats(*self._unpack(_STATS))
-        if tag == ord("C"):
-            seconds, steps, items, moved, atomics = self._unpack(_COST)
-            stages = {}
-            for _ in range(self._unpack(_U32)[0]):
-                stage = bytes(self._bytes()).decode("utf-8")
-                stages[stage] = self._unpack(_F64)[0]
-            return CostSummary(seconds, stages, steps, items, moved, atomics)
         if tag in (ord("l"), ord("t")):
             count = self._unpack(_U32)[0]
             items = [self.decode() for _ in range(count)]
@@ -283,7 +261,7 @@ class _Decoder:
         ndim = self.buf[self._take(1)]
         shape = tuple(self._unpack(_I64)[0] for _ in range(ndim))
         self.pos = _pad8(self.pos)
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         start = self._take(count * dtype.itemsize)
         view = np.frombuffer(self.buf, dtype=dtype, count=count,
                              offset=start).reshape(shape)

@@ -1,4 +1,4 @@
-"""Worker-process loop: one source per worker at a time.
+"""Worker-process loop: one contiguous chunk of sources per task.
 
 This module runs inside the pool's child processes.  Tasks arrive on a
 shared queue as ``(kind, round_id, chunk_id, common, payload)`` tuples;
@@ -9,18 +9,19 @@ shared-memory arena (:mod:`repro.parallel.shm`) and posts
 Division of labour with the parent (the determinism contract):
 
 * **Workers** run the level-synchronous executor
-  (:mod:`repro.bc.batched`) over their chunk, mutating its
-  ``d``/``sigma``/``delta`` rows in place (zero-copy, disjoint per
-  source — no locks needed), and return the order-*insensitive*
-  artifacts of each source: its :class:`~repro.gpu.counters.
-  CostSummary` (simulated seconds, per-stage seconds, step/item/byte/
-  atomic totals), its :class:`UpdateStats`, and its bc adjustment as a
-  sparse ``(indices, values)`` pair.
+  (:mod:`repro.bc.batched`) over all sources of their chunk at once,
+  mutating its ``d``/``sigma``/``delta`` rows in place (zero-copy,
+  disjoint per source — no locks needed), and return the chunk's
+  order-*insensitive* artifacts as the flat columns of one
+  :class:`~repro.bc.batched.RowResults`: per source its simulated
+  seconds, per-stage seconds and counter totals (costed and folded in
+  the worker by a :class:`~repro.gpu.ledger.CostLedger`), its
+  :class:`UpdateStats` fields, and its sparse bc adjustment, CSR-packed.
 * **The parent** replays every order-*sensitive* float accumulation
-  (bc scatter-adds, stage-seconds folds, counter absorption) in
-  ascending source order — the same single fold the serial path runs —
-  reproducing the serial execution bit for bit no matter which worker
-  finished first.
+  (bc scatter-adds, stage-seconds folds, counter absorption) over the
+  concatenated columns in ascending source order — the same single
+  fold the serial path runs — reproducing the serial execution bit for
+  bit no matter which worker finished first.
 
 Supervision hooks (see :mod:`repro.parallel.supervisor`): when the pool
 hands the worker a heartbeat slot, a daemon thread stamps
@@ -215,7 +216,7 @@ def _views(attachment, common):
 
 def _rebuild_row(graph, sources, d, sigma, delta, i, common):
     """Rewrite state row *i* with a fresh Brandes pass (in place) and
-    return ``(static trace, stats)``; the trace is built from the
+    return ``(stats, static trace)``; the trace is built from the
     pass's own levels (mirrors ``DynamicBC._rebuild_row``)."""
     s = int(sources[i])
     d_row, _, _, levels = single_source_state(
@@ -230,27 +231,21 @@ def _rebuild_row(graph, sources, d, sigma, delta, i, common):
         touched=int(np.count_nonzero(d[i] != DIST_INF)), moved=0,
         sp_levels=len(levels), dep_levels=len(levels) - 1,
     )
-    return trace, stats
+    return stats, trace
 
 
 def _handle_update(attachment, common, payload):
     """One streaming update's active sources in this chunk: run the
     level-synchronous executor in place over the shared rows and
-    return each source's cost summary, stats and sparse bc
-    adjustment."""
+    return the chunk's :class:`~repro.bc.batched.RowResults` columns."""
     graph, sources, d, sigma, delta = _views(attachment, common)
     executor = SourceExecutor(common["backend"], common["op_costs"],
                               common["access"], common["cost_model"])
-
-    def rebuild(i, acc):
-        trace, stats = _rebuild_row(graph, sources, d, sigma, delta, i,
-                                    common)
-        acc.trace.extend(trace)
-        return stats
-
-    results = executor.run(graph, sources, d, sigma, delta,
-                           payload["items"], common["operation"], rebuild)
-    return [(i, r.cost, r.stats, r.bc_idx, r.bc_vals) for i, r in results]
+    return executor.run(
+        graph, sources, d, sigma, delta, payload["items"],
+        common["operation"],
+        lambda i: _rebuild_row(graph, sources, d, sigma, delta, i, common),
+    ).arrays()
 
 
 def _handle_brandes(attachment, common, payload):
@@ -272,7 +267,7 @@ def _handle_rebuild(attachment, common, payload):
     out = []
     for i in payload["items"]:
         i = int(i)
-        trace, stats = _rebuild_row(graph, sources, d, sigma, delta, i,
+        stats, trace = _rebuild_row(graph, sources, d, sigma, delta, i,
                                     common)
         out.append((i, trace.steps, stats.touched, stats.sp_levels))
     return out

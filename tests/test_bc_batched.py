@@ -23,9 +23,6 @@ from hypothesis import strategies as st
 
 import repro.bc.batched as batched
 from repro.bc.engine import BACKENDS, DynamicBC
-from repro.gpu.costmodel import CostModel
-from repro.gpu.counters import KernelCounters
-from repro.gpu.device import TESLA_C2075
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph
@@ -396,56 +393,6 @@ def test_property_executor_matches_oracle(seed, backend, direction, steps):
             present.add(key)
     with forced(direction):
         assert_same(fast, oracle, ops)
-
-
-class TestCostSummary:
-    def test_summary_matches_trace_fold(self, karate):
-        from repro.bc.cases import classify_insertion
-        from repro.resilience.transactions import UpdateTransaction
-
-        engine = DynamicBC.from_graph(karate, num_sources=8, seed=1,
-                                      vectorized=False, backend="gpu-node")
-        model = CostModel(TESLA_C2075)
-        engine.graph.insert_edge(0, 9)
-        # _run_source journals each row into the open update's
-        # transaction, as it does inside insert_edge
-        engine._txn = UpdateTransaction(engine, 0, 9, "insert")
-        snap = engine.graph.snapshot()
-        for i in range(engine.state.num_sources):
-            case, hi, lo = classify_insertion(engine.state.d[i], 0, 9)
-            trace, _ = engine._run_source(snap, i, case, hi, lo, "insert",
-                                          0.0)
-            summary = model.summarize(trace)
-            assert summary.seconds == model.trace_seconds(trace)
-            assert summary.stages == model.stage_breakdown(trace)
-            assert list(summary.stages) == list(model.stage_breakdown(trace))
-            by_trace, by_summary = KernelCounters(), KernelCounters()
-            by_trace.absorb(trace, kernel="k")
-            by_summary.absorb_summary(summary, kernel="k")
-            assert by_trace == by_summary
-
-    def test_summary_survives_slab_framing(self):
-        from repro.gpu.counters import CostSummary
-        from repro.parallel import slabs
-
-        summary = CostSummary(1.5e-6, {"classify": 1e-7, "sp": 2.5e-7},
-                              7, 123, 456.5, 9)
-        data = slabs.encode([(3, summary)])
-        decoded = slabs.decode(data)
-        assert decoded == [(3, summary)]
-        assert list(decoded[0][1].stages) == ["classify", "sp"]
-
-    def test_static_trace_from_rebuilt_levels(self, karate):
-        from repro.bc.brandes import single_source_state
-        from repro.bc.static_gpu import trace_static_source
-
-        for strategy in ("gpu-edge", "gpu-node", "cpu"):
-            delta, fresh = trace_static_source(karate, 5, strategy)
-            d, _, _, levels = single_source_state(karate, 5)
-            none, reused = trace_static_source(karate, 5, strategy,
-                                               rebuilt=(d, levels))
-            assert none is None and delta is not None
-            assert reused.steps == fresh.steps
 
 
 def replay_pooled(pool_backend, monkeypatch):

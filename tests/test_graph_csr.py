@@ -89,6 +89,47 @@ class TestConstruction:
         assert all((h, t) in fwd for t, h in fwd)
 
 
+#: arcs 0 -> 1 and 1 -> 2 with neither reverse: sorted, duplicate-free
+#: rows and an even arc count, so only the symmetry check rejects it
+ONE_WAY = (np.array([0, 1, 2, 2]), np.array([1, 2], dtype=np.int32))
+
+
+class TestAsymmetricAdjacency:
+    """Asymmetric adjacency is rejected wherever graph data enters; the
+    executor's bottom-up passes reverse arcs."""
+
+    def test_raw_ctor_rejects_one_way_arcs(self):
+        with pytest.raises(ValueError, match=r"arc \(0, 1\) has no reverse"):
+            CSRGraph(*ONE_WAY)
+        # 0 -> 1 has its reverse; 0 -> 2 and 1 -> 2 do not
+        with pytest.raises(ValueError, match=r"arc \(0, 2\)"):
+            CSRGraph(np.array([0, 2, 4, 4]),
+                     np.array([1, 2, 0, 2], dtype=np.int32))
+
+    def test_load_npz_rejects_one_way_arcs(self, tmp_path):
+        from repro.graph import io
+
+        path = str(tmp_path / "one_way.npz")
+        np.savez_compressed(path, row_offsets=ONE_WAY[0],
+                            col_indices=ONE_WAY[1])
+        with pytest.raises(ValueError, match="no reverse"):
+            io.load_npz(path)
+
+    def test_checkpoint_restore_rejects_one_way_arcs(self, karate):
+        from repro.bc.engine import DynamicBC
+        from repro.resilience.checkpoint import CHECKPOINT_VERSION, Checkpoint
+
+        zeros = np.zeros((1, 3))
+        ckpt = Checkpoint(CHECKPOINT_VERSION, "cpu", True, 0, 0.0, 0,
+                          ONE_WAY[0], ONE_WAY[1], np.array([0]),
+                          zeros.astype(np.int64), zeros, zeros, np.zeros(3))
+        with pytest.raises(ValueError, match="no reverse"):
+            ckpt.restore_engine()
+        engine = DynamicBC.from_graph(karate, num_sources=4, seed=1)
+        with pytest.raises(ValueError, match="no reverse"):
+            ckpt.restore_into(engine)
+
+
 class TestQueries:
     def test_degree_matches_neighbors(self, karate):
         for v in range(karate.num_vertices):

@@ -299,17 +299,26 @@ class TestTeardown:
 # ----------------------------------------------------------------------
 class TestReducer:
     def test_merge_indexed_flattens_by_index(self):
-        outs = [[(0, "a"), (1, "b")], [(4, "c")]]
-        merged = merge_indexed(outs, [0, 1, 4])
-        assert merged == {0: ("a",), 1: ("b",), 4: ("c",)}
+        """Chunk column tuples concatenate column by column, in chunk
+        (= ascending index) order."""
+        outs = [
+            (np.array([0, 1]), np.array([0.5, 1.5]), np.array([7])),
+            (np.array([4]), np.array([4.5]), np.array([8, 9])),
+        ]
+        rows, values, extra = merge_indexed(outs, [0, 1, 4])
+        assert rows.tolist() == [0, 1, 4]
+        assert values.tolist() == [0.5, 1.5, 4.5]
+        assert extra.tolist() == [7, 8, 9]
 
     def test_merge_indexed_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            merge_indexed([[(0, "a")], [(0, "b")]], [0])
+        with pytest.raises(ValueError, match="duplicate"):
+            merge_indexed([(np.array([0]),), (np.array([0]),)], [0])
 
     def test_merge_indexed_rejects_gaps(self):
         with pytest.raises(ValueError):
-            merge_indexed([[(0, "a")]], [0, 1])
+            merge_indexed([(np.array([0]),)], [0, 1])
+        with pytest.raises(ValueError):  # out of order is a gap too
+            merge_indexed([(np.array([1]),), (np.array([0]),)], [0, 1])
 
     def test_rebuild_trace_round_trips_steps(self):
         steps = [Step(4, 2.0, 64.0, 1, 2, "sp"), Step(2, 1.0, 16.0)]

@@ -4,7 +4,6 @@ the parent/worker slab lifecycle (PR-8 tentpole)."""
 import numpy as np
 import pytest
 
-from repro.bc.update_core import UpdateStats
 from repro.gpu.counters import Step
 from repro.parallel.shm import shm_available
 from repro.parallel.slabs import (
@@ -45,10 +44,6 @@ class TestFraming:
                     atomic_ops=3, max_conflict=2, stage="sp_level")
         assert roundtrip(step) == step
 
-    def test_update_stats_roundtrip(self):
-        stats = UpdateStats(touched=4, moved=2, sp_levels=3, dep_levels=5)
-        assert roundtrip(stats) == stats
-
     @pytest.mark.parametrize("arr", [
         np.arange(17, dtype=np.int64),
         np.arange(6, dtype=np.float64).reshape(2, 3),
@@ -62,22 +57,24 @@ class TestFraming:
         assert np.array_equal(out, arr)
 
     def test_mixed_result_payload(self):
-        # The shape a worker actually posts: per-source step lists,
-        # stats, and sparse bc probe arrays.
-        payload = {
-            3: ([Step(2, 1.0, 16.0, stage="sp_level")],
-                UpdateStats(touched=1),
-                np.array([0, 5], dtype=np.int64),
-                np.array([0.5, -0.5], dtype=np.float64)),
-        }
-        # dicts are not framed — workers post (index, value) tuples
-        items = tuple(sorted((k,) + v for k, v in payload.items()))
-        out = roundtrip(items)
-        assert out[0][0] == 3
-        assert out[0][1] == payload[3][0]
-        assert out[0][2] == payload[3][1]
-        assert np.array_equal(out[0][3], payload[3][2])
-        assert np.array_equal(out[0][4], payload[3][3])
+        # The shape an update chunk posts: a tuple of flat columns
+        # (row ids, per-row seconds, a stage matrix, counters, a stats
+        # matrix, CSR-packed bc adjustments), one frame per array.
+        payload = (
+            np.array([3, 5], dtype=np.int64),
+            np.array([1.5e-6, 2.5e-6]),
+            np.arange(18, dtype=np.float64).reshape(2, 9) * 1e-7,
+            np.array([7, 9], dtype=np.int64),
+            np.array([[4, 2, 3, 5], [1, 0, 2, 1]], dtype=np.int64),
+            np.array([2, 0], dtype=np.int64),
+            np.array([0, 5], dtype=np.int64),
+            np.array([0.5, -0.5]),
+        )
+        out = roundtrip(payload)
+        assert isinstance(out, tuple) and len(out) == len(payload)
+        for got, want in zip(out, payload):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     def test_zero_copy_views_track_buffer(self):
         buf = bytearray(encode(np.arange(8, dtype=np.int64)))
