@@ -20,6 +20,9 @@ worker count, and
   wall-clock-subtraction estimate, which went *negative* on noisy
   hosts (−0.148 s/event was recorded once) because serial and parallel
   replays see different cache/turbo conditions,
+* checks, on every backend, that each round was cut into at most one
+  chunk per worker (``chunks <= workers * rounds``: one contiguous
+  share of the active sources per worker),
 * checks, on the process backend, that every result came back through
   the zero-copy result slabs: no spills, and exactly one
   ``slabs.HEADER_BYTES`` header per chunk crossed the result queue,
@@ -154,6 +157,13 @@ def test_parallel_sweep(benchmark, bench_config, save_artifact, record_bench):
             "queue_bytes_per_round": _queue_bytes_per_round(tr_w),
             "bit_identical": True,
         }
+        # The round shape, on every backend: one contiguous share of
+        # the round's sources per worker, never more.
+        chunks, rounds = tr_w.get("chunks", 0), tr_w.get("rounds", 0)
+        assert chunks <= w * rounds, (
+            f"workers={w} dispatched {chunks} chunks for {rounds} "
+            f"rounds (at most {w} per round)"
+        )
         # Every process-backend result must come back through the
         # slabs: no spills, and exactly one header per chunk on the
         # queue.  The thread backend passes results by reference, so

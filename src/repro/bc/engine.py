@@ -50,7 +50,6 @@ from repro.gpu.executor import schedule_blocks
 from repro.gpu.ledger import STAGES, stage_order
 from repro.graph.csr import CSRGraph, DIST_INF
 from repro.graph.dynamic import DynamicGraph
-from repro.parallel.chunks import plan_chunks_guided
 from repro.parallel.pool import ParallelExecutionError, WorkerTaskError
 from repro.parallel.reducer import merge_indexed, rebuild_trace
 from repro.parallel.shm import ShmArena, shm_available
@@ -132,6 +131,17 @@ def _case_arrays(classifications) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cases, highs, lows
 
 
+def split_round(items: Sequence, workers: int) -> List[Sequence]:
+    """Cut one pool round into ``min(workers, len(items))`` contiguous
+    shares whose sizes differ by at most one: a fixed share per worker,
+    as :func:`~repro.gpu.executor.schedule_blocks` gives each SM one.
+    Concatenated in order the shares are *items*, so the ascending
+    source fold (and bit-identity) never depends on the cut."""
+    parts = min(workers, len(items))
+    cut = [len(items) * j // max(parts, 1) for j in range(parts + 1)]
+    return [items[a:b] for a, b in zip(cut, cut[1:])]
+
+
 class DynamicBC:
     """Streaming betweenness centrality with stored per-source state."""
 
@@ -202,10 +212,6 @@ class DynamicBC:
         #: identity signature of the state arrays adopted into shm
         self._adopted: Optional[tuple] = None
         self._graph_capacity = 0
-        #: EWMA of each source's observed simulated seconds, feeding
-        #: the guided chunk planner (deterministic — simulated costs
-        #: are replayable — so chunk plans are too)
-        self._source_cost: Optional[np.ndarray] = None
         #: parent-side seconds spent folding worker results (the
         #: reduction half of the dispatch+reduction overhead metric)
         self._fold_seconds = 0.0
@@ -474,9 +480,14 @@ class DynamicBC:
 
         With ``workers > 1`` the scratch recomputations fan out to the
         pool; chunks stay in input order, so the returned list matches
-        the serial scan exactly.
+        the serial scan exactly.  An index outside ``[0, k)`` raises
+        :class:`IndexError` before anything runs.
         """
         indices = [int(i) for i in indices]
+        k = self.state.num_sources
+        for i in indices:
+            if not 0 <= i < k:
+                raise IndexError(f"source index {i} out of range for k={k}")
         if len(indices) > 1 and self._ensure_pool() is not None:
             try:
                 return self._check_rows_parallel(indices, atol)
@@ -622,9 +633,10 @@ class DynamicBC:
         self._parallel_disabled = True
         self._release_parallel()
 
-    def _pool_run(self, kind: str, common: dict, payloads: List[dict],
+    def _pool_run(self, kind: str, common: dict, items: List,
                   reset=None) -> List:
-        """Dispatch one round through the engine's pool, wiring the
+        """Dispatch one round of *items* through the engine's pool, one
+        contiguous share per worker (:func:`split_round`), wiring the
         supervisor's recovery callbacks.
 
         ``reset`` restores a chunk's state rows before a retry; only
@@ -632,6 +644,8 @@ class DynamicBC:
         them first), so everything else is idempotent and retry-safe
         with ``reset=None``.
         """
+        payloads = [{"items": share}
+                    for share in split_round(items, self._pool.workers)]
         return self._pool.run(kind, common, payloads, reset=reset,
                               serial=self._serial_chunk)
 
@@ -817,45 +831,23 @@ class DynamicBC:
         common.update(extra)
         return common
 
-    def _plan(self, items: List) -> List[List]:
-        """Guided self-scheduling chunk plan for one round, weighted by
-        the observed per-source cost EWMA when the items carry source
-        indices (update rounds); deterministic because the weights are
-        simulated seconds, not wall-clock."""
-        weights = None
-        cost = self._source_cost
-        if cost is not None and items and isinstance(items[0], tuple):
-            idx = [int(item[0]) for item in items]
-            if max(idx) < cost.size and float(cost[idx].sum()) > 0.0:
-                weights = cost[idx]
-        return plan_chunks_guided(items, self._pool.workers, weights=weights)
-
     def _brandes_fill(self, snap: CSRGraph, indices) -> None:
         """Rebuild the given state rows from scratch in the workers and
         re-fold bc in source order (bit-identical to
         :meth:`BCState.compute`)."""
         common = self._parallel_common(snap)
-        items = [int(i) for i in indices]
-        payloads = [
-            {"items": chunk}
-            for chunk in plan_chunks_guided(items, self._pool.workers)
-        ]
-        self._pool_run("brandes", common, payloads)
+        self._pool_run("brandes", common, [int(i) for i in indices])
         self.state.rebuild_bc()
 
     def _check_rows_parallel(self, indices: List[int], atol: float) -> List[int]:
         snap = self.graph.snapshot()
         common = self._parallel_common(snap, atol=float(atol))
-        payloads = [
-            {"items": chunk}
-            for chunk in plan_chunks_guided(indices, self._pool.workers)
-        ]
-        outputs = self._pool_run("check", common, payloads)
+        outputs = self._pool_run("check", common, indices)
         return [int(record[0]) for output in outputs for record in output]
 
     def _repair_parallel(self, snap: CSRGraph, i: int) -> UpdateStats:
         common = self._parallel_common(snap)
-        outputs = self._pool_run("rebuild", common, [{"items": [i]}])
+        outputs = self._pool_run("rebuild", common, [i])
         _, steps, touched, num_levels = outputs[0][0]
         trace = rebuild_trace(f"repair:{int(self.state.sources[i])}", steps)
         self.state.rebuild_bc()
@@ -872,12 +864,8 @@ class DynamicBC:
     ) -> RowResults:
         """Run the executor over the active rows and return their
         results in ascending order: in-process, or — with a live pool —
-        by each worker on its chunk, the chunks' columns concatenated.
-
-        Pool chunks follow the guided self-scheduling taper, weighted
-        by each source's cost EWMA from previous rounds — big chunks
-        first, fine tail — while staying contiguous and ordered, so the
-        ascending-source fold (and bit-identity) is untouched.
+        by each worker on its contiguous share (:func:`split_round`),
+        the shares' columns concatenated.
         """
         items = [
             (i, int(cases[i]), int(highs[i]), int(lows[i]))
@@ -886,16 +874,14 @@ class DynamicBC:
         if self._ensure_pool() is None:
             return self._run_in_process(snap, operation, items)
         common = self._parallel_common(snap, operation=operation)
-        payloads = [{"items": chunk} for chunk in self._plan(items)]
         try:
-            outputs = self._pool_run("update", common, payloads,
+            outputs = self._pool_run("update", common, items,
                                      reset=self._reset_update_chunk)
         except WorkerTaskError:
             # The executor raised inside a worker (a corrupt row failing
             # its pre-commit check, say): restore the rows and rerun in
             # process, so the error surfaces with its type and row.
-            for payload in payloads:
-                self._reset_update_chunk(payload)
+            self._reset_update_chunk({"items": items})
             return self._run_in_process(snap, operation, items)
         return RowResults(*merge_indexed(outputs, active))
 
@@ -992,17 +978,6 @@ class DynamicBC:
                 for i, row in zip(res.rows.tolist(), res.stats.tolist()):
                     stats_list[i] = UpdateStats(*row)
                 self._fold_seconds += fold_timer.stop()
-                # Feed the guided planner: EWMA of each active source's
-                # *simulated* seconds (deterministic, so the next
-                # round's chunk plan is too).
-                cost = self._source_cost
-                if cost is None or cost.size != k:
-                    cost = self._source_cost = np.zeros(k, dtype=np.float64)
-                observed = per_source[active]
-                cost[active] = np.where(
-                    cost[active] > 0.0, 0.5 * cost[active] + 0.5 * observed,
-                    observed,
-                )
         return self._finish_report(
             u, v, operation, cases, per_source, touched, stats_list,
             stage_seconds, counters, timer,

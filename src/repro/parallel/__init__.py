@@ -4,6 +4,9 @@ The paper's central design maps one source vertex to one SM/thread
 block; this package is the CPU analogue — a process pool in which each
 worker executes whole sources against shared-memory state
 (``DynamicBC(workers=N)``; see docs/MODEL.md, "Parallel execution").
+The engine cuts every round into one contiguous share of the sources
+per worker (:func:`repro.bc.engine.split_round`), as each SM loops
+over a fixed share of them; the pool only runs the chunks it is given.
 
 Modules
 -------
@@ -17,7 +20,7 @@ slabs
 pool
     :class:`RoundPool` — round bookkeeping shared by both backends;
     :class:`WorkerPool` — the process backend: long-lived workers, a
-    dynamic chunk queue, results through the result slabs.
+    shared chunk queue, results through the result slabs.
 threadpool
     :class:`ThreadWorkerPool` — the same round protocol on daemon
     threads over direct array views (the backend on free-threaded
@@ -27,9 +30,6 @@ supervisor
     monitoring, hung-worker SIGKILL, bounded respawn with backoff,
     poisoned-chunk quarantine, and the full-pool → shrunk-pool →
     serial degradation ladder, on either backend.
-chunks
-    :func:`plan_chunks_guided` — contiguous, ordered chunk planning
-    with the guided self-scheduling taper.
 reducer
     :func:`merge_indexed` / :func:`rebuild_trace` — deterministic
     (source-order) reduction of worker results.
@@ -38,7 +38,6 @@ worker
     path).
 """
 
-from repro.parallel.chunks import plan_chunks_guided
 from repro.parallel.pool import (
     ParallelExecutionError,
     WorkerPool,
@@ -72,7 +71,6 @@ __all__ = [
     "WorkerTaskError",
     "free_threading_active",
     "merge_indexed",
-    "plan_chunks_guided",
     "rebuild_trace",
     "shm_available",
 ]

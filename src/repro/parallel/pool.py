@@ -1,11 +1,13 @@
-"""Worker pools with a dynamic chunk queue: the round bookkeeping both
+"""Worker pools with a shared chunk queue: the round bookkeeping both
 backends share, and the process backend.
 
 A *round* is one batch of ``(kind, round_id, chunk_id, common,
 payload)`` tasks: every chunk is enqueued up front, idle workers pull
-the next chunk as they finish (the coarse-grained dynamic schedule),
-and each posts one ``(status, round_id, chunk_id, result)`` message
-back.  :class:`RoundPool` owns what is backend-independent — round
+the next chunk, and each posts one ``(status, round_id, chunk_id,
+result)`` message back.  The engine cuts a round into at most one
+contiguous chunk per requested worker
+(:func:`repro.bc.engine.split_round`), so at full strength each worker
+pulls one share; on a shrunk pool the live workers pull the rest.  :class:`RoundPool` owns what is backend-independent — round
 ids, transport accounting, heartbeat-slot reads, respawn and
 lifecycle — and leaves four primitives to each backend: spawn,
 teardown, ``poll_result`` and ``kill_worker``.

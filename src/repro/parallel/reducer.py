@@ -1,11 +1,12 @@
 """Deterministic reduction of worker results.
 
-Workers finish in whatever order the dynamic chunk queue hands them
-work, so nothing about completion order may leak into the results.
+Workers finish their shares in whatever order the host schedules
+them, so nothing about completion order may leak into the results.
 The reduction protocol:
 
 1. chunk outputs are returned by :meth:`SupervisedPool.run` in *chunk*
-   order (which is ascending source order — chunks are contiguous);
+   order (which is ascending source order — each chunk is one
+   worker's contiguous share, :func:`repro.bc.engine.split_round`);
 2. an update chunk's output is a tuple of flat columns whose first is
    the chunk's source indices; :func:`merge_indexed` concatenates the
    chunks column by column and refuses duplicated or missing indices;

@@ -2,9 +2,9 @@
 
 :class:`ThreadWorkerPool` runs the *identical* round protocol as the
 process pool — ``(kind, round_id, chunk_id, common, payload)`` tasks in,
-``(status, round_id, chunk_id, result)`` messages out, dynamic chunk
-pulling, stale-round discard — but on daemon threads inside the parent
-process.  That removes every serialization and shm hop: tasks carry the
+``(status, round_id, chunk_id, result)`` messages out, shared-queue
+chunk pulling, stale-round discard — but on daemon threads inside the
+parent process.  That removes every serialization and shm hop: tasks carry the
 state arrays as direct references (``common["views"]``), workers mutate
 the engine's own d/sigma/delta rows, and results return by reference
 (``queue_bytes == 0`` by construction).

@@ -2,9 +2,10 @@
 
 This module runs inside the pool's child processes.  Tasks arrive on a
 shared queue as ``(kind, round_id, chunk_id, common, payload)`` tuples;
-each task executes one contiguous chunk of source indices against the
-shared-memory arena (:mod:`repro.parallel.shm`) and posts
-``(status, round_id, chunk_id, result)`` back.
+each task executes one contiguous chunk of source indices — the
+worker's whole share of the round, as the engine cuts one chunk per
+worker — against the shared-memory arena (:mod:`repro.parallel.shm`)
+and posts ``(status, round_id, chunk_id, result)`` back.
 
 Division of labour with the parent (the determinism contract):
 

@@ -116,6 +116,23 @@ class TestBitIdentity:
         assert np.array_equal(bc_s, bc_p)
         assert cnt_s == cnt_p
 
+    def test_round_is_one_share_per_worker(self, er_graph, workers):
+        """Every update round is cut into min(workers, active) chunks,
+        one contiguous share per worker (transport_report() counts)."""
+        dyn = DynamicGraph.from_csr(er_graph)
+        stream = EdgeStream.removal_reinsertion(dyn, 8, seed=5)
+        with DynamicBC.from_graph(dyn, num_sources=K, seed=SEED,
+                                  workers=workers) as eng:
+            before = eng.transport_report()
+            result = replay(eng, stream)
+            after = eng.transport_report()
+        active = [int(np.count_nonzero(r.cases != int(Case.SAME_LEVEL)))
+                  for r in result.reports]
+        rounds = after["rounds"] - before["rounds"]
+        chunks = after["chunks"] - before["chunks"]
+        assert rounds == sum(a > 0 for a in active) > 0
+        assert chunks == sum(min(workers, a) for a in active)
+
     def test_add_vertex_triggers_readoption(self, er_graph, workers):
         serial, par = build_pair(er_graph, workers)
         try:
@@ -288,6 +305,24 @@ class TestWorkerCrash:
             assert par.health_report()["deaths"] == 1
         finally:
             par.close()
+
+
+# ----------------------------------------------------------------------
+# Input validation
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("indices", [[-1], [K, 0]])
+def test_check_rows_rejects_bad_index_before_dispatch(er_graph, workers,
+                                                      indices):
+    with DynamicBC.from_graph(DynamicGraph.from_csr(er_graph),
+                              num_sources=K, seed=SEED,
+                              workers=workers) as eng:
+        respawns = eng.health_report().get("respawns", 0)
+        with pytest.raises(IndexError, match=f"out of range for k={K}"):
+            eng.check_rows(indices)
+        assert eng.health_report().get("respawns", 0) == respawns
+        assert not eng.drain_health_events()
+        assert eng.check_rows(range(K)) == []
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for the parallel substrate: chunk planning, the
+"""Unit tests for the parallel substrate: the round split, the
 shared-memory arena, the worker pool (its rounds driven through
 :class:`SupervisedPool`, the one collect loop), and the deterministic
 reducer.
@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.bc.engine import split_round
 from repro.parallel import (
     ShmArena,
     ShmAttachment,
@@ -19,49 +20,33 @@ from repro.parallel import (
     WorkerPool,
     WorkerTaskError,
     merge_indexed,
-    plan_chunks_guided,
     rebuild_trace,
     shm_available,
 )
-from repro.parallel.chunks import MAX_CHUNKS_PER_WORKER
 from repro.gpu.counters import Step
 
 
 # ----------------------------------------------------------------------
-# plan_chunks_guided
+# split_round
 # ----------------------------------------------------------------------
 class TestPlanChunks:
     def test_concat_preserves_items_and_order(self):
         items = list(range(23))
-        chunks = plan_chunks_guided(items, 3)
-        assert [x for c in chunks for x in c] == items
-        weights = [float(i % 5) for i in items]
-        chunks = plan_chunks_guided(items, 3, weights=weights)
-        assert [x for c in chunks for x in c] == items
-
-    def test_chunks_are_contiguous_and_bounded(self):
-        chunks = plan_chunks_guided(list(range(100)), 4)
-        assert len(chunks) <= MAX_CHUNKS_PER_WORKER * 4
-        # the guided taper: big chunks first, never growing again
-        sizes = [len(c) for c in chunks]
-        assert sizes == sorted(sizes, reverse=True)
-        assert sizes[0] > sizes[-1]
+        for workers in range(1, 30):
+            chunks = split_round(items, workers)
+            assert [x for c in chunks for x in c] == items
+            # at most one non-empty chunk per worker, sizes within one
+            assert len(chunks) == min(workers, len(items))
+            assert all(c for c in chunks)
+            sizes = [len(c) for c in chunks]
+            assert max(sizes) - min(sizes) <= 1
 
     def test_fewer_items_than_chunks(self):
-        chunks = plan_chunks_guided([7, 8], 4)
-        assert [x for c in chunks for x in c] == [7, 8]
-        assert all(c for c in chunks)  # no empty chunks
+        chunks = split_round([7, 8], 4)
+        assert chunks == [[7], [8]]
 
     def test_empty_items(self):
-        assert plan_chunks_guided([], 4) == []
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            plan_chunks_guided([1], 0)
-        with pytest.raises(ValueError):
-            plan_chunks_guided([1], 2, factor=0.0)
-        with pytest.raises(ValueError):
-            plan_chunks_guided([1, 2], 2, weights=[1.0])
+        assert split_round([], 4) == []
 
 
 # ----------------------------------------------------------------------
