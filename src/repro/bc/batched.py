@@ -21,16 +21,18 @@ oracle and its sanitize-mode path).  Results are bit-identical to it:
   through the backend's step formulas into one
   :class:`~repro.gpu.ledger.CostLedger`, which costs and folds each
   row's steps as the per-source kernel's trace would be;
-* bc is not touched here: each source's adjustment comes back sparse
-  and the caller folds them in ascending source order.
+* the executor writes no state: each row comes back with its
+  write-set (touched vertex ids and their new ``d``, σ and δ), and the
+  engine commits the rows and derives the bc adjustments in ascending
+  source order.
 
 :meth:`SourceExecutor.run` returns one :class:`RowResults`: flat
 columns over its rows, which a pool chunk ships as a handful of
 arrays.
 
 Work scratch is ``(rows, n)`` per batch; the shared ``d``/``sigma``/
-``delta`` rows are indexed in place through flat keys, never copied
-whole.  A level's rows are split into whole-row passes of at most
+``delta`` rows are read through flat keys, never copied whole.  A
+level's rows are split into whole-row passes of at most
 :data:`PASS_ARCS` gathered arcs so temporaries stay in cache, and a
 row that fills a pass alone runs with the per-source gather (int32
 vertex ids into its own row views, no key arithmetic).
@@ -90,11 +92,13 @@ class RowResults:
     atomics: np.ndarray
     #: :class:`UpdateStats` fields per row, in field order
     stats: np.ndarray
-    #: sparse bc adjustments, CSR-packed: row *j*'s ``bc_len[j]``
-    #: vertex ids and values to add, rows in order
-    bc_len: np.ndarray
-    bc_idx: np.ndarray
-    bc_vals: np.ndarray
+    #: each row's write-set, CSR-packed: row *j*'s ``nkeys[j]`` vertex
+    #: ids, ascending, with their new ``d``, σ and δ; rows in order
+    nkeys: np.ndarray
+    keys: np.ndarray
+    d: np.ndarray
+    sigma: np.ndarray
+    delta: np.ndarray
 
     def arrays(self) -> tuple:
         """The columns in field order (``RowResults(*arrays)`` rebuilds
@@ -104,17 +108,18 @@ class RowResults:
     def sorted(self) -> "RowResults":
         """These rows in ascending order."""
         order = np.argsort(self.rows, kind="stable")
-        starts = np.cumsum(self.bc_len) - self.bc_len
-        lens = self.bc_len[order]
+        starts = np.cumsum(self.nkeys) - self.nkeys
+        lens = self.nkeys[order]
         at = (np.arange(int(lens.sum()))
               + np.repeat(starts[order] - (np.cumsum(lens) - lens), lens))
-        per_row = [a[order] for a in self.arrays()[:-3]]
-        return RowResults(*per_row, lens, self.bc_idx[at], self.bc_vals[at])
+        columns = self.arrays()
+        return RowResults(*(a[order] for a in columns[:-5]), lens,
+                          *(a[at] for a in columns[-4:]))
 
 
-#: ``rebuild(i)`` — rewrite state row *i* with a fresh Brandes pass;
-#: returns the row's stats and its static trace
-Rebuild = Callable[[int], Tuple[UpdateStats, Trace]]
+#: ``rebuild(i)`` — a fresh Brandes pass for state row *i*: its new
+#: ``(d, sigma, delta)`` rows, its stats and its static trace
+Rebuild = Callable[[int], Tuple[tuple, UpdateStats, Trace]]
 
 
 class SourceExecutor:
@@ -137,15 +142,11 @@ class SourceExecutor:
         items: Sequence[tuple],
         operation: str,
         rebuild: Rebuild,
-        on_source: Optional[Callable[[int], None]] = None,
     ) -> RowResults:
-        """Apply the update to every ``(i, case, u_high, u_low)`` item
-        (ascending *i*, Cases 2 and 3 only, at least one) in place on
-        the ``(k, n)`` state arrays; returns the items' rows, ascending.
-
-        *on_source(i)* runs just before row *i* is first written: the
-        fault-injection seam, and how a transaction learns which row
-        an exception belongs to.
+        """Compute the update of every ``(i, case, u_high, u_low)`` item
+        (ascending *i*, Cases 2 and 3 only, at least one) from the
+        ``(k, n)`` state arrays, which it only reads; returns the
+        items' rows, ascending, each with its write-set.
         """
         insert = operation == "insert"
         adjacent = [it for it in items if int(it[1]) == Case.ADJACENT_LEVEL]
@@ -160,54 +161,47 @@ class SourceExecutor:
         ledger = CostLedger(len(items))
         parts: List[tuple] = []
         # Zero divisors only come from corrupted rows; the pre-commit
-        # check turns their inf/nan into a CorruptRowError, raised
-        # before any row of the batch is written.
+        # check turns their inf/nan into a CorruptRowError.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # One batch's scratch at a time: each is freed before the
             # next is allocated.
             if adjacent:
                 parts.append(_Batch(self, book, ledger, 0, graph, sources, d,
                                     sigma, delta, adjacent, case3=False)
-                             .case2(insert, on_source))
+                             .case2(insert))
             if distant and insert:
                 parts.append(_Batch(self, book, ledger, len(adjacent), graph,
                                     sources, d, sigma, delta, distant,
                                     case3=True)
-                             .case3(on_source))
+                             .case3())
             elif distant:
                 parts.append(self._rebuild(book, ledger, len(adjacent),
-                                           distant, delta, rebuild,
-                                           on_source))
-        rows, stats, bc_len, bc_idx, bc_vals = (
-            np.concatenate(col) for col in zip(*parts))
-        out = RowResults(rows, *ledger.close(self.cost_model), stats, bc_len,
-                         bc_idx, bc_vals)
+                                           distant, graph.num_vertices,
+                                           rebuild))
+        rows, stats, *write_set = (np.concatenate(col) for col in zip(*parts))
+        out = RowResults(rows, *ledger.close(self.cost_model), stats,
+                         *write_set)
         return out if len(parts) == 1 else out.sorted()
 
     def _rebuild(self, book: UpdateAccountant, ledger: CostLedger,
-                 offset: int, items, delta, rebuild, on_source) -> tuple:
+                 offset: int, items, n: int, rebuild: Rebuild) -> tuple:
         """Distance-increasing deletions: the per-source Brandes
         fallback, charged to *ledger* rows ``offset, offset + 1, ...``.
         A row's cost is its classify step plus the static trace of the
-        rebuild; its bc adjustment is the full dependency difference.
-        Returns the rows' ``(rows, stats, bc_len, bc_idx, bc_vals)``."""
+        rebuild, and its write-set is the whole fresh row.  Returns the
+        rows' ``(rows, stats, nkeys, keys, d, sigma, delta)``."""
         rows = np.array([int(it[0]) for it in items], dtype=np.int64)
         ledger.charge(np.arange(rows.size) + offset, book.classify_steps())
-        stats, idx, vals = [], [], []
+        stats, fresh = [], []
         for b, i in enumerate(rows.tolist()):
-            delta_old = delta[i].copy()
-            if on_source is not None:
-                on_source(i)
-            row_stats, trace = rebuild(i)
+            row, row_stats, trace = rebuild(i)
             ledger.add_trace(offset + b, trace.steps)
-            diff = delta[i] - delta_old
-            nz = np.flatnonzero(diff)
             stats.append(astuple(row_stats))
-            idx.append(nz)
-            vals.append(diff[nz])
+            fresh.append(row)
         return (rows, np.array(stats, dtype=np.int64),
-                np.array([a.size for a in idx], dtype=np.int64),
-                _concat(idx), np.concatenate(vals))
+                np.full(rows.size, n, dtype=np.int64),
+                np.tile(np.arange(n, dtype=np.int64), rows.size),
+                *(np.concatenate(col) for col in zip(*fresh)))
 
 
 class _Arcs:
@@ -597,7 +591,7 @@ class _Batch:
     # ------------------------------------------------------------------
     # Case 2
     # ------------------------------------------------------------------
-    def case2(self, insert: bool, on_source) -> tuple:
+    def case2(self, insert: bool) -> tuple:
         m = self.m
         d_low, d_high = self.Df[self.gul], self.Df[self.guh]
         bad = np.flatnonzero(d_low != d_high + 1)
@@ -654,12 +648,12 @@ class _Batch:
         levels = self.Df[self.to_global(touched, None)]
         self._dependency(touched, levels, d_low if not insert else None,
                          insert, case3=False)
-        return self._commit(on_source, case3=False)
+        return self._commit(case3=False)
 
     # ------------------------------------------------------------------
     # Case 3 (insertion)
     # ------------------------------------------------------------------
-    def case3(self, on_source) -> tuple:
+    def case3(self) -> tuple:
         n, m = self.n, self.m
         d_low, d_high = self.Df[self.gul], self.Df[self.guh]
         bad = np.flatnonzero(~(d_low > d_high + 1))
@@ -756,7 +750,7 @@ class _Batch:
         # Stage 3': dependency accumulation over the new levels.
         touched = np.flatnonzero(self.Tf)
         self._dependency(touched, self.DNf[touched], None, True, case3=True)
-        return self._commit(on_source, case3=True)
+        return self._commit(case3=True)
 
     # ------------------------------------------------------------------
     # Dependency stage (Cases 2 and 3)
@@ -862,12 +856,14 @@ class _Batch:
     # ------------------------------------------------------------------
     # Commit (Algorithm 8)
     # ------------------------------------------------------------------
-    def _commit(self, on_source, case3: bool) -> tuple:
-        """Check every row, then fold each row's hat values into the
-        shared state, one row at a time in ascending order.  Untouched
-        entries of σ̂ (and of the new distances) equal the stored ones,
-        so writing the touched entries is the full-row commit.  Returns
-        the rows' ``(rows, stats, bc_len, bc_idx, bc_vals)``."""
+    def _commit(self, case3: bool) -> tuple:
+        """Check every row and return its write-set, the commit the
+        engine performs (Algorithm 8): the touched vertices' σ̂, δ̂ —
+        except at the source, whose δ stays as stored — and new (Case 3)
+        or stored distances.  Untouched entries of σ̂ (and of the new
+        distances) equal the stored ones, so writing the touched
+        entries is the full-row commit.  Returns the rows' ``(rows,
+        stats, nkeys, keys, d, sigma, delta)``."""
         n, m = self.n, self.m
         touched = np.flatnonzero(self.Tf)
         sh, dh = self.SHf[touched], self.DHf[touched]
@@ -881,32 +877,17 @@ class _Batch:
                 f"non-finite sigma-hat or a non-finite delta-hat; the "
                 f"stored row is corrupt",
             )
-        bounds = np.searchsorted(
-            touched, np.arange(m + 1, dtype=np.int64) * n
-        ).tolist()
         glob = self.to_global(touched, None)
         row_of = touched // n
-        apply = touched != (self.lbase + self.src)[row_of]
-        adjust = np.where(apply, dh - self.DLf[glob], 0.0)
-        for b in range(m):
-            lo, hi = bounds[b], bounds[b + 1]
-            loc, g, keep = touched[lo:hi], glob[lo:hi], apply[lo:hi]
-            if on_source is not None:
-                on_source(int(self.rows[b]))
-            self.Sf[g] = self.SHf[loc]
-            self.DLf[g[keep]] = self.DHf[loc[keep]]
-            if case3:
-                self.Df[g] = self.DNf[loc]
-        counts = np.diff(np.asarray(bounds, dtype=np.int64))
+        at_source = touched == (self.lbase + self.src)[row_of]
+        counts = np.bincount(row_of, minlength=m)
         self.charge(self.all, self.book.commit_steps(n, counts))
-        # Sparse replay of the kernel's masked commit: zero-valued
-        # adjustments are dropped, a bitwise no-op on the bc accumulator.
-        nz = np.flatnonzero(adjust)
         return (self.rows,
                 np.column_stack([counts, self.moved, self.sp_levels,
                                  self.dep_levels]),
-                np.bincount(row_of[nz], minlength=m),
-                touched[nz] - row_of[nz] * n, adjust[nz])
+                counts, touched - row_of * n,
+                self.DNf[touched] if case3 else self.Df[glob], sh,
+                np.where(at_source, self.DLf[glob], dh))
 
 
 def _runs(costs: List[int]):

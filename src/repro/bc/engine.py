@@ -142,6 +142,25 @@ def split_round(items: Sequence, workers: int) -> List[Sequence]:
     return [items[a:b] for a, b in zip(cut, cut[1:])]
 
 
+def rebuild_row(graph: CSRGraph, s: int, strategy: str, op_costs: OpCosts,
+                access: float) -> Tuple[tuple, UpdateStats, Trace]:
+    """A fresh Brandes pass from source *s*: its new ``(d, sigma,
+    delta)`` rows (δ zero at *s*), the pass's stats, and the static
+    per-source trace it is charged, built from the levels the pass just
+    produced under the nearest static *strategy*
+    (:meth:`DynamicBC._static_strategy`).  The engine and the pool
+    workers share it; only :meth:`DynamicBC.repair_source` (and its
+    pool round) and the per-source loop write the rows in place."""
+    d, sigma, delta, levels = single_source_state(graph, s)
+    delta[s] = 0.0
+    _, trace = trace_static_source(graph, s, strategy, op_costs, access,
+                                   rebuilt=(d, levels))
+    stats = UpdateStats(touched=int(np.count_nonzero(d != DIST_INF)),
+                        moved=0, sp_levels=len(levels),
+                        dep_levels=len(levels) - 1)
+    return (d, sigma, delta), stats, trace
+
+
 class DynamicBC:
     """Streaming betweenness centrality with stored per-source state."""
 
@@ -521,10 +540,12 @@ class DynamicBC:
                 pass  # supervision gave up on the round: repair here
         if self._tracer is not None:
             with _san.tracing(self._tracer):
-                stats, trace = self._rebuild_row(snap, i)
+                rows, stats, trace = self._rebuild_row(snap, i)
         else:
-            stats, trace = self._rebuild_row(snap, i)
-        self.state.rebuild_bc()
+            rows, stats, trace = self._rebuild_row(snap, i)
+        st = self.state
+        st.d[i], st.sigma[i], st.delta[i] = rows
+        st.rebuild_bc()
         counters = KernelCounters()
         counters.absorb(trace, kernel="repair")
         self.counters = self.counters.merged(counters)
@@ -633,20 +654,15 @@ class DynamicBC:
         self._parallel_disabled = True
         self._release_parallel()
 
-    def _pool_run(self, kind: str, common: dict, items: List,
-                  reset=None) -> List:
+    def _pool_run(self, kind: str, common: dict, items: List) -> List:
         """Dispatch one round of *items* through the engine's pool, one
-        contiguous share per worker (:func:`split_round`), wiring the
-        supervisor's recovery callbacks.
-
-        ``reset`` restores a chunk's state rows before a retry; only
-        the ``update`` kind mutates rows incrementally (and journals
-        them first), so everything else is idempotent and retry-safe
-        with ``reset=None``.
-        """
+        contiguous share per worker (:func:`split_round`), with the
+        in-parent executor the supervisor falls back to.  Every round
+        is retry-safe as it stands: ``update`` workers write no state,
+        and the other kinds only read rows or rewrite them whole."""
         payloads = [{"items": share}
                     for share in split_round(items, self._pool.workers)]
-        return self._pool.run(kind, common, payloads, reset=reset,
+        return self._pool.run(kind, common, payloads,
                               serial=self._serial_chunk)
 
     def _serial_chunk(self, kind: str, common: dict, payload: dict):
@@ -668,14 +684,6 @@ class DynamicBC:
             attachment = SimpleNamespace(arrays=common.get("views") or {},
                                          generation=0)
         return _worker_mod.run_task(attachment, kind, common, payload)
-
-    def _reset_update_chunk(self, payload: dict) -> None:
-        """Restore every state row an ``update`` chunk may have half
-        written (supervisor retry callback; rows were journaled before
-        dispatch, and ``bc``/counters are parent-side only, touched
-        after a fully successful round)."""
-        for item in payload["items"]:
-            self._txn.restore_row(int(item[0]))
 
     def health_report(self) -> Dict:
         """Operator-facing supervision snapshot: execution mode (the
@@ -875,13 +883,11 @@ class DynamicBC:
             return self._run_in_process(snap, operation, items)
         common = self._parallel_common(snap, operation=operation)
         try:
-            outputs = self._pool_run("update", common, items,
-                                     reset=self._reset_update_chunk)
+            outputs = self._pool_run("update", common, items)
         except WorkerTaskError:
             # The executor raised inside a worker (a corrupt row failing
-            # its pre-commit check, say): restore the rows and rerun in
-            # process, so the error surfaces with its type and row.
-            self._reset_update_chunk({"items": items})
+            # its pre-commit check, say): rerun in process, so the error
+            # surfaces with its type and row.
             return self._run_in_process(snap, operation, items)
         return RowResults(*merge_indexed(outputs, active))
 
@@ -896,9 +902,7 @@ class DynamicBC:
         )
         return executor.run(
             snap, state.sources, state.d, state.sigma, state.delta,
-            items, operation,
-            rebuild=lambda i: self._rebuild_row(snap, i),
-            on_source=self._before_commit,
+            items, operation, rebuild=lambda i: self._rebuild_row(snap, i),
         )
 
     def _apply_batched(
@@ -910,10 +914,10 @@ class DynamicBC:
     ) -> UpdateReport:
         """The update path: classify all k sources in one NumPy pass,
         bulk-charge the (typically dominant — Fig. 2) Case-1
-        population, journal the active rows, run them through the
-        level-synchronous executor (:mod:`repro.bc.batched`) in process
-        or across the worker pool, and fold the results once, in
-        ascending source order.
+        population, run the active rows through the level-synchronous
+        executor (:mod:`repro.bc.batched`) in process or across the
+        worker pool, commit their write-sets (:meth:`_commit`), and fold
+        the results once, in ascending source order.
 
         Every reported artifact is bit-identical to
         :meth:`_apply_looped`: the Case-1 per-source cost is the shared
@@ -925,8 +929,8 @@ class DynamicBC:
         each active row's ledger totals equal its per-source trace's
         (:mod:`repro.gpu.ledger`), each stage total is the loop's left
         fold over ascending sources (``np.add.accumulate``; a source
-        without the stage adds 0.0), and ``np.add.at`` adds the sparse
-        bc adjustments in the order the per-source kernels would have
+        without the stage adds 0.0), and the commit adds the sparse bc
+        adjustments in the order the per-source kernels would have
         added them.
         """
         snap = self.graph.snapshot()
@@ -959,21 +963,16 @@ class DynamicBC:
             )
             active = np.flatnonzero(~same_mask)
             if active.size:
-                # Journal every row the executor may touch before any
-                # is written: a fault (or a crashed worker) leaves rows
-                # half written, and the rollback must cover all of them.
-                self._txn.save_rows(active)
-                self._txn.current_source = -1
                 res = self._run_active(snap, operation, cases, highs,
                                        lows, active)
                 fold_timer = WallTimer().start()
+                self._commit(res)
                 per_source[res.rows] = res.seconds
                 for stage in stage_order(res.stages):
                     if stage != "classify":  # folded into the bulk total
                         stage_seconds[stage] = float(np.add.accumulate(
                             res.stages[:, STAGES.index(stage)])[-1])
                 self._absorb_rows(counters, operation, cases[res.rows], res)
-                np.add.at(state.bc, res.bc_idx, res.bc_vals)
                 touched[res.rows] = res.stats[:, 0]
                 for i, row in zip(res.rows.tolist(), res.stats.tolist()):
                     stats_list[i] = UpdateStats(*row)
@@ -982,6 +981,30 @@ class DynamicBC:
             u, v, operation, cases, per_source, touched, stats_list,
             stage_seconds, counters, timer,
         )
+
+    def _commit(self, res: RowResults) -> None:
+        """Write the executor's write-sets into the state rows — the
+        only writes to ``d``/σ/δ on this path — one row at a time in
+        ascending order: :meth:`_before_commit`, journal the old values
+        at exactly the row's keys, write the new ones.  Each bc
+        adjustment is the new δ minus the journaled δ; ``np.add.at``
+        adds the nonzero ones in (row, vertex) order, the order of the
+        per-source kernels' masked commits (a zero adjustment is a
+        bitwise no-op on the accumulator)."""
+        st, txn = self.state, self._txn
+        old = np.empty_like(res.delta)
+        lo = 0
+        for i, hi in zip(res.rows.tolist(), np.cumsum(res.nkeys).tolist()):
+            keys = res.keys[lo:hi]
+            self._before_commit(i)
+            old[lo:hi] = txn.save_row(i, keys)
+            st.d[i, keys] = res.d[lo:hi]
+            st.sigma[i, keys] = res.sigma[lo:hi]
+            st.delta[i, keys] = res.delta[lo:hi]
+            lo = hi
+        adjust = res.delta - old
+        nz = np.flatnonzero(adjust)
+        np.add.at(st.bc, res.keys[nz], adjust[nz])
 
     @staticmethod
     def _absorb_rows(counters: KernelCounters, operation: str,
@@ -1051,11 +1074,12 @@ class DynamicBC:
         return self._apply_looped(u, v, operation, classifications)
 
     def _before_commit(self, i: int) -> None:
-        """Runs just before source row *i* is first written (by the
-        executor, or by the per-source loop before its kernel): records
-        the row an exception belongs to.  This is also the seam
-        :class:`~repro.resilience.faults.FaultInjector` patches to fail
-        an update part-way, with earlier rows already written."""
+        """Runs just before source row *i* is first written (by
+        :meth:`_commit`, or by the per-source loop before the row's
+        kernel): records the row an exception belongs to.  This is also
+        the seam :class:`~repro.resilience.faults.FaultInjector` patches
+        to fail an update part-way, with earlier rows already
+        written."""
         self._txn.current_source = i
 
     def _run_source(
@@ -1177,37 +1201,22 @@ class DynamicBC:
         *corrupted* row goes through :meth:`repair_source` instead.
         """
         state = self.state
-        delta_old = state.delta[i].copy()
-        stats, trace = self._rebuild_row(snap, i)
+        (d, sigma, delta), stats, trace = self._rebuild_row(snap, i)
         acc.trace.extend(trace)
-        state.bc += state.delta[i] - delta_old
+        state.bc += delta - state.delta[i]
+        state.d[i], state.sigma[i], state.delta[i] = d, sigma, delta
         return stats
 
-    def _rebuild_row(self, snap: CSRGraph, i: int) -> Tuple[UpdateStats, Trace]:
-        """Overwrite source *i*'s ``d``/``sigma``/``delta`` rows with a
-        fresh Brandes pass (BC untouched); returns the pass's stats and
-        the static per-source trace it is charged."""
-        state = self.state
-        s = int(state.sources[i])
-        # Brandes writes straight into the state rows (no transient
-        # triple — same O(n + m) scratch guarantee as BCState.compute),
-        # which also keeps shm-adopted rows in place under workers > 1.
-        d, _, _, levels = single_source_state(
-            snap, s, out=(state.d[i], state.sigma[i], state.delta[i])
+    def _rebuild_row(self, snap: CSRGraph, i: int
+                     ) -> Tuple[tuple, UpdateStats, Trace]:
+        """:func:`rebuild_row` for source row *i* under this engine's
+        strategy and costs; writes nothing."""
+        return rebuild_row(
+            snap, int(self.state.sources[i]), self._static_strategy(),
+            self.op_costs,
+            cpu_access_cycles(self.device, snap.num_vertices,
+                              2 * snap.num_edges),
         )
-        state.delta[i, s] = 0.0
-        # Charge the static per-source trace under the nearest static
-        # strategy (backend variants like gpu-node-atomic share the
-        # node-parallel static cost profile), built from the levels
-        # this pass just produced.
-        access = cpu_access_cycles(self.device, snap.num_vertices, 2 * snap.num_edges)
-        _, trace = trace_static_source(
-            snap, s, self._static_strategy(), self.op_costs, access,
-            rebuilt=(d, levels),
-        )
-        touched = int(np.count_nonzero(state.d[i] != DIST_INF))
-        return UpdateStats(touched=touched, moved=0, sp_levels=len(levels),
-                           dep_levels=len(levels) - 1), trace
 
     def __repr__(self) -> str:
         return (

@@ -10,11 +10,12 @@ The reduction protocol:
 2. an update chunk's output is a tuple of flat columns whose first is
    the chunk's source indices; :func:`merge_indexed` concatenates the
    chunks column by column and refuses duplicated or missing indices;
-3. the caller then replays every order-sensitive float accumulation
-   (bc scatter-adds, stage folds, counter absorption) over the merged
-   columns in ascending index order — the same left-fold order as the
-   serial loop and as checkpoint resume, which is what makes the
-   parallel engine bit-identical instead of merely close.
+3. the caller then commits the merged write-sets one row at a time
+   and replays every order-sensitive float accumulation (bc
+   adjustments, stage folds, counter absorption) over the merged
+   columns in ascending index order — the same commit and left-fold
+   order as the serial loop and as checkpoint resume, which is what
+   makes the parallel engine bit-identical instead of merely close.
 """
 
 from __future__ import annotations

@@ -18,11 +18,11 @@ are SIGKILLed — the only signal a stopped process cannot ignore — and
 dead workers (crash, OOM kill) are caught by liveness polling.
 
 **Recovery.**  A failed round tears the pool down (stale queued chunks
-must never race the retry's writes), restores every pending chunk's
-state rows via the caller's ``reset`` callback, respawns after an
-exponential backoff, and re-runs the round.  Determinism makes this
-safe: re-executing a chunk from restored rows is bit-identical to the
-first attempt.
+must never race the retry), respawns after an exponential backoff, and
+re-runs the round.  Nothing needs restoring first: an update round's
+workers write no state (the engine commits their results), and a
+Brandes build, recompute or repair rewrites each of its rows whole, so
+re-executing a chunk is bit-identical to the first attempt.
 
 **Quarantine.**  A chunk whose execution has killed
 ``poison_threshold`` workers is poisoned: it is pulled out of pool
@@ -182,10 +182,8 @@ class SupervisedPool:
     :meth:`run` executes one round and returns chunk results in
     payload order, surviving crashes and hangs via monitored rounds,
     bounded respawn, quarantine and the degradation ladder (module
-    docstring).  The optional ``reset`` / ``serial`` callbacks supply
-    the two state-touching primitives the supervisor itself cannot
-    know: restoring a chunk's rows before a retry, and executing a
-    chunk in the parent process.
+    docstring).  The optional ``serial`` callback executes a chunk in
+    the parent process, which the supervisor itself cannot do.
     """
 
     def __init__(
@@ -300,18 +298,14 @@ class SupervisedPool:
         common: dict,
         payloads: List[dict],
         *,
-        reset: Optional[Callable[[dict], None]] = None,
         serial: Optional[Callable[[str, dict, dict], Any]] = None,
     ) -> List[Any]:
         """Execute one round under supervision; results in payload
-        order, bit-identical to a serial run.
+        order, bit-identical to a serial run.  Every chunk must be
+        safe to re-execute as it stands (module docstring).
 
-        ``reset(payload)`` must restore every state row the chunk can
-        touch to its pre-round bytes (the engine wires this to the
-        update transaction's journal); it is called for every pending
-        chunk before a retry and before a serial fallback.  ``serial``
-        executes one chunk in the parent (quarantine and the serial
-        ladder rung).
+        ``serial`` executes one chunk in the parent (quarantine and the
+        serial ladder rung).
         """
         if not payloads:
             return []
@@ -341,9 +335,6 @@ class SupervisedPool:
             except _RoundFailure as fail:
                 self._absorb_failure(fail, kind, pending, strikes,
                                      quarantined)
-                if reset is not None:
-                    for i in pending:
-                        reset(payloads[i])
                 attempts += 1
                 if attempts > self.policy.max_respawns:
                     self._demote()
@@ -360,8 +351,6 @@ class SupervisedPool:
         # ladder sits at its serial rung.
         leftovers = [i for i in range(len(payloads)) if not done[i]]
         for i in leftovers:
-            if reset is not None:
-                reset(payloads[i])
             self.counts["serial_retries"] += 1
             self._emit("serial-retry", chunk=i, detail=f"kind={kind}")
             try:
@@ -450,7 +439,7 @@ class SupervisedPool:
     ) -> None:
         """Record a failed round: events, strike counters, quarantine
         decisions; then tear the pool down so no stale worker races
-        the row restore that follows."""
+        the retry that follows."""
         if not fail.culprits:
             self._emit("worker-death", detail=fail.detail)
         for j, action, local_chunk, detail in fail.culprits:

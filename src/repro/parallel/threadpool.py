@@ -5,9 +5,10 @@ process pool — ``(kind, round_id, chunk_id, common, payload)`` tasks in,
 ``(status, round_id, chunk_id, result)`` messages out, shared-queue
 chunk pulling, stale-round discard — but on daemon threads inside the
 parent process.  That removes every serialization and shm hop: tasks carry the
-state arrays as direct references (``common["views"]``), workers mutate
-the engine's own d/sigma/delta rows, and results return by reference
-(``queue_bytes == 0`` by construction).
+state arrays as direct references (``common["views"]``), workers read
+the engine's own d/sigma/delta rows (an update task writes none; only
+Brandes builds, recomputes and repairs write rows), and results return
+by reference (``queue_bytes == 0`` by construction).
 
 The engine selects this backend only on free-threaded CPython
 (3.13t+/3.14t, ``sys._is_gil_enabled() is False``), where the workers
@@ -26,7 +27,10 @@ event (heartbeat staleness sees a hang, :meth:`kill_worker` releases
 it).  The one honest limitation vs processes: a thread hung *inside*
 un-instrumented compute cannot be SIGKILLed, only abandoned — teardown
 replaces the queues so a late result lands in an orphaned queue, and
-the supervisor's retry proceeds against restored rows.
+the supervisor's retry proceeds.  An abandoned update task cannot
+write an update's rows after the retry, since update tasks write no
+state; a thread abandoned inside a Brandes build, recompute or repair
+can still overwrite its rows late.
 """
 
 from __future__ import annotations

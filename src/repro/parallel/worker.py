@@ -11,18 +11,22 @@ Division of labour with the parent (the determinism contract):
 
 * **Workers** run the level-synchronous executor
   (:mod:`repro.bc.batched`) over all sources of their chunk at once,
-  mutating its ``d``/``sigma``/``delta`` rows in place (zero-copy,
-  disjoint per source — no locks needed), and return the chunk's
-  order-*insensitive* artifacts as the flat columns of one
-  :class:`~repro.bc.batched.RowResults`: per source its simulated
-  seconds, per-stage seconds and counter totals (costed and folded in
-  the worker by a :class:`~repro.gpu.ledger.CostLedger`), its
-  :class:`UpdateStats` fields, and its sparse bc adjustment, CSR-packed.
-* **The parent** replays every order-*sensitive* float accumulation
-  (bc scatter-adds, stage-seconds folds, counter absorption) over the
-  concatenated columns in ascending source order — the same single
-  fold the serial path runs — reproducing the serial execution bit for
-  bit no matter which worker finished first.
+  reading the shared ``d``/``sigma``/``delta`` rows zero-copy and
+  writing none of them, and return the chunk's results as the flat
+  columns of one :class:`~repro.bc.batched.RowResults`: per source its
+  simulated seconds, per-stage seconds and counter totals (costed and
+  folded in the worker by a :class:`~repro.gpu.ledger.CostLedger`),
+  its :class:`UpdateStats` fields, and its write-set — touched vertex
+  ids with their new ``d``, σ and δ — CSR-packed.
+* **The parent** commits the write-sets, one row at a time in
+  ascending source order, and replays every order-*sensitive* float
+  accumulation (bc adjustments, which it derives from the journaled
+  δ, stage-seconds folds, counter absorption) over the concatenated
+  columns in that order — the same commit and fold the serial path
+  runs — reproducing the serial execution bit for bit no matter which
+  worker finished first.  A failed round therefore leaves no row to
+  undo.  Only Brandes builds, recomputes and repairs write rows in the
+  workers, each row whole.
 
 Supervision hooks (see :mod:`repro.parallel.supervisor`): when the pool
 hands the worker a heartbeat slot, a daemon thread stamps
@@ -41,13 +45,9 @@ import threading
 import time
 import traceback
 
-import numpy as np
-
 from repro.bc.batched import SourceExecutor
 from repro.bc.brandes import single_source_state
-from repro.bc.static_gpu import trace_static_source
-from repro.bc.update_core import UpdateStats
-from repro.graph.csr import CSRGraph, DIST_INF
+from repro.graph.csr import CSRGraph
 from repro.parallel import slabs as _slabs
 from repro.parallel.shm import ShmAttachment
 
@@ -191,8 +191,8 @@ def run_task(attachment, kind: str, common: dict, payload: dict):
     This is the supervisor's serial-retry primitive: the parent runs
     the exact handler a worker would have run, against an attachment
     shim whose ``arrays`` are the arena's parent-side views — the same
-    bytes the workers see — so the result (and every in-place row
-    write) is bit-identical to pool execution.
+    bytes the workers see — so the result (and every row a build or
+    repair writes) is bit-identical to pool execution.
     """
     return _HANDLERS[kind](attachment, common, payload)
 
@@ -215,37 +215,21 @@ def _views(attachment, common):
     )
 
 
-def _rebuild_row(graph, sources, d, sigma, delta, i, common):
-    """Rewrite state row *i* with a fresh Brandes pass (in place) and
-    return ``(stats, static trace)``; the trace is built from the
-    pass's own levels (mirrors ``DynamicBC._rebuild_row``)."""
-    s = int(sources[i])
-    d_row, _, _, levels = single_source_state(
-        graph, s, out=(d[i], sigma[i], delta[i])
-    )
-    delta[i, s] = 0.0
-    _, trace = trace_static_source(
-        graph, s, common["static_strategy"], common["op_costs"],
-        common["access"], rebuilt=(d_row, levels),
-    )
-    stats = UpdateStats(
-        touched=int(np.count_nonzero(d[i] != DIST_INF)), moved=0,
-        sp_levels=len(levels), dep_levels=len(levels) - 1,
-    )
-    return stats, trace
-
-
 def _handle_update(attachment, common, payload):
     """One streaming update's active sources in this chunk: run the
-    level-synchronous executor in place over the shared rows and
-    return the chunk's :class:`~repro.bc.batched.RowResults` columns."""
+    level-synchronous executor over the shared rows, which it only
+    reads, and return the chunk's :class:`~repro.bc.batched.RowResults`
+    columns, write-sets included."""
+    from repro.bc.engine import rebuild_row
+
     graph, sources, d, sigma, delta = _views(attachment, common)
+    static = (common["static_strategy"], common["op_costs"], common["access"])
     executor = SourceExecutor(common["backend"], common["op_costs"],
                               common["access"], common["cost_model"])
     return executor.run(
         graph, sources, d, sigma, delta, payload["items"],
         common["operation"],
-        lambda i: _rebuild_row(graph, sources, d, sigma, delta, i, common),
+        lambda i: rebuild_row(graph, int(sources[i]), *static),
     ).arrays()
 
 
@@ -263,13 +247,17 @@ def _handle_brandes(attachment, common, payload):
 
 
 def _handle_rebuild(attachment, common, payload):
-    """repair_source: rebuild rows and return the static repair trace."""
+    """repair_source: rebuild rows in place and return the static
+    repair trace."""
+    from repro.bc.engine import rebuild_row
+
     graph, sources, d, sigma, delta = _views(attachment, common)
+    static = (common["static_strategy"], common["op_costs"], common["access"])
     out = []
     for i in payload["items"]:
         i = int(i)
-        stats, trace = _rebuild_row(graph, sources, d, sigma, delta, i,
-                                    common)
+        (d[i], sigma[i], delta[i]), stats, trace = rebuild_row(
+            graph, int(sources[i]), *static)
         out.append((i, trace.steps, stats.touched, stats.sp_levels))
     return out
 

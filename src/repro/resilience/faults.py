@@ -103,21 +103,22 @@ class FaultInjector:
         """One-shot trap: the engine's next update raises
         :class:`FaultInjected` once *after_sources* source rows have
         been written, mid-way through the update.  The trap sits on
-        the engine's ``_before_commit`` seam, which the executor calls
-        before writing each active row (and the per-source loop before
-        each source's kernel), so the rows written before it fires
-        must be rolled back.  The trap disarms itself (and restores
-        the engine) when it fires.
+        the engine's ``_before_commit`` seam, which the engine's commit
+        calls before writing each active row (and the per-source loop
+        before each source's kernel), so the rows written before it
+        fires must be rolled back.  The trap disarms itself (and
+        restores the engine) when it fires.
 
         On an engine with a live worker pool (``workers > 1``) the trap
         instead kills the worker that picks up the next update's first
         chunk — the pool-era equivalent of dying mid-batch.  The two
         flavours end differently: the serial trap surfaces as a
         rolled-back :class:`~repro.resilience.errors.UpdateError`,
-        while the pool's supervisor restores the chunk's journaled
-        rows, respawns the worker and retries the round, so the update
-        lands bit-identical to a clean run (one ``deaths`` and one
-        ``respawns`` in :meth:`DynamicBC.health_report`).
+        while the pool's supervisor respawns the worker and retries
+        the round — workers write no state rows, so there is nothing
+        to restore first — and the update lands bit-identical to a
+        clean run (one ``deaths`` and one ``respawns`` in
+        :meth:`DynamicBC.health_report`).
         """
         if after_sources < 0:
             raise ValueError(f"after_sources must be >= 0, got {after_sources}")

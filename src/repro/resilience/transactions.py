@@ -5,9 +5,10 @@ dynamic graph (one edge), the per-source state rows ``d/sigma/delta``
 (only for sources with real work — the Case-2/3 minority, Fig. 2), the
 shared BC score vector, and the aggregate kernel counters.  The journal
 captures exactly those pieces *lazily* — the score vector once per
-update (one O(n) memcpy), the state rows only of sources about to
-execute (all of an update's active rows in one gather per array, see
-:meth:`UpdateTransaction.save_rows`) — so the common all-Case-1 update
+update (one O(n) memcpy), and of a state row only the entries about to
+be written, just before they are: the engine's commit journals each
+active row at its write-set's keys (:meth:`UpdateTransaction.save_row`),
+the per-source loop each row whole — so the common all-Case-1 update
 pays one vector copy and nothing else.
 
 On failure the journal restores every captured piece and undoes the
@@ -17,7 +18,7 @@ state (see ``tests/test_resilience_transactions.py``).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -26,10 +27,9 @@ class UpdateTransaction:
     """Rollback journal for one ``insert``/``delete`` update.
 
     The engine opens one transaction per update *after* the graph
-    mutation has been applied, registers the state rows before the
-    update touches them (:meth:`save_rows` for the executor's active
-    rows, :meth:`save_row` per source on the looped path), and calls
-    :meth:`rollback` if anything raises.
+    mutation has been applied, journals each state row just before
+    writing it (:meth:`save_row`), and calls :meth:`rollback` if
+    anything raises.
     """
 
     def __init__(self, engine, u: int, v: int, operation: str) -> None:
@@ -39,78 +39,51 @@ class UpdateTransaction:
         self._operation = operation
         self._bc = engine.state.bc.copy()
         self._counters = engine.counters
-        self._rows: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        #: rows journaled in bulk by :meth:`save_rows`: their indices
-        #: and one ``(len, n)`` copy per state array
-        self._bulk: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                   np.ndarray]] = None
+        #: per journaled row: where its entries were journaled (vertex
+        #: ids, or the whole row) and their old d, sigma and delta
+        self._rows: Dict[int, tuple] = {}
         #: index of the source row being executed (for UpdateError)
         self.current_source: int = -1
 
-    def save_row(self, i: int) -> None:
-        """Journal source row *i*'s state arrays (idempotent)."""
+    def save_row(self, i: int,
+                 keys: Optional[np.ndarray] = None) -> np.ndarray:
+        """Journal source row *i*'s ``d``/``sigma``/``delta`` at *keys*
+        (vertex ids; the whole row when ``None``) before they are
+        written, and return the journaled δ.  A row is journaled once
+        per update: a repeated call keeps, and returns, the first
+        journal."""
         self.current_source = i
-        if i in self._rows or self._bulk_position(i) is not None:
-            return
-        st = self._engine.state
-        self._rows[i] = (st.d[i].copy(), st.sigma[i].copy(), st.delta[i].copy())
-
-    def save_rows(self, indices: np.ndarray) -> None:
-        """Journal every row in *indices* (ascending, distinct) with one
-        fancy-index gather per state array instead of three copies per
-        row.  Called once per update, before any of the rows is
-        written; :meth:`save_row` still journals rows outside the
-        set."""
-        indices = np.asarray(indices, dtype=np.int64)
-        st = self._engine.state
-        self._bulk = (indices, st.d[indices], st.sigma[indices],
-                      st.delta[indices])
-
-    def _bulk_position(self, i: int) -> Optional[int]:
-        if self._bulk is None:
-            return None
-        indices = self._bulk[0]
-        pos = int(np.searchsorted(indices, i))
-        if pos < indices.size and indices[pos] == i:
-            return pos
-        return None
+        saved = self._rows.get(i)
+        if saved is None:
+            st = self._engine.state
+            rows = (st.d[i], st.sigma[i], st.delta[i])
+            if keys is None:
+                saved = (slice(None), *(row.copy() for row in rows))
+            else:
+                saved = (keys, *(row[keys] for row in rows))
+            self._rows[i] = saved
+        return saved[3]
 
     def restore_row(self, i: int) -> None:
-        """Write source row *i*'s journaled bytes back in place (no-op
-        for unjournaled rows) **without** ending the transaction.
-
-        This is the supervisor's chunk-reset primitive: before a
-        failed pool round is retried, every pending chunk's rows are
-        restored to their pre-update values so the re-execution is
-        bit-identical to a first attempt.  The restore writes through
-        the live arrays — shared-memory views included — so workers
-        see the reset bytes too.
-        """
+        """Write row *i*'s journaled values back where they came from
+        (a no-op for an unjournaled row) **without** ending the
+        transaction; :meth:`rollback` calls it for every journaled
+        row."""
         i = int(i)
-        st = self._engine.state
-        row = self._rows.get(i)
-        if row is not None:
-            st.d[i], st.sigma[i], st.delta[i] = row
-            return
-        pos = self._bulk_position(i)
-        if pos is not None:
-            _, d, sigma, delta = self._bulk
-            st.d[i], st.sigma[i], st.delta[i] = d[pos], sigma[pos], delta[pos]
+        saved = self._rows.get(i)
+        if saved is not None:
+            at, d, sigma, delta = saved
+            st = self._engine.state
+            st.d[i, at] = d
+            st.sigma[i, at] = sigma
+            st.delta[i, at] = delta
 
     def rollback(self) -> None:
         """Restore graph, journaled rows, BC scores and counters."""
         engine = self._engine
-        st = engine.state
-        if self._bulk is not None:
-            indices, d, sigma, delta = self._bulk
-            st.d[indices] = d
-            st.sigma[indices] = sigma
-            st.delta[indices] = delta
-        for i, (d, sigma, delta) in self._rows.items():
-            st.d[i] = d
-            st.sigma[i] = sigma
-            st.delta[i] = delta
-        st.bc[:] = self._bc
+        for i in self._rows:
+            self.restore_row(i)
+        engine.state.bc[:] = self._bc
         engine.counters = self._counters
         # Undo the edge mutation last so the snapshot cache is patched
         # back into its pre-update form.

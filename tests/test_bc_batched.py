@@ -395,9 +395,10 @@ def test_property_executor_matches_oracle(seed, backend, direction, steps):
         assert_same(fast, oracle, ops)
 
 
-def replay_pooled(pool_backend, monkeypatch):
-    """Replay a kron-9 churn stream through a two-worker engine on
-    *pool_backend* and through the looped oracle; compare everything."""
+def replay_pooled(pool_backend, monkeypatch, backend="gpu-node"):
+    """Replay a kron-9 churn stream, whose deletions rebuild rows,
+    through a two-worker engine on *pool_backend* and through the
+    looped oracle, both on *backend*; compare everything."""
     from repro.graph.stream import EdgeStream, replay
 
     # the platform picks the backend; the seam reaches threads on
@@ -406,19 +407,22 @@ def replay_pooled(pool_backend, monkeypatch):
                         lambda: pool_backend == "threads")
     graph = gen.kronecker(9, 8, seed=1)
     stream = EdgeStream.churn(graph, 25, delete_fraction=0.35, seed=2)
-    oracle = DynamicBC.from_graph(graph, num_sources=32, seed=3,
-                                  vectorized=False)
+    oracle = DynamicBC.from_graph(graph, backend=backend, num_sources=32,
+                                  seed=3, vectorized=False)
     expected = replay(oracle, stream)
-    with DynamicBC.from_graph(graph, num_sources=32, seed=3,
-                              workers=2) as par:
+    assert any(r.operation == "delete" and np.any(r.cases == 3)
+               for r in expected.reports)
+    with DynamicBC.from_graph(graph, backend=backend, num_sources=32,
+                              seed=3, workers=2) as par:
         assert par.health_report()["pool_backend"] == pool_backend
         got = replay(par, stream)
         assert par.transport_report()["rounds"] > 0
         assert len(got.reports) == len(expected.reports)
         assert all(reports_identical(a, b)
                    for a, b in zip(got.reports, expected.reports))
-        assert np.array_equal(par.state.bc, oracle.state.bc)
-        assert np.array_equal(par.state.sigma, oracle.state.sigma)
+        for name in ("d", "sigma", "delta", "bc"):
+            assert np.array_equal(getattr(par.state, name),
+                                  getattr(oracle.state, name)), name
         assert par.counters == oracle.counters
 
 
@@ -448,3 +452,54 @@ class TestPool:
         monkeypatch.setattr(batched._Batch, "bottom_up", seam)
         replay_pooled(pool_backend, monkeypatch)
         assert calls.value > 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_backend_both_directions(self, backend, monkeypatch):
+        """Both pool backends match the oracle on every backend with
+        every dependency level forced top-down, then bottom-up."""
+        for direction in ("top-down", "bottom-up"):
+            for pool_backend in ("processes", "threads"):
+                with forced(direction):
+                    replay_pooled(pool_backend, monkeypatch, backend)
+
+    def test_update_task_writes_no_state(self, monkeypatch):
+        """A worker's update task only reads the state rows it is given
+        (their bytes are unchanged afterwards) and ships each row's
+        write-set; the engine's commit of those write-sets reproduces
+        the serial engine bit for bit, rebuilt rows included."""
+        from types import SimpleNamespace
+
+        from repro.graph.stream import EdgeStream, replay
+        from repro.parallel.worker import run_task
+
+        graph = gen.kronecker(8, 8, seed=1)
+        stream = EdgeStream.churn(graph, 20, delete_fraction=0.4, seed=2)
+        serial = DynamicBC.from_graph(graph, num_sources=16, seed=3)
+        expected = replay(serial, stream)
+        engine = DynamicBC.from_graph(graph, num_sources=16, seed=3)
+        tasks = []
+
+        def run_active(snap, operation, cases, highs, lows, active):
+            common = engine._parallel_common(snap, operation=operation)
+            arrays = {name: a.copy()
+                      for name, a in common.pop("views").items()}
+            before = {name: a.tobytes() for name, a in arrays.items()}
+            items = [(i, int(cases[i]), int(highs[i]), int(lows[i]))
+                     for i in active.tolist()]
+            out = run_task(SimpleNamespace(arrays=arrays), "update", common,
+                           {"items": items})
+            assert {name: a.tobytes() for name, a in arrays.items()} == before
+            tasks.append((operation, items))
+            return batched.RowResults(*out)
+
+        monkeypatch.setattr(engine, "_run_active", run_active)
+        got = replay(engine, stream)
+        assert any(op == "delete" and any(it[1] == 3 for it in items)
+                   for op, items in tasks), "no row was rebuilt"
+        assert len(got.reports) == len(expected.reports)
+        assert all(reports_identical(a, b)
+                   for a, b in zip(got.reports, expected.reports))
+        for name in ("d", "sigma", "delta", "bc"):
+            assert np.array_equal(getattr(engine.state, name),
+                                  getattr(serial.state, name)), name
+        assert engine.counters == serial.counters

@@ -267,9 +267,10 @@ class TestWorkerCrash:
             par.close()
 
     def test_injector_arms_pool_crash(self, er_graph):
-        # The supervisor restores the chunk's journaled rows, respawns
-        # the worker and retries the round: the armed crash costs one
-        # death and nothing else — the update lands as on a clean twin.
+        # The supervisor respawns the worker and retries the round (the
+        # workers wrote no row, so there is nothing to restore): the
+        # armed crash costs one death and nothing else — the update
+        # lands as on a clean twin.
         clean, par = build_pair(er_graph, 2)
         try:
             injector = FaultInjector(0)

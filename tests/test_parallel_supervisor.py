@@ -163,17 +163,6 @@ class TestQuarantine:
             assert pool.level == FULL_POOL
             assert pool.pending_faults() == 0
 
-    def test_reset_called_for_pending_chunks_before_retry(self):
-        resets = []
-        with SupervisedPool(2, policy=FAST) as pool:
-            pool.arm_crash()
-            pool.run("ping", {}, [{"items": [i]} for i in range(3)],
-                     reset=lambda p: resets.append(tuple(p["items"])),
-                     serial=serial_ping)
-        # Every chunk still pending when the round failed was reset
-        # exactly once (none had completed yet).
-        assert sorted(resets) == [(0,), (1,), (2,)]
-
 
 class TestLadder:
     def test_demote_to_serial_and_promote_back(self):

@@ -151,22 +151,92 @@ class TestExecutorSeam:
 
 class TestSaveRows:
     def test_bulk_journal_rolls_back(self, karate):
+        """The journal holds a row's old values at exactly the keys it
+        was given (the whole row without keys), and restores exactly
+        those."""
         from repro.resilience.transactions import UpdateTransaction
 
         eng = DynamicBC.from_graph(karate, num_sources=8, seed=1)
         before = snapshot_state(eng)
         eng.graph.insert_edge(0, 9)
         txn = UpdateTransaction(eng, 0, 9, "insert")
-        txn.save_rows(np.array([1, 4, 6]))
-        txn.save_row(4)  # already journaled in bulk: a no-op
+        keys = {1: np.array([0, 3]), 4: np.array([3, 5, 7]),
+                6: np.array([2])}
+        for i, at in keys.items():
+            assert np.array_equal(txn.save_row(i, at), before[3][i][at])
         txn.save_row(2)
-        for i in (1, 2, 4, 6):
-            eng.state.sigma[i] += 1.0
-            eng.state.d[i, 3] = 99
+        for i, at in keys.items():
+            eng.state.sigma[i, at] += 1.0
+            eng.state.d[i, at] = 99
+            eng.state.delta[i, at] = -1.0
+        eng.state.sigma[2] += 1.0
+        eng.state.sigma[4, 9] = 42.0  # outside row 4's journaled keys
         txn.restore_row(4)
-        assert np.array_equal(eng.state.sigma[4], before[2][4])
+        assert np.array_equal(eng.state.sigma[4, keys[4]],
+                              before[2][4][keys[4]])
+        assert np.array_equal(eng.state.d[4], before[1][4])
+        assert np.array_equal(eng.state.delta[4], before[3][4])
+        assert eng.state.sigma[4, 9] == 42.0
+        eng.state.sigma[4, 9] = before[2][4][9]
         txn.rollback()
         assert_state_equal(eng, before)
+
+
+class TestPooledCommit:
+    """The engine commits the pool's results itself, so the commit
+    seam fires on pooled engines as on serial ones, and a fault there
+    rolls back like any other."""
+
+    @pytest.mark.parametrize("pool", ["processes", "threads"])
+    def test_fault_at_third_committed_row_rolls_back(self, pool,
+                                                     monkeypatch):
+        from repro.bc.cases import Case, classify_insertions_batch
+        from repro.graph import generators as gen
+        from repro.parallel.shm import shm_available
+        from repro.resilience.chaos import reports_identical
+
+        if pool == "processes" and not shm_available():
+            pytest.skip("POSIX shm unavailable")
+        monkeypatch.setattr("repro.bc.engine.free_threading_active",
+                            lambda: pool == "threads")
+        graph = gen.erdos_renyi(60, 140, seed=7)
+        serial = DynamicBC.from_graph(graph, num_sources=12, seed=3)
+        with DynamicBC.from_graph(graph, num_sources=12, seed=3,
+                                  workers=2) as par:
+            assert par.health_report()["pool_backend"] == pool
+            u, v = next(
+                (u, v) for u in range(60) for v in range(u + 1, 60)
+                if not par.graph.has_edge(u, v) and np.count_nonzero(
+                    classify_insertions_batch(par.state.d, u, v)[0]
+                    != int(Case.SAME_LEVEL)) >= 4)
+            before = snapshot_state(par)
+            seen = []
+            original = par._before_commit
+
+            def hook(i):
+                seen.append(i)
+                original(i)
+                if len(seen) == 3:
+                    raise FaultInjected("third committed row")
+
+            par._before_commit = hook
+            with pytest.raises(UpdateError) as info:
+                par.insert_edge(u, v)
+            del par._before_commit
+            assert len(seen) == 3 and seen == sorted(seen)
+            assert isinstance(info.value.cause, FaultInjected)
+            assert info.value.rolled_back
+            assert info.value.source_index == seen[2]
+            assert_state_equal(par, before)
+            assert par.transport_report()["rounds"] > 0
+
+            retried = par.insert_edge(u, v)
+            clean = serial.insert_edge(u, v)
+            assert reports_identical(retried, clean)
+            for name in ("d", "sigma", "delta", "bc"):
+                assert np.array_equal(getattr(par.state, name),
+                                      getattr(serial.state, name)), name
+            assert par.counters == serial.counters
 
 
 class TestFailFast:
