@@ -20,13 +20,12 @@ worker count, and
   wall-clock-subtraction estimate, which went *negative* on noisy
   hosts (−0.148 s/event was recorded once) because serial and parallel
   replays see different cache/turbo conditions,
-* checks, on every backend, that each round was cut into at most one
-  chunk per worker (``chunks <= workers * rounds``: one contiguous
-  share of the active sources per worker),
-* checks, on the process backend, that every result came back through
-  the zero-copy result slabs: no spills, and exactly one
-  ``slabs.HEADER_BYTES`` header per chunk crossed the result queue,
-  and
+* checks that each round was cut into at most one chunk per worker
+  (``chunks <= workers * rounds``: one contiguous share of the active
+  sources per worker),
+* checks that every result came back through the result slabs: no
+  spills, and exactly one ``slabs.HEADER_BYTES`` header per chunk
+  crossed the result queue, and
 * records the sweep — including per-width ``parallel_efficiency``
   (speedup / workers) — in ``BENCH_parallel.json`` at the repo root.
 
@@ -149,7 +148,7 @@ def test_parallel_sweep(benchmark, bench_config, save_artifact, record_bench):
             "overhead_per_event_seconds": overhead,
             "transport": {
                 k: tr_w.get(k, 0)
-                for k in ("transport", "backend", "rounds", "chunks",
+                for k in ("rounds", "chunks",
                           "queue_bytes", "slab_bytes", "spills",
                           "dispatch_seconds", "decode_seconds",
                           "fold_seconds", "overhead_seconds")
@@ -157,34 +156,25 @@ def test_parallel_sweep(benchmark, bench_config, save_artifact, record_bench):
             "queue_bytes_per_round": _queue_bytes_per_round(tr_w),
             "bit_identical": True,
         }
-        # The round shape, on every backend: one contiguous share of
-        # the round's sources per worker, never more.
+        # The round shape: one contiguous share of the round's
+        # sources per worker, never more.
         chunks, rounds = tr_w.get("chunks", 0), tr_w.get("rounds", 0)
         assert chunks <= w * rounds, (
             f"workers={w} dispatched {chunks} chunks for {rounds} "
             f"rounds (at most {w} per round)"
         )
-        # Every process-backend result must come back through the
-        # slabs: no spills, and exactly one header per chunk on the
-        # queue.  The thread backend passes results by reference, so
-        # no bytes cross at all.
-        if tr_w.get("backend") == "processes":
-            assert tr_w["chunks"] > 0, (
-                f"workers={w} never went parallel"
-            )
-            assert tr_w["spills"] == 0, (
-                f"workers={w} spilled {tr_w['spills']} result(s) past "
-                f"the slabs"
-            )
-            assert tr_w["queue_bytes"] == (
-                tr_w["chunks"] * slabs.HEADER_BYTES
-            ), (
-                f"workers={w} moved {tr_w['queue_bytes']} queue bytes "
-                f"for {tr_w['chunks']} chunks (expected "
-                f"{slabs.HEADER_BYTES} per chunk)"
-            )
-
-    backend = points[2][4].get("backend", "processes")
+        # Every result must come back through the slabs: no spills,
+        # and exactly one header per chunk on the queue.
+        assert chunks > 0, f"workers={w} never went parallel"
+        assert tr_w["spills"] == 0, (
+            f"workers={w} spilled {tr_w['spills']} result(s) past "
+            f"the slabs"
+        )
+        assert tr_w["queue_bytes"] == chunks * slabs.HEADER_BYTES, (
+            f"workers={w} moved {tr_w['queue_bytes']} queue bytes "
+            f"for {chunks} chunks (expected {slabs.HEADER_BYTES} per "
+            f"chunk)"
+        )
 
     cores = available_cores()
     enforce_floor = cores >= 4
@@ -198,10 +188,8 @@ def test_parallel_sweep(benchmark, bench_config, save_artifact, record_bench):
             "num_events": NUM_EVENTS,
             "cores": cores,
             "serial_replay_seconds": t_s,
-            "pool_backend": backend,
             "workers": {str(w): sweep[w] for w in sorted(sweep)},
             "slab_header_bytes": slabs.HEADER_BYTES,
-            "slab_gate_enforced": backend == "processes",
             "min_speedup_floor": MIN_SPEEDUP,
             "floor_enforced": enforce_floor,
             "scaling_gate_enforced": enforce_floor,
@@ -223,18 +211,12 @@ def test_parallel_sweep(benchmark, bench_config, save_artifact, record_bench):
             f"{sweep[w]['overhead_per_event_seconds'] * 1e3:.1f} ms/event "
             f"overhead, bit-identical)"
         )
-    if backend == "processes":
-        tr = points[2][4]
-        lines.append(
-            f"  result queue: {tr['queue_bytes']:,} B for "
-            f"{tr['chunks']} chunks at workers=2 — one "
-            f"{slabs.HEADER_BYTES} B slab header each, 0 spills"
-        )
-    else:
-        lines.append(
-            f"  result queue: 0 B/round ({backend} backend passes "
-            f"results by reference)"
-        )
+    tr = points[2][4]
+    lines.append(
+        f"  result queue: {tr['queue_bytes']:,} B for "
+        f"{tr['chunks']} chunks at workers=2 — one "
+        f"{slabs.HEADER_BYTES} B slab header each, 0 spills"
+    )
     if not enforce_floor:
         lines.append(
             f"  [wall-clock gates not enforced: only {cores} usable "

@@ -58,7 +58,6 @@ from repro.parallel.supervisor import (
     SupervisedPool,
     SupervisorPolicy,
 )
-from repro.parallel.threadpool import free_threading_active
 from repro.resilience.errors import CorruptRowError, UpdateError
 from repro.resilience.transactions import UpdateTransaction
 from repro.sanitize import tracer as _san
@@ -289,9 +288,13 @@ class DynamicBC:
             if engine is not None:
                 return engine
         state = BCState.compute(snap, chosen)
-        return cls(graph, state, backend, device, num_blocks, op_costs,
-                   vectorized, workers=workers,
-                   supervisor_policy=supervisor_policy, sanitize=sanitize)
+        engine = cls(graph, state, backend, device, num_blocks, op_costs,
+                     vectorized, workers=workers,
+                     supervisor_policy=supervisor_policy, sanitize=sanitize)
+        # A pooled build that gets here failed to start its pool or to
+        # finish its build, and has warned: the engine stays serial.
+        engine._parallel_disabled = workers > 1 and not sanitize
+        return engine
 
     @classmethod
     def _from_graph_parallel(
@@ -618,23 +621,18 @@ class DynamicBC:
         makes serial execution bit-identical — or the platform cannot
         support the pool, which warns once and falls back).
 
-        The platform picks the backend: threads on free-threaded
-        CPython, else processes over POSIX shared memory.
+        The pool is worker processes over POSIX shared memory.
         """
         if self.workers <= 1 or self._parallel_disabled or self.sanitize:
             return None
         if self._pool is not None:
             return self._pool
         try:
-            backend = "threads" if free_threading_active() else "processes"
-            if backend == "processes" and not shm_available():
+            if not shm_available():
                 raise RuntimeError("POSIX shared memory unavailable")
-            self._pool = SupervisedPool(
-                self.workers, policy=self.supervisor_policy, backend=backend
-            )
-            # Thread workers operate on the engine's arrays directly;
-            # only process workers need the shared-memory mirror.
-            self._arena = ShmArena() if backend == "processes" else None
+            self._pool = SupervisedPool(self.workers,
+                                        policy=self.supervisor_policy)
+            self._arena = ShmArena()
             self._adopted = None
             self._graph_capacity = 0
         except Exception as exc:
@@ -675,27 +673,21 @@ class DynamicBC:
 
         from repro.parallel import worker as _worker_mod
 
-        if self._arena is not None:
-            attachment = SimpleNamespace(arrays=self._arena.views(),
-                                         generation=self._arena.generation)
-        else:
-            # Thread backend: the round's views *are* the engine's
-            # arrays, so the parent-side retry needs no attachment.
-            attachment = SimpleNamespace(arrays=common.get("views") or {},
-                                         generation=0)
+        attachment = SimpleNamespace(arrays=self._arena.views(),
+                                     generation=self._arena.generation)
         return _worker_mod.run_task(attachment, kind, common, payload)
 
     def health_report(self) -> Dict:
-        """Operator-facing supervision snapshot: execution mode (the
-        pool's resolved backend, or ``"serial"``) plus — with a live
-        pool — the ladder level, live worker count and every
-        supervision counter (kills, respawns, quarantines, demotions,
-        promotions...)."""
+        """Operator-facing supervision snapshot: execution mode
+        (``"processes"`` with a live pool, else ``"serial"``) plus —
+        with a live pool — the ladder level, live worker count and
+        every supervision counter (kills, respawns, quarantines,
+        demotions, promotions...)."""
         pool = self._pool
         report: Dict = {
             "workers": self.workers,
             "parallel_disabled": self._parallel_disabled,
-            "pool_backend": pool.backend if pool is not None else "serial",
+            "pool_backend": "processes" if pool is not None else "serial",
         }
         if pool is not None:
             report.update(pool.health_report())
@@ -804,15 +796,9 @@ class DynamicBC:
         return "cpu" if self.backend == "cpu" else "gpu-node"
 
     def _parallel_common(self, snap: CSRGraph, **extra) -> dict:
-        """Build one round's shared task context for the active pool
-        backend.
-
-        Process workers get the shm attach ``spec`` (the CSR + state
-        mirror from :meth:`_shared_spec`); thread workers get
-        ``views`` — direct references to the engine's own arrays, no
-        copy, no shm, same handler code (:func:`repro.parallel.worker.
-        _views` slices both identically).
-        """
+        """Build one round's shared task context, including the shm
+        attach ``spec`` of the CSR + state mirror
+        (:meth:`_shared_spec`)."""
         common = {
             "n": int(snap.num_vertices),
             "arcs": int(2 * snap.num_edges),
@@ -823,19 +809,8 @@ class DynamicBC:
             ),
             "static_strategy": self._static_strategy(),
             "cost_model": self.cost_model,
+            "spec": self._shared_spec(snap),
         }
-        if self._arena is not None:
-            common["spec"] = self._shared_spec(snap)
-        else:
-            state = self.state
-            common["views"] = {
-                "row_offsets": snap.row_offsets,
-                "col_indices": snap.col_indices,
-                "sources": state.sources,
-                "d": state.d,
-                "sigma": state.sigma,
-                "delta": state.delta,
-            }
         common.update(extra)
         return common
 

@@ -15,21 +15,17 @@ shm
     blocks holding the CSR arrays and the ``(k, n)`` state rows.
 slabs
     :class:`ResultSlabs` / :class:`SlabWriter` — per-worker
-    shared-memory result staging with a compact binary framing, so
-    the result queue carries headers instead of pickled payloads.
+    shared-memory result rows: each chunk result is pickled behind a
+    checked prefix into its worker's row, so the result queue carries
+    only headers.
 pool
-    :class:`RoundPool` — round bookkeeping shared by both backends;
-    :class:`WorkerPool` — the process backend: long-lived workers, a
-    shared chunk queue, results through the result slabs.
-threadpool
-    :class:`ThreadWorkerPool` — the same round protocol on daemon
-    threads over direct array views (the backend on free-threaded
-    CPython); :func:`free_threading_active` probes for it.
+    :class:`WorkerPool` — long-lived worker processes, a shared chunk
+    queue, results through the result slabs.
 supervisor
     :class:`SupervisedPool` — the one collect loop: heartbeat
     monitoring, hung-worker SIGKILL, bounded respawn with backoff,
     poisoned-chunk quarantine, and the full-pool → shrunk-pool →
-    serial degradation ladder, on either backend.
+    serial degradation ladder.
 reducer
     :func:`merge_indexed` / :func:`rebuild_trace` — deterministic
     (source-order) reduction of worker results.
@@ -53,7 +49,6 @@ from repro.parallel.supervisor import (
     SupervisedPool,
     SupervisorPolicy,
 )
-from repro.parallel.threadpool import ThreadWorkerPool, free_threading_active
 
 __all__ = [
     "ChunkEscalated",
@@ -65,11 +60,9 @@ __all__ = [
     "SlabWriter",
     "SupervisedPool",
     "SupervisorPolicy",
-    "ThreadWorkerPool",
     "WorkerPool",
     "WorkerStatus",
     "WorkerTaskError",
-    "free_threading_active",
     "merge_indexed",
     "rebuild_trace",
     "shm_available",

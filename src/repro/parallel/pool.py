@@ -1,5 +1,4 @@
-"""Worker pools with a shared chunk queue: the round bookkeeping both
-backends share, and the process backend.
+"""The worker pool: N long-lived processes around a shared chunk queue.
 
 A *round* is one batch of ``(kind, round_id, chunk_id, common,
 payload)`` tasks: every chunk is enqueued up front, idle workers pull
@@ -7,19 +6,16 @@ the next chunk, and each posts one ``(status, round_id, chunk_id,
 result)`` message back.  The engine cuts a round into at most one
 contiguous chunk per requested worker
 (:func:`repro.bc.engine.split_round`), so at full strength each worker
-pulls one share; on a shrunk pool the live workers pull the rest.  :class:`RoundPool` owns what is backend-independent — round
-ids, transport accounting, heartbeat-slot reads, respawn and
-lifecycle — and leaves four primitives to each backend: spawn,
-teardown, ``poll_result`` and ``kill_worker``.
+pulls one share; on a shrunk pool the live workers pull the rest.
 
-:class:`WorkerPool` is the process backend: N long-lived worker
-processes sharing a task queue and a result queue, results staged in
-shared-memory result slabs (:mod:`repro.parallel.slabs`).
-:class:`~repro.parallel.threadpool.ThreadWorkerPool` is the thread
-backend.  Neither collects a round itself:
-:class:`~repro.parallel.supervisor.SupervisedPool` drives both through
-the primitives here, adding heartbeat monitoring, hung-worker SIGKILL,
-bounded respawn, quarantine and the degradation ladder.
+Workers read the engine's state through the shared-memory arena
+(:mod:`repro.parallel.shm`) and return results through per-worker
+result slabs (:mod:`repro.parallel.slabs`): the queue carries only
+headers.  :class:`WorkerPool` owns round ids, transport accounting,
+heartbeat-slot reads, respawn and lifecycle; it never collects a
+round itself: :class:`~repro.parallel.supervisor.SupervisedPool`
+drives it, adding heartbeat monitoring, hung-worker SIGKILL, bounded
+respawn, quarantine and the degradation ladder.
 """
 
 from __future__ import annotations
@@ -50,16 +46,16 @@ _POLL_SECONDS = 0.05
 #: default seconds granted per process per teardown-escalation stage
 DEFAULT_JOIN_TIMEOUT = 2.0
 
-#: zeroed transport-stats template (:meth:`RoundPool.transport_stats`)
+#: zeroed transport-stats template (:meth:`WorkerPool.transport_stats`)
 _STATS_ZERO = {
     "rounds": 0,  #: rounds dispatched
     "chunks": 0,  #: chunks dispatched
     "queue_bytes": 0,  #: result bytes that crossed the queue (headers
-    #: for slab messages, framed payloads for spilled messages)
-    "slab_bytes": 0,  #: result bytes read in place from the slabs
+    #: for slab messages, frames for spilled messages)
+    "slab_bytes": 0,  #: result bytes read from the slabs
     "spills": 0,  #: results that overflowed their slab to the queue
     "dispatch_seconds": 0.0,  #: parent time enqueueing rounds
-    "decode_seconds": 0.0,  #: parent time decoding framed results
+    "decode_seconds": 0.0,  #: parent time decoding result frames
 }
 
 
@@ -79,22 +75,9 @@ class WorkerStatus:
     chunk_id: int  #: chunk of the current task (-1 when idle)
 
 
-class RoundPool:
-    """Backend-independent round bookkeeping over N workers.
-
-    Subclasses set :attr:`backend` and :attr:`transport` and implement
-    ``_spawn()`` (fill ``_procs``, ``_tasks``, ``_results`` and, with
-    heartbeats on, ``_heartbeat``), ``_teardown(graceful)``,
-    ``poll_result(timeout)`` (one ``(status, round_id, chunk_id,
-    result)`` message, or ``None`` after *timeout* seconds) and
-    ``kill_worker(j)`` (remove worker *j* for good).
-    """
-
-    #: execution backend tag; the engine and the benchmarks report
-    #: it, never the class
-    backend = ""
-    #: how results reach the parent
-    transport = ""
+class WorkerPool:
+    """N worker processes around one shared task/result queue pair,
+    returning results through per-worker shared-memory slabs."""
 
     def __init__(
         self,
@@ -114,24 +97,48 @@ class RoundPool:
         #: heartbeat stamp period for the workers (0 disables the
         #: heartbeat slots entirely)
         self.heartbeat_interval = float(heartbeat_interval)
+        # fork shares the parent's loaded modules (microsecond spawns
+        # on Linux); spawn is the portable fallback.
+        methods = mp.get_all_start_methods()
+        self.start_method = "fork" if "fork" in methods else "spawn"
+        self._ctx = mp.get_context(self.start_method)
         self._round = 0
         self._procs: List[Any] = []
         self._tasks: Any = None
         self._results: Any = None
         self._heartbeat: Any = None
+        self._slabs: Optional[_slabs.ResultSlabs] = None
         self._stats: Dict[str, float] = dict(_STATS_ZERO)
         self._spawn()
 
-    def _init_heartbeat(self, slots):
-        """Stamp every worker's slots fresh and idle; returns *slots*."""
-        now = time.monotonic()
+    def _spawn(self) -> None:
+        self._slabs = _slabs.ResultSlabs(self.workers)
+        self._tasks = self._ctx.Queue()
+        self._results = self._ctx.Queue()
+        self._heartbeat = None
+        if self.heartbeat_interval > 0:
+            # every worker's slots start fresh and idle
+            self._heartbeat = self._ctx.Array(
+                "d", _worker.HB_SLOTS * self.workers, lock=False
+            )
+            now = time.monotonic()
+            for j in range(self.workers):
+                base = _worker.HB_SLOTS * j
+                self._heartbeat[base + _worker.HB_BEAT] = now
+                self._heartbeat[base + _worker.HB_TASK_START] = 0.0
+                self._heartbeat[base + _worker.HB_ROUND] = -1.0
+                self._heartbeat[base + _worker.HB_CHUNK] = -1.0
+        self._procs = []
         for j in range(self.workers):
-            base = _worker.HB_SLOTS * j
-            slots[base + _worker.HB_BEAT] = now
-            slots[base + _worker.HB_TASK_START] = 0.0
-            slots[base + _worker.HB_ROUND] = -1.0
-            slots[base + _worker.HB_CHUNK] = -1.0
-        return slots
+            proc = self._ctx.Process(
+                target=_worker.worker_main,
+                args=(self._tasks, self._results, j, self._heartbeat,
+                      self.heartbeat_interval, self._slabs.spec()),
+                name=f"repro-worker-{j}",
+                daemon=True,
+            )
+            proc.start()
+            self._procs.append(proc)
 
     # ------------------------------------------------------------------
     def enqueue_round(self, kind: str, common: dict,
@@ -149,104 +156,6 @@ class RoundPool:
         self._stats["chunks"] += len(payloads)
         self._stats["dispatch_seconds"] += time.perf_counter() - start
         return round_id
-
-    def transport_stats(self) -> Dict[str, Any]:
-        """Cumulative result-transport accounting (benchmarks read
-        this to report bytes moved and real dispatch overhead)."""
-        out: Dict[str, Any] = dict(self._stats)
-        out["transport"] = self.transport
-        out["backend"] = self.backend
-        return out
-
-    def worker_status(self, j: int, now: Optional[float] = None) -> WorkerStatus:
-        """Health snapshot of worker *j* from its heartbeat slots."""
-        proc = self._procs[j]
-        if self._heartbeat is None:
-            return WorkerStatus(j, proc.is_alive(), 0.0, 0.0, -1, -1)
-        if now is None:
-            now = time.monotonic()
-        base = _worker.HB_SLOTS * j
-        beat = self._heartbeat[base + _worker.HB_BEAT]
-        start = self._heartbeat[base + _worker.HB_TASK_START]
-        return WorkerStatus(
-            worker=j,
-            alive=proc.is_alive(),
-            beat_age=max(0.0, now - beat),
-            busy_seconds=max(0.0, now - start) if start > 0.0 else 0.0,
-            round_id=int(self._heartbeat[base + _worker.HB_ROUND]),
-            chunk_id=int(self._heartbeat[base + _worker.HB_CHUNK]),
-        )
-
-    def respawn(self, workers: Optional[int] = None) -> None:
-        """Tear the pool down (non-graceful) and bring up a fresh one,
-        optionally resized to *workers* workers."""
-        self._teardown(graceful=False)
-        if workers is not None:
-            if workers < 2:
-                raise ValueError(f"WorkerPool needs >= 2 workers, got {workers}")
-            self.workers = int(workers)
-        self._spawn()
-
-    def close(self) -> None:
-        """Stop the workers and release the queues (idempotent)."""
-        self._teardown(graceful=True)
-
-    def __enter__(self) -> "RoundPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(workers={self.workers}, "
-            f"alive={sum(p.is_alive() for p in self._procs)})"
-        )
-
-
-class WorkerPool(RoundPool):
-    """N worker processes around one shared task/result queue pair,
-    returning results through per-worker shared-memory slabs."""
-
-    backend = "processes"
-    transport = "slab"
-
-    def __init__(
-        self,
-        workers: int,
-        join_timeout: float = DEFAULT_JOIN_TIMEOUT,
-        heartbeat_interval: float = 0.0,
-        slab_bytes: int = _slabs.DEFAULT_SLAB_BYTES,
-    ) -> None:
-        # fork shares the parent's loaded modules (microsecond spawns
-        # on Linux); spawn is the portable fallback.
-        methods = mp.get_all_start_methods()
-        self.start_method = "fork" if "fork" in methods else "spawn"
-        self.slab_bytes = int(slab_bytes)
-        self._ctx = mp.get_context(self.start_method)
-        self._slabs: Optional[_slabs.ResultSlabs] = None
-        super().__init__(workers, join_timeout, heartbeat_interval)
-
-    def _spawn(self) -> None:
-        self._slabs = _slabs.ResultSlabs(self.workers, self.slab_bytes)
-        self._tasks = self._ctx.Queue()
-        self._results = self._ctx.Queue()
-        self._heartbeat = None
-        if self.heartbeat_interval > 0:
-            self._heartbeat = self._init_heartbeat(self._ctx.Array(
-                "d", _worker.HB_SLOTS * self.workers, lock=False
-            ))
-        self._procs = []
-        for j in range(self.workers):
-            proc = self._ctx.Process(
-                target=_worker.worker_main,
-                args=(self._tasks, self._results, j, self._heartbeat,
-                      self.heartbeat_interval, self._slabs.spec()),
-                name=f"repro-worker-{j}",
-                daemon=True,
-            )
-            proc.start()
-            self._procs.append(proc)
 
     def poll_result(self, timeout: float = _POLL_SECONDS):
         """One ``(status, round_id, chunk_id, result)`` message from
@@ -280,6 +189,30 @@ class WorkerPool(RoundPool):
         self._stats["decode_seconds"] += time.perf_counter() - start
         return ("ok", rid, chunk_id, decoded)
 
+    def transport_stats(self) -> Dict[str, Any]:
+        """Cumulative result-transport accounting (benchmarks read
+        this to report bytes moved and real dispatch overhead)."""
+        return dict(self._stats)
+
+    def worker_status(self, j: int, now: Optional[float] = None) -> WorkerStatus:
+        """Health snapshot of worker *j* from its heartbeat slots."""
+        proc = self._procs[j]
+        if self._heartbeat is None:
+            return WorkerStatus(j, proc.is_alive(), 0.0, 0.0, -1, -1)
+        if now is None:
+            now = time.monotonic()
+        base = _worker.HB_SLOTS * j
+        beat = self._heartbeat[base + _worker.HB_BEAT]
+        start = self._heartbeat[base + _worker.HB_TASK_START]
+        return WorkerStatus(
+            worker=j,
+            alive=proc.is_alive(),
+            beat_age=max(0.0, now - beat),
+            busy_seconds=max(0.0, now - start) if start > 0.0 else 0.0,
+            round_id=int(self._heartbeat[base + _worker.HB_ROUND]),
+            chunk_id=int(self._heartbeat[base + _worker.HB_CHUNK]),
+        )
+
     def kill_worker(self, j: int) -> None:
         """SIGKILL worker *j* and reap it.  SIGKILL (not SIGTERM) is
         mandatory here: a SIGSTOPped process queues SIGTERM without
@@ -288,6 +221,20 @@ class WorkerPool(RoundPool):
         if proc.is_alive():
             proc.kill()
         proc.join(timeout=self.join_timeout)
+
+    def respawn(self, workers: Optional[int] = None) -> None:
+        """Tear the pool down (non-graceful) and bring up a fresh one,
+        optionally resized to *workers* workers."""
+        self._teardown(graceful=False)
+        if workers is not None:
+            if workers < 2:
+                raise ValueError(f"WorkerPool needs >= 2 workers, got {workers}")
+            self.workers = int(workers)
+        self._spawn()
+
+    def close(self) -> None:
+        """Stop the workers and release the queues (idempotent)."""
+        self._teardown(graceful=True)
 
     def _teardown(self, graceful: bool) -> None:
         if graceful and self._procs:
@@ -323,3 +270,15 @@ class WorkerPool(RoundPool):
         if self._slabs is not None:
             self._slabs.close()
             self._slabs = None
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __repr__(self) -> str:
+        return (
+            f"WorkerPool(workers={self.workers}, "
+            f"alive={sum(p.is_alive() for p in self._procs)})"
+        )

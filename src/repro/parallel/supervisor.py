@@ -1,8 +1,7 @@
 """Worker-pool supervision: heartbeats, deadlines, respawn, ladder.
 
-The raw pools (:class:`~repro.parallel.pool.WorkerPool`,
-:class:`~repro.parallel.threadpool.ThreadWorkerPool`) only enqueue
-rounds and hand back result messages; :class:`SupervisedPool` owns the
+The raw pool (:class:`~repro.parallel.pool.WorkerPool`) only enqueues
+rounds and hands back result messages; :class:`SupervisedPool` owns the
 one collect loop and wraps it with the machinery a long-running
 streaming service needs, because workers die (crash, OOM kill) and —
 worse — *hang* (SIGSTOPped, deadlocked, or spinning):
@@ -176,7 +175,7 @@ class _RoundFailure(Exception):
 
 
 class SupervisedPool:
-    """A worker pool (process or thread backend) under heartbeat
+    """A :class:`~repro.parallel.pool.WorkerPool` under heartbeat
     supervision — the engine's only pool.
 
     :meth:`run` executes one round and returns chunk results in
@@ -191,7 +190,6 @@ class SupervisedPool:
         workers: int,
         policy: Optional[SupervisorPolicy] = None,
         join_timeout: float = 2.0,
-        backend: str = "processes",
     ) -> None:
         self.policy = policy or SupervisorPolicy()
         #: the pool size the caller asked for (chunk planning uses
@@ -209,17 +207,7 @@ class SupervisedPool:
         self._seq = 0
         self._drained = 0
         self._armed: Dict[str, List[int]] = {}  # key -> [chunks, rounds]
-        if backend not in ("processes", "threads"):
-            raise ValueError(
-                f"backend must be 'processes' or 'threads', got {backend!r}"
-            )
-        if backend == "threads":
-            from repro.parallel.threadpool import ThreadWorkerPool
-
-            pool_cls = ThreadWorkerPool
-        else:
-            pool_cls = WorkerPool
-        self._pool = pool_cls(
+        self._pool = WorkerPool(
             workers,
             join_timeout=join_timeout,
             heartbeat_interval=self.policy.heartbeat_interval,
@@ -233,11 +221,6 @@ class SupervisedPool:
         """Requested pool width (stable across ladder levels so chunk
         planning — and therefore results — never depends on health)."""
         return self.requested_workers
-
-    @property
-    def backend(self) -> str:
-        """Execution backend of the underlying pool."""
-        return self._pool.backend
 
     def transport_stats(self) -> Dict[str, Any]:
         """The underlying pool's result-transport accounting."""

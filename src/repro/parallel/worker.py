@@ -5,7 +5,8 @@ shared queue as ``(kind, round_id, chunk_id, common, payload)`` tuples;
 each task executes one contiguous chunk of source indices — the
 worker's whole share of the round, as the engine cuts one chunk per
 worker — against the shared-memory arena (:mod:`repro.parallel.shm`)
-and posts ``(status, round_id, chunk_id, result)`` back.
+and posts ``(status, round_id, chunk_id, result)`` back, the result
+itself staged in the worker's result slab row (:func:`post_result`).
 
 Division of labour with the parent (the determinism contract):
 
@@ -101,19 +102,20 @@ def _start_heartbeat(heartbeat, base: int, interval: float) -> None:
 
 def post_result(results, writer, round_id: int, chunk_id: int,
                 result) -> None:
-    """Ship one chunk result to the parent through the result slab.
+    """Ship one chunk result to the parent.
 
-    The framed result is staged in this worker's slab row and only a
-    ``(worker, offset, length)`` header crosses the queue
-    (``ok-slab``); a result too big for the remaining slab space
-    spills as framed bytes through the queue (``ok-enc``).  A result
-    the framing cannot carry raises
-    :class:`~repro.parallel.slabs.SlabEncodeError`, which the task
-    loop reports as the task's error.
+    The result is framed once (:func:`repro.parallel.slabs.encode`).
+    The frame goes into this worker's slab row and only a ``(worker,
+    offset, length)`` header crosses the queue (``ok-slab``); a frame
+    too big for the remaining row space spills through the queue
+    itself (``ok-enc``).  A result ``pickle`` cannot carry raises here,
+    before anything is queued; the task loop reports it as the task's
+    error.
     """
-    ref = writer.write(round_id, result)
+    frame = _slabs.encode(result)
+    ref = writer.write(round_id, frame)
     if ref is None:
-        results.put(("ok-enc", round_id, chunk_id, _slabs.encode(result)))
+        results.put(("ok-enc", round_id, chunk_id, frame))
     else:
         results.put(("ok-slab", round_id, chunk_id,
                      (writer.worker_id, ref[0], ref[1])))

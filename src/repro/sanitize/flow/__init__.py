@@ -14,7 +14,7 @@ F101  No path from an ``async def`` in ``repro/service/`` to a
 F102  Durability protocol order: ``check_fence()`` before segment
       writes on every public WAL commit path; journal-append before
       durable-ack; ``promote()`` runs fence → seal → own → advertise.
-F103  Zero-copy shm/slab views must not escape their arena round
+F103  Zero-copy shm views must not escape their arena round
       (returned, stored on an attribute, yielded, or closed over)
       without a copy — the dataflow upgrade of lexical R003.
 F104  Wall-clock / unseeded-RNG taint must never fold into the

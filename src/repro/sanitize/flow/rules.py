@@ -13,10 +13,11 @@ is clean*, not because the rules are blind:
   ``rename`` are;
 * ``np.argsort`` is not a blocking root — snapshot reads use it on
   the loop *by design* (wait-free reads over frozen arrays);
-* ``repro/parallel/`` is exempt from F103: it is the transport that
-  *owns* the zero-copy round protocol (``poll_result`` returning a
-  slab view is its documented contract), so view summaries neither
-  fire there nor export across its boundary.
+* ``repro/parallel/`` is exempt from F103: it owns the shared-memory
+  blocks whose views it hands out (``ShmArena.views()``/``get()``,
+  ``ShmAttachment.arrays``) and manages their lifetime by arena
+  generation and R003's create/close pairing, so view summaries
+  neither fire there nor export across its boundary.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ _TAINT_SINK_ATTRS = {"simulated_seconds", "_sim_seconds",
 _CHECKPOINT_SINKS = {"save_checkpoint", "checkpoint_now"}
 #: wrapping one of these around a view materializes it (F103 kill)
 _VIEW_SANITIZERS = {"copy", "array", "ascontiguousarray"}
-#: ``.read(..., copy=False)`` / ``.decode(..., copy=False)`` — the
-#: slab API's zero-copy shapes
-_VIEW_READ_TAILS = {"read", "decode"}
 
 
 def _in_service(path: str) -> bool:
@@ -261,13 +259,13 @@ def rule_f102(graph: CallGraph,
 
 
 # ----------------------------------------------------------------------
-# F103 — shm/slab view lifetime escape
+# F103 — shm view lifetime escape
 # ----------------------------------------------------------------------
 class _ViewFlow:
     """Per-function forward taint over zero-copy views.
 
-    Sources: ``np.frombuffer(...)``, ``.read/.decode(..., copy=False)``,
-    calls to (non-exempt) functions summarized as returning a view.
+    Sources: ``np.frombuffer(...)`` and calls to (non-exempt) functions
+    summarized as returning a view.
     Kills: wrapping in ``.copy()`` / ``np.array`` /
     ``np.ascontiguousarray``.  Escapes: returning, yielding, storing on
     an attribute, or closing over a live view — each one lets the view
@@ -300,13 +298,6 @@ class _ViewFlow:
             if tail in _VIEW_SANITIZERS:
                 return False
             if tail == "frombuffer":
-                return True
-            if tail in _VIEW_READ_TAILS and any(
-                kw.arg == "copy"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is False
-                for kw in expr.keywords
-            ):
                 return True
             for site in self._index.get(id(expr), []):
                 if site.callee in self.returns_view:

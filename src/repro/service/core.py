@@ -29,8 +29,8 @@ On top of the replay semantics it adds the service bookkeeping:
 * snapshot **publication** into a :class:`~repro.service.snapshots.
   SnapshotStore` via the engine's ``bc_snapshot`` export hook.
 
-Because the core owns one engine for its whole life, a parallel engine
-keeps its worker pool **warm across batches** — successive
+Because the core owns one engine for its whole life, a pooled engine
+keeps its worker processes **warm across batches** — successive
 :meth:`apply_batch` calls reuse the same workers, shared-memory arena
 and result slabs with no respawn.
 :meth:`transport_report` exposes the engine's cumulative result-path
@@ -179,9 +179,9 @@ class ServiceCore:
 
     def transport_report(self) -> dict:
         """The engine's cumulative result-path accounting (rounds,
-        queue/slab bytes, dispatch/decode/fold seconds, backend) across
-        every batch this core has applied — empty when the engine runs
-        serial or exposes no report."""
+        chunks, queue/slab bytes, spills, dispatch/decode/fold seconds)
+        across every batch this core has applied — empty when the
+        engine runs serial or exposes no report."""
         report = getattr(self.engine, "transport_report", None)
         if report is None:
             return {}

@@ -14,7 +14,6 @@ with every level forced top-down or bottom-up through the seam
 import contextlib
 import multiprocessing
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -395,16 +394,12 @@ def test_property_executor_matches_oracle(seed, backend, direction, steps):
         assert_same(fast, oracle, ops)
 
 
-def replay_pooled(pool_backend, monkeypatch, backend="gpu-node"):
+def replay_pooled(backend="gpu-node"):
     """Replay a kron-9 churn stream, whose deletions rebuild rows,
-    through a two-worker engine on *pool_backend* and through the
-    looped oracle, both on *backend*; compare everything."""
+    through a two-worker engine and through the looped oracle, both on
+    *backend*; compare everything."""
     from repro.graph.stream import EdgeStream, replay
 
-    # the platform picks the backend; the seam reaches threads on
-    # GIL builds (and processes on free-threaded ones)
-    monkeypatch.setattr("repro.bc.engine.free_threading_active",
-                        lambda: pool_backend == "threads")
     graph = gen.kronecker(9, 8, seed=1)
     stream = EdgeStream.churn(graph, 25, delete_fraction=0.35, seed=2)
     oracle = DynamicBC.from_graph(graph, backend=backend, num_sources=32,
@@ -414,7 +409,7 @@ def replay_pooled(pool_backend, monkeypatch, backend="gpu-node"):
                for r in expected.reports)
     with DynamicBC.from_graph(graph, backend=backend, num_sources=32,
                               seed=3, workers=2) as par:
-        assert par.health_report()["pool_backend"] == pool_backend
+        assert par.health_report()["pool_backend"] == "processes"
         got = replay(par, stream)
         assert par.transport_report()["rounds"] > 0
         assert len(got.reports) == len(expected.reports)
@@ -427,40 +422,35 @@ def replay_pooled(pool_backend, monkeypatch, backend="gpu-node"):
 
 
 class TestPool:
-    @pytest.mark.parametrize("pool_backend", ["processes", "threads"])
-    def test_workers_run_the_executor_bit_identically(self, pool_backend,
-                                                      monkeypatch):
-        replay_pooled(pool_backend, monkeypatch)
+    def test_workers_run_the_executor_bit_identically(self):
+        replay_pooled()
 
     @pytest.mark.parametrize("direction", ["top-down", "bottom-up"])
-    @pytest.mark.parametrize("pool_backend", ["processes", "threads"])
-    def test_workers_forced(self, pool_backend, direction, monkeypatch):
+    def test_workers_forced(self, direction, monkeypatch):
         """The forced seam reaches the workers (forked after it is
-        set, or threads of this process): it counts its calls outside
-        the parent's main thread in shared memory."""
+        set): it counts its calls outside the parent process in shared
+        memory."""
         calls = multiprocessing.Value("q", 0)
         parent = os.getpid()
         force = FORCE[direction]
 
         def seam(self, w, deg, level, case3):
-            if (os.getpid() != parent
-                    or threading.current_thread() is not threading.main_thread()):
+            if os.getpid() != parent:
                 with calls.get_lock():
                     calls.value += 1
             return force(self, w, deg, level, case3)
 
         monkeypatch.setattr(batched._Batch, "bottom_up", seam)
-        replay_pooled(pool_backend, monkeypatch)
+        replay_pooled()
         assert calls.value > 0
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_every_backend_both_directions(self, backend, monkeypatch):
-        """Both pool backends match the oracle on every backend with
-        every dependency level forced top-down, then bottom-up."""
+    def test_every_backend_both_directions(self, backend):
+        """The pool matches the oracle on every backend with every
+        dependency level forced top-down, then bottom-up."""
         for direction in ("top-down", "bottom-up"):
-            for pool_backend in ("processes", "threads"):
-                with forced(direction):
-                    replay_pooled(pool_backend, monkeypatch, backend)
+            with forced(direction):
+                replay_pooled(backend)
 
     def test_update_task_writes_no_state(self, monkeypatch):
         """A worker's update task only reads the state rows it is given
@@ -476,13 +466,17 @@ class TestPool:
         stream = EdgeStream.churn(graph, 20, delete_fraction=0.4, seed=2)
         serial = DynamicBC.from_graph(graph, num_sources=16, seed=3)
         expected = replay(serial, stream)
-        engine = DynamicBC.from_graph(graph, num_sources=16, seed=3)
+        engine = DynamicBC.from_graph(graph, num_sources=16, seed=3,
+                                      workers=2)
         tasks = []
 
         def run_active(snap, operation, cases, highs, lows, active):
+            # the round's context mirrors the state into the arena; the
+            # task runs here, over private copies of the arena's arrays
             common = engine._parallel_common(snap, operation=operation)
+            del common["spec"]
             arrays = {name: a.copy()
-                      for name, a in common.pop("views").items()}
+                      for name, a in engine._arena.views().items()}
             before = {name: a.tobytes() for name, a in arrays.items()}
             items = [(i, int(cases[i]), int(highs[i]), int(lows[i]))
                      for i in active.tolist()]
@@ -493,7 +487,8 @@ class TestPool:
             return batched.RowResults(*out)
 
         monkeypatch.setattr(engine, "_run_active", run_active)
-        got = replay(engine, stream)
+        with engine:
+            got = replay(engine, stream)
         assert any(op == "delete" and any(it[1] == 3 for it in items)
                    for op, items in tasks), "no row was rebuilt"
         assert len(got.reports) == len(expected.reports)

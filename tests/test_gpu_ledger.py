@@ -255,21 +255,20 @@ def test_default_path_runs_no_accountant_charge(monkeypatch, small_er):
 
 
 def test_pooled_round_decodes_few_frames_per_chunk(monkeypatch):
-    """An update chunk comes back as one tuple of flat columns: the
-    parent decodes at most 16 slab frames per chunk, however many
+    """An update chunk comes back as one tuple of flat columns: each
+    chunk the parent reads decodes to at most 16 arrays, however many
     sources the chunk holds."""
     from repro.parallel import slabs
 
-    decoded = [0]
-    decode = slabs._Decoder.decode
+    decoded = []
+    read = slabs.ResultSlabs.read
 
-    def count(self):
-        decoded[0] += 1
-        return decode(self)
+    def spy(self, *args):
+        out = read(self, *args)
+        decoded.append(out)
+        return out
 
-    monkeypatch.setattr(slabs._Decoder, "decode", count)
-    monkeypatch.setattr("repro.bc.engine.free_threading_active",
-                        lambda: False)
+    monkeypatch.setattr(slabs.ResultSlabs, "read", spy)
     graph = gen.kronecker(9, 8, seed=1)
     stream = EdgeStream.churn(graph, 12, delete_fraction=0.35, seed=2)
     oracle = DynamicBC.from_graph(graph, num_sources=32, seed=3,
@@ -279,10 +278,13 @@ def test_pooled_round_decodes_few_frames_per_chunk(monkeypatch):
                               workers=2) as par:
         assert par.health_report()["pool_backend"] == "processes"
         chunks = par.transport_report()["chunks"]
-        decoded[0] = 0
+        decoded.clear()
         got = replay(par, stream)
         chunks = par.transport_report()["chunks"] - chunks
-    assert chunks > 0 and decoded[0] <= 16 * chunks
+    assert chunks > 0 and len(decoded) == chunks
+    for out in decoded:
+        assert isinstance(out, tuple) and len(out) <= 16
+        assert all(isinstance(col, np.ndarray) for col in out)
     assert [r.per_source_seconds.tolist() for r in got.reports] == [
         r.per_source_seconds.tolist() for r in expected.reports]
     assert np.array_equal(par.state.bc, oracle.state.bc)

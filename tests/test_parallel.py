@@ -8,8 +8,6 @@ them exactly (``np.array_equal``, ``==`` on floats), never with
 tolerances.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -331,10 +329,9 @@ def test_check_rows_rejects_bad_index_before_dispatch(er_graph, workers,
 # ----------------------------------------------------------------------
 class TestFallbackAndLifecycle:
     def test_fallback_when_shm_unavailable(self, er_graph, monkeypatch):
-        # A GIL build picks processes, which need shm; free-threaded
-        # builds pick threads and never need the fallback.
-        monkeypatch.setattr("repro.bc.engine.free_threading_active",
-                            lambda: False)
+        # The pool needs shm; without it the build warns once and the
+        # engine stays serial (a second warning on the first update
+        # would fail here: pytest turns RuntimeWarning into an error).
         monkeypatch.setattr("repro.bc.engine.shm_available", lambda: False)
         serial = DynamicBC.from_graph(DynamicGraph.from_csr(er_graph),
                                       num_sources=K, seed=SEED)
@@ -342,11 +339,11 @@ class TestFallbackAndLifecycle:
             par = DynamicBC.from_graph(DynamicGraph.from_csr(er_graph),
                                        num_sources=K, seed=SEED, workers=2)
         assert par._pool is None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            u, v = active_insert_edge(par)
-            rs = serial.insert_edge(u, v)
-            rp = par.insert_edge(u, v)
+        assert par.health_report()["parallel_disabled"]
+        u, v = active_insert_edge(par)
+        rs = serial.insert_edge(u, v)
+        rp = par.insert_edge(u, v)
+        assert par._pool is None
         assert reports_identical(rs, rp)
         assert_states_equal(serial, par)
 
@@ -377,3 +374,42 @@ class TestFallbackAndLifecycle:
         rs = serial.insert_edge(u, v)
         rp = par.insert_edge(u, v)
         assert reports_identical(rs, rp)
+
+
+# ----------------------------------------------------------------------
+# Pool resolution and warm pools
+# ----------------------------------------------------------------------
+class TestResolve:
+    def test_auto_picks_processes_then_serial(self, er_graph, monkeypatch):
+        """The pool is worker processes over shm; without shm the
+        engine runs serially, with a warning."""
+        def resolved():
+            with DynamicBC.from_graph(DynamicGraph.from_csr(er_graph),
+                                      num_sources=K, seed=SEED,
+                                      workers=2) as engine:
+                return engine.health_report()["pool_backend"]
+
+        assert resolved() == "processes"
+        monkeypatch.setattr("repro.bc.engine.shm_available", lambda: False)
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
+            assert resolved() == "serial"
+
+
+class TestWarmPool:
+    def test_pool_survives_successive_replays(self, er_graph):
+        # Two replay() streams through one engine: the pool (and its
+        # workers) persist — no respawn between streams.
+        dyn = DynamicGraph.from_csr(er_graph)
+        engine = DynamicBC.from_graph(dyn, num_sources=K, seed=SEED,
+                                      workers=2)
+        try:
+            s1 = EdgeStream.removal_reinsertion(engine.graph, 3, seed=11)
+            replay(engine, s1)
+            pool = engine._pool
+            assert pool is not None
+            s2 = EdgeStream.removal_reinsertion(engine.graph, 3, seed=12)
+            replay(engine, s2)
+            assert engine._pool is pool
+            assert pool.counts["respawns"] == 0
+        finally:
+            engine.close()

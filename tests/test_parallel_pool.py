@@ -8,14 +8,18 @@ this module pins the contracts of each layer in isolation.
 """
 
 import os
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.bc.engine import split_round
 from repro.parallel import (
+    ResultSlabs,
     ShmArena,
     ShmAttachment,
+    SlabWriter,
     SupervisedPool,
     WorkerPool,
     WorkerTaskError,
@@ -23,6 +27,7 @@ from repro.parallel import (
     rebuild_trace,
     shm_available,
 )
+from repro.parallel import worker as _worker
 from repro.gpu.counters import Step
 
 
@@ -186,12 +191,28 @@ class TestWorkerPool:
             # The pool respawned: the next round must still work.
             assert pool.run("ping", {}, [{"items": [1]}]) == [[1]]
 
-    def test_unencodable_result_raises_task_error(self):
-        # Results travel only through the slab framing: one it cannot
-        # carry (a set) is the task's error, never a pickled bypass.
+    def test_unencodable_result_raises_task_error(self, monkeypatch):
+        # A result pickle cannot carry raises in post_result before
+        # anything is queued or staged...
+        posted = []
+        with ResultSlabs(1) as result_slabs:
+            writer = SlabWriter(result_slabs.spec(), worker_id=0)
+            try:
+                with pytest.raises(TypeError, match="pickle"):
+                    _worker.post_result(SimpleNamespace(put=posted.append),
+                                        writer, 1, 0, threading.Lock())
+                assert writer.write(1, b"x") == (0, 1)
+            finally:
+                writer.close()
+        assert posted == []
+        # ...and in a worker it is the task's error (the forked workers
+        # inherit the patched handler table).
+        monkeypatch.setitem(_worker._HANDLERS, "lock",
+                            lambda attachment, common, payload:
+                            threading.Lock())
         with SupervisedPool(2) as pool:
-            with pytest.raises(WorkerTaskError, match="SlabEncodeError"):
-                pool.run("ping", {}, [{"items": [{1, 2}]}])
+            with pytest.raises(WorkerTaskError, match="cannot pickle"):
+                pool.run("lock", {}, [{"items": []}])
             assert pool.run("ping", {}, [{"items": [1]}]) == [[1]]
 
     def test_close_idempotent_and_rejects_tiny_pool(self):

@@ -1,5 +1,7 @@
-"""Result-slab transport: framing round-trips, spill/overflow, and
-the parent/worker slab lifecycle (PR-8 tentpole)."""
+"""Result-slab transport: frame round-trips and prefix checks,
+spill/overflow, and the parent/worker slab lifecycle."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -9,21 +11,19 @@ from repro.parallel.shm import shm_available
 from repro.parallel.slabs import (
     MAGIC,
     ResultSlabs,
-    SlabEncodeError,
     SlabWriter,
     decode,
     encode,
-    encode_into,
 )
 
 
 def roundtrip(obj):
-    """Encode to private bytes and decode back (the spill path)."""
+    """Frame to private bytes and decode back (the spill path)."""
     return decode(encode(obj))
 
 
 # ----------------------------------------------------------------------
-# Framing round-trips
+# Frame round-trips: every result shape a task returns
 # ----------------------------------------------------------------------
 class TestFraming:
     @pytest.mark.parametrize("obj", [
@@ -37,7 +37,7 @@ class TestFraming:
 
     def test_nan_roundtrip(self):
         out = roundtrip(float("nan"))
-        assert out != out  # NaN propagates bit-level through the frame
+        assert out != out  # NaN crosses the frame
 
     def test_step_roundtrip(self):
         step = Step(work_items=7, cycles_per_item=1.5, bytes_moved=96.0,
@@ -57,9 +57,9 @@ class TestFraming:
         assert np.array_equal(out, arr)
 
     def test_mixed_result_payload(self):
-        # The shape an update chunk posts: a tuple of flat columns
+        # The shape an update chunk posts: one tuple of flat columns
         # (row ids, per-row seconds, a stage matrix, counters, a stats
-        # matrix, CSR-packed bc adjustments), one frame per array.
+        # matrix, CSR-packed write-sets).
         payload = (
             np.array([3, 5], dtype=np.int64),
             np.array([1.5e-6, 2.5e-6]),
@@ -76,35 +76,55 @@ class TestFraming:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
-    def test_zero_copy_views_track_buffer(self):
+    def test_decoded_arrays_own_their_memory(self):
+        # The parent owns what it decodes: zeroing the frame's bytes
+        # afterwards (a worker reusing its slab row) changes nothing.
         buf = bytearray(encode(np.arange(8, dtype=np.int64)))
-        view = decode(buf, copy=False)
-        copied = decode(buf, copy=True)
-        # Flip one payload byte: the view sees it, the copy does not.
-        arr_byte = len(buf) - 1
-        buf[arr_byte] ^= 0xFF
-        assert view[-1] != 7
-        assert copied[-1] == 7
+        out = decode(buf)
+        assert not np.shares_memory(out, np.frombuffer(buf, np.uint8))
+        buf[12:] = bytes(len(buf) - 12)
+        assert np.array_equal(out, np.arange(8))
 
     def test_encode_into_matches_encode(self):
-        # Spill bytes and slab bytes must be byte-identical so one
-        # decoder serves both paths (array padding is computed from
-        # the buffer start in both).
+        # Spill bytes and slab bytes are one frame, so one decoder
+        # serves both paths: the private bytes staged mid-buffer (a
+        # slab row at the writer's cursor, which is not padded to any
+        # alignment) decode exactly as they do on their own.
         obj = ("trace", np.arange(5, dtype=np.float64), [1, None])
         private = encode(obj)
+        assert encode(obj) == private
         buf = bytearray(4096)
-        end = encode_into(obj, buf, 0, len(buf))
-        assert bytes(buf[:end]) == private
+        start = 13
+        buf[start:start + len(private)] = private
+        for got in (decode(buf, start, len(private)), decode(private)):
+            assert got[0] == obj[0]
+            assert got[1].dtype == obj[1].dtype
+            assert np.array_equal(got[1], obj[1])
+            assert got[2] == obj[2]
 
+    @pytest.mark.skipif(not shm_available(), reason="POSIX shm unavailable")
     def test_encode_into_returns_none_when_full(self):
-        buf = bytearray(32)
-        assert encode_into(np.arange(64, dtype=np.int64), buf, 0, 32) is None
+        # A frame the rest of the row cannot hold is refused whole:
+        # write returns None (the caller spills) and not one byte of
+        # it lands past the frames already staged.
+        with ResultSlabs(1, slab_bytes=4096) as slabs:
+            writer = SlabWriter(slabs.spec(), worker_id=0)
+            try:
+                small = encode("staged")
+                assert writer.write(0, small) == (0, len(small))
+                big = encode(np.arange(1024, dtype=np.int64))  # 8 KiB
+                assert writer.write(0, big) is None
+                row = slabs._arena.get("result_slab")[0]
+                assert row[:len(small)].tobytes() == small
+                assert not row[len(small):].any()
+            finally:
+                writer.close()
 
     def test_unencodable_types_raise(self):
-        with pytest.raises(SlabEncodeError):
-            encode({"dict": "unsupported"})
-        with pytest.raises(SlabEncodeError):
-            encode(np.array([object()], dtype=object))
+        # pickle decides what a result may hold; what it cannot carry
+        # raises before a frame exists
+        with pytest.raises(TypeError, match="pickle"):
+            encode(threading.Lock())
 
     def test_bad_magic_rejected(self):
         blob = bytearray(encode(42))
@@ -117,6 +137,8 @@ class TestFraming:
         with pytest.raises(ValueError, match="length mismatch"):
             decode(blob, length=len(blob) + 8)
         assert decode(blob, length=len(blob)) == [1, 2, 3]
+        with pytest.raises(ValueError, match="truncated"):
+            decode(blob[:-1])
 
     def test_magic_constant(self):
         assert MAGIC == 0x534C4142  # "SLAB"
@@ -138,12 +160,21 @@ class TestResultSlabs:
             writer = SlabWriter(slabs.spec(), worker_id=1)
             try:
                 obj = (np.arange(32, dtype=np.float64), "chunk", 7)
-                ref = writer.write(0, obj)
+                frame = encode(obj)
+                ref = writer.write(0, frame)
                 assert ref is not None
                 offset, length = ref
+                # one frame for both paths: the slab holds exactly the
+                # bytes a spill would carry
+                row = slabs._arena.get("result_slab")[1]
+                assert row[offset:offset + length].tobytes() == frame
                 out = slabs.read(1, offset, length)
                 assert np.array_equal(out[0], obj[0])
                 assert out[1:] == obj[1:]
+                # the parent owns its results: the next round's write
+                # over the same bytes leaves them intact
+                assert writer.write(1, encode(np.zeros(32)))[0] == offset
+                assert np.array_equal(out[0], obj[0])
             finally:
                 writer.close()
 
@@ -151,10 +182,10 @@ class TestResultSlabs:
         with ResultSlabs(1, slab_bytes=65536) as slabs:
             writer = SlabWriter(slabs.spec(), worker_id=0)
             try:
-                off_a, _ = writer.write(5, [1])
-                off_b, _ = writer.write(5, [2])
+                off_a, _ = writer.write(5, encode([1]))
+                off_b, _ = writer.write(5, encode([2]))
                 assert off_b > off_a  # bump within the round
-                off_c, len_c = writer.write(6, [3])
+                off_c, len_c = writer.write(6, encode([3]))
                 assert off_c == off_a  # new round resets the cursor
                 assert slabs.read(0, off_c, len_c) == [3]
             finally:
@@ -165,17 +196,14 @@ class TestResultSlabs:
             writer = SlabWriter(slabs.spec(), worker_id=0)
             try:
                 big = np.zeros(4096, dtype=np.float64)  # 32 KiB > slab
-                assert writer.write(0, big) is None
-                # The slab remains usable for fitting results.
-                assert writer.write(0, "small") is not None
-            finally:
-                writer.close()
-
-    def test_unencodable_returns_none_for_raw_fallback(self):
-        with ResultSlabs(1, slab_bytes=4096) as slabs:
-            writer = SlabWriter(slabs.spec(), worker_id=0)
-            try:
-                assert writer.write(0, {"not": "framable"}) is None
+                assert writer.write(0, encode(big)) is None
+                # The slab remains usable for fitting results, up to
+                # its last byte and not one past it.
+                small = encode("small")
+                assert writer.write(0, small) == (0, len(small))
+                rest = 4096 - len(small)
+                assert writer.write(0, bytes(rest + 1)) is None
+                assert writer.write(0, bytes(rest)) == (len(small), rest)
             finally:
                 writer.close()
 
@@ -191,8 +219,8 @@ class TestResultSlabs:
             w0 = SlabWriter(slabs.spec(), worker_id=0)
             w1 = SlabWriter(slabs.spec(), worker_id=1)
             try:
-                r0 = w0.write(0, "worker-zero")
-                r1 = w1.write(0, "worker-one")
+                r0 = w0.write(0, encode("worker-zero"))
+                r1 = w1.write(0, encode("worker-one"))
                 assert slabs.read(0, *r0) == "worker-zero"
                 assert slabs.read(1, *r1) == "worker-one"
             finally:

@@ -187,23 +187,19 @@ class TestPooledCommit:
     seam fires on pooled engines as on serial ones, and a fault there
     rolls back like any other."""
 
-    @pytest.mark.parametrize("pool", ["processes", "threads"])
-    def test_fault_at_third_committed_row_rolls_back(self, pool,
-                                                     monkeypatch):
+    def test_fault_at_third_committed_row_rolls_back(self):
         from repro.bc.cases import Case, classify_insertions_batch
         from repro.graph import generators as gen
         from repro.parallel.shm import shm_available
         from repro.resilience.chaos import reports_identical
 
-        if pool == "processes" and not shm_available():
+        if not shm_available():
             pytest.skip("POSIX shm unavailable")
-        monkeypatch.setattr("repro.bc.engine.free_threading_active",
-                            lambda: pool == "threads")
         graph = gen.erdos_renyi(60, 140, seed=7)
         serial = DynamicBC.from_graph(graph, num_sources=12, seed=3)
         with DynamicBC.from_graph(graph, num_sources=12, seed=3,
                                   workers=2) as par:
-            assert par.health_report()["pool_backend"] == pool
+            assert par.health_report()["pool_backend"] == "processes"
             u, v = next(
                 (u, v) for u in range(60) for v in range(u + 1, 60)
                 if not par.graph.has_edge(u, v) and np.count_nonzero(
