@@ -697,11 +697,11 @@ class DynamicBC:
 
     def transport_report(self) -> Dict:
         """Result-path economics of the live pool: rounds/chunks
-        dispatched, bytes through the queue vs read from the slabs,
-        spills, and the parent's dispatch/decode/fold seconds — the
-        direct dispatch+reduction overhead measurement the benchmarks
-        record (no more negative overhead-by-subtraction).  Empty when
-        running serially."""
+        dispatched, result bytes read from the workers' channels
+        (``queue_bytes``, whole frames), and the parent's
+        dispatch/decode/fold seconds — the direct dispatch+reduction
+        overhead measurement the benchmarks record (no more negative
+        overhead-by-subtraction).  Empty when running serially."""
         pool = self._pool
         if pool is None:
             return {}

@@ -13,14 +13,11 @@ Modules
 shm
     :class:`ShmArena` / :class:`ShmAttachment` — named shared-memory
     blocks holding the CSR arrays and the ``(k, n)`` state rows.
-slabs
-    :class:`ResultSlabs` / :class:`SlabWriter` — per-worker
-    shared-memory result rows: each chunk result is pickled behind a
-    checked prefix into its worker's row, so the result queue carries
-    only headers.
 pool
-    :class:`WorkerPool` — long-lived worker processes, a shared chunk
-    queue, results through the result slabs.
+    :class:`WorkerPool` — long-lived worker processes, one private
+    channel (a ``socket.socketpair``) each: the parent sends a chunk,
+    the worker sends back its result, and the parent reads every
+    channel without blocking.
 supervisor
     :class:`SupervisedPool` — the one collect loop: heartbeat
     monitoring, hung-worker SIGKILL, bounded respawn with backoff,
@@ -30,8 +27,8 @@ reducer
     :func:`merge_indexed` / :func:`rebuild_trace` — deterministic
     (source-order) reduction of worker results.
 worker
-    The child-process task loop (not imported by the parent's hot
-    path).
+    The child-process task loop, and the channel's wire format: each
+    message is one frame, a checked prefix and a ``pickle``.
 """
 
 from repro.parallel.pool import (
@@ -42,7 +39,6 @@ from repro.parallel.pool import (
 )
 from repro.parallel.reducer import merge_indexed, rebuild_trace
 from repro.parallel.shm import ShmArena, ShmAttachment, shm_available
-from repro.parallel.slabs import ResultSlabs, SlabWriter
 from repro.parallel.supervisor import (
     ChunkEscalated,
     HealthEvent,
@@ -54,10 +50,8 @@ __all__ = [
     "ChunkEscalated",
     "HealthEvent",
     "ParallelExecutionError",
-    "ResultSlabs",
     "ShmArena",
     "ShmAttachment",
-    "SlabWriter",
     "SupervisedPool",
     "SupervisorPolicy",
     "WorkerPool",

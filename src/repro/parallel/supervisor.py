@@ -1,27 +1,31 @@
 """Worker-pool supervision: heartbeats, deadlines, respawn, ladder.
 
-The raw pool (:class:`~repro.parallel.pool.WorkerPool`) only enqueues
-rounds and hands back result messages; :class:`SupervisedPool` owns the
-one collect loop and wraps it with the machinery a long-running
-streaming service needs, because workers die (crash, OOM kill) and —
-worse — *hang* (SIGSTOPped, deadlocked, or spinning):
+The raw pool (:class:`~repro.parallel.pool.WorkerPool`) only dispatches
+chunks and hands back replies; :class:`SupervisedPool` owns the one
+collect loop and wraps it with the machinery a long-running streaming
+service needs, because workers die (crash, OOM kill) and — worse —
+*hang* (SIGSTOPped, deadlocked, or spinning):
 
 **Detection.**  Every worker stamps a heartbeat into a lock-free shared
 array (:mod:`repro.parallel.worker`); the supervisor's collect loop
 ages those stamps against its own clock.  A worker whose beat is older
 than ``heartbeat_interval * hung_multiplier`` is *hung* (a SIGSTOP
 freezes the heartbeat thread too, so it is caught here, within twice
-the heartbeat interval); a worker that keeps beating but has been on
-one chunk longer than ``chunk_deadline`` has a runaway chunk.  Both
-are SIGKILLed — the only signal a stopped process cannot ignore — and
-dead workers (crash, OOM kill) are caught by liveness polling.
+the heartbeat interval, even partway through sending its result); a
+worker that keeps beating but has held one chunk longer than
+``chunk_deadline`` has a runaway chunk.  Both are SIGKILLed — the only
+signal a stopped process cannot ignore.  A dead worker (crash, OOM
+kill) closes its channel, which the pool reads as EOF, and is caught
+by liveness polling besides.  The pool's chunk table names the chunk
+each culprit held.
 
-**Recovery.**  A failed round tears the pool down (stale queued chunks
-must never race the retry), respawns after an exponential backoff, and
-re-runs the round.  Nothing needs restoring first: an update round's
-workers write no state (the engine commits their results), and a
-Brandes build, recompute or repair rewrites each of its rows whole, so
-re-executing a chunk is bit-identical to the first attempt.
+**Recovery.**  A failed round tears the pool down (a worker may still
+hold a chunk of it, and no reply of that round may reach the retry),
+respawns after an exponential backoff, and re-runs the round.  Nothing
+needs restoring first: an update round's workers write no state (the
+engine commits their results), and a Brandes build, recompute or
+repair rewrites each of its rows whole, so re-executing a chunk is
+bit-identical to the first attempt.
 
 **Quarantine.**  A chunk whose execution has killed
 ``poison_threshold`` workers is poisoned: it is pulled out of pool
@@ -310,8 +314,8 @@ class SupervisedPool:
                 outputs = self._round(kind, common, marked)
             except WorkerTaskError:
                 # A handler bug is deterministic: retrying cannot help
-                # and the pool is not unhealthy.  Respawn (stale chunks
-                # may still be queued) and let the caller handle it.
+                # and the pool is not unhealthy.  Respawn (the round
+                # tore the pool down) and let the caller handle it.
                 self._respawn_pool(self._level_size())
                 self._emit("task-error", detail=f"kind={kind}")
                 raise
@@ -357,46 +361,45 @@ class SupervisedPool:
                payloads: List[dict]) -> List[Any]:
         """One monitored pool round; raises :class:`_RoundFailure` on
         any death/hang/deadline (hung workers already SIGKILLed) and
-        :class:`WorkerTaskError` on a remote exception."""
+        :class:`WorkerTaskError` on a remote exception.  A round that
+        does not finish tears the pool down: its workers may still hold
+        chunks, and no reply of theirs may reach a later round."""
         pool = self._pool
-        try:
-            round_id = pool.enqueue_round(kind, common, payloads)
-        except Exception as exc:
-            raise _RoundFailure([], f"dispatch failed: {exc}")
         outputs: dict = {}
-        while len(outputs) < len(payloads):
-            try:
-                message = pool.poll_result(_POLL_SECONDS)
-            except Exception as exc:
-                # A worker SIGKILLed mid-put can corrupt the queue
-                # stream; attribution is impossible, the round is not.
-                raise _RoundFailure([], f"result queue failed: {exc}")
-            if message is not None:
-                status, rid, chunk_id, result = message
-                if rid != round_id:
-                    continue  # stale result from an aborted round
-                if status == "error":
-                    raise WorkerTaskError(
-                        f"task {kind!r} chunk {chunk_id} failed in "
-                        f"worker:\n{result}"
-                    )
-                outputs[chunk_id] = result
-                continue
-            culprits = self._find_culprits(round_id)
-            if culprits:
-                raise _RoundFailure(culprits)
+        try:
+            pool.start_round(kind, common, payloads)
+            while len(outputs) < len(payloads):
+                replies = pool.poll(_POLL_SECONDS)
+                for chunk_id, status, result in replies:
+                    if status == "error":
+                        raise WorkerTaskError(
+                            f"task {kind!r} chunk {chunk_id} failed in "
+                            f"worker:\n{result}"
+                        )
+                    outputs[chunk_id] = result
+                if not replies:
+                    culprits = self._find_culprits()
+                    if culprits:
+                        raise _RoundFailure(culprits)
+        except OSError as exc:  # the pool could not be started
+            pool._teardown(graceful=False)
+            raise _RoundFailure([], f"dispatch failed: {exc}") from exc
+        except BaseException:
+            pool._teardown(graceful=False)
+            raise
         return [outputs[chunk_id] for chunk_id in range(len(payloads))]
 
-    def _find_culprits(self, round_id: int) -> List[tuple]:
+    def _find_culprits(self) -> List[tuple]:
         """Scan worker health; SIGKILL hung ones.  Returns
-        ``(worker, action, local_chunk, detail)`` tuples."""
+        ``(worker, action, local_chunk, detail)`` tuples, each chunk
+        taken from the pool's chunk table."""
         pool = self._pool
         policy = self.policy
         culprits: List[tuple] = []
         now = time.monotonic()
         for j in range(len(pool._procs)):
             st = pool.worker_status(j, now)
-            chunk = st.chunk_id if st.round_id == round_id else -1
+            chunk = st.chunk_id
             if not st.alive:
                 culprits.append((j, "worker-death", chunk,
                                  f"died (chunk {chunk})"))
@@ -420,9 +423,8 @@ class SupervisedPool:
         self, fail: _RoundFailure, kind: str, pending: List[int],
         strikes: Dict[int, int], quarantined: Set[int],
     ) -> None:
-        """Record a failed round: events, strike counters, quarantine
-        decisions; then tear the pool down so no stale worker races
-        the retry that follows."""
+        """Record a failed round (whose pool :meth:`_round` has torn
+        down): events, strike counters, quarantine decisions."""
         if not fail.culprits:
             self._emit("worker-death", detail=fail.detail)
         for j, action, local_chunk, detail in fail.culprits:
@@ -446,7 +448,6 @@ class SupervisedPool:
                         detail=(f"{strikes[chunk]} worker deaths; "
                                 f"retrying serially (kind={kind})"),
                     )
-        self._pool._teardown(graceful=False)
 
     # ------------------------------------------------------------------
     # Ladder transitions
@@ -489,7 +490,6 @@ class SupervisedPool:
             except (_RoundFailure, WorkerTaskError) as exc:
                 self.level = old_level
                 self.healthy_rounds = 0
-                self._pool._teardown(graceful=False)
                 self._emit("probe",
                            detail=f"probe failed, staying serial: {exc}")
                 return

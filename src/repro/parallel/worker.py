@@ -1,12 +1,13 @@
 """Worker-process loop: one contiguous chunk of sources per task.
 
-This module runs inside the pool's child processes.  Tasks arrive on a
-shared queue as ``(kind, round_id, chunk_id, common, payload)`` tuples;
-each task executes one contiguous chunk of source indices — the
-worker's whole share of the round, as the engine cuts one chunk per
-worker — against the shared-memory arena (:mod:`repro.parallel.shm`)
-and posts ``(status, round_id, chunk_id, result)`` back, the result
-itself staged in the worker's result slab row (:func:`post_result`).
+This module runs inside the pool's child processes.  Each worker owns
+one duplex channel to the parent (a ``socket.socketpair``; see
+:mod:`repro.parallel.pool`).  A task arrives on it as one frame of
+``(kind, common, payload)``; it executes one contiguous chunk of source
+indices — the worker's whole share of the round, as the engine cuts
+one chunk per worker — against the shared-memory arena
+(:mod:`repro.parallel.shm`), and the worker writes back one frame of
+``(status, result)`` (:func:`post_result`).
 
 Division of labour with the parent (the determinism contract):
 
@@ -29,31 +30,39 @@ Division of labour with the parent (the determinism contract):
   undo.  Only Brandes builds, recomputes and repairs write rows in the
   workers, each row whole.
 
+Wire format: every message on a channel is one *frame*, ``MAGIC``
+(u32) + payload length (u64), then the payload, a protocol-5
+``pickle`` (:func:`encode`).  :class:`Channel` checks the magic and
+reads the payload into one buffer of exactly the announced length; a
+peer that closes mid-frame leaves a truncated frame, which is an
+error, never a short result.  On the parent's non-blocking end a read
+returns ``None`` until the whole frame is in, so the parent never waits
+on a partial frame and a frame can be any size.
+
 Supervision hooks (see :mod:`repro.parallel.supervisor`): when the pool
 hands the worker a heartbeat slot, a daemon thread stamps
-``time.monotonic()`` into it every ``heartbeat_interval`` seconds and
-the task loop records which (round, chunk) it is executing.  A worker
-frozen by ``SIGSTOP`` freezes the thread too, so the parent detects the
-hang as heartbeat staleness; a worker stuck in compute keeps beating
-but trips the per-chunk deadline instead.
+``time.monotonic()`` into it every ``heartbeat_interval`` seconds.  A
+worker frozen by ``SIGSTOP`` freezes the thread too, so the parent
+detects the hang as heartbeat staleness, even in the middle of a
+frame; a worker stuck in compute keeps beating but trips the per-chunk
+deadline, which the parent times from when it sent the chunk.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import signal
+import struct
 import threading
 import time
 import traceback
+from typing import Optional
 
 from repro.bc.batched import SourceExecutor
 from repro.bc.brandes import single_source_state
 from repro.graph.csr import CSRGraph
-from repro.parallel import slabs as _slabs
 from repro.parallel.shm import ShmAttachment
-
-#: queue sentinel telling a worker to exit its loop
-STOP = "__stop__"
 
 #: payload key that makes the worker die abruptly mid-task — the
 #: crash-injection hook for the resilience tests
@@ -66,21 +75,91 @@ CRASH_KEY = "__crash__"
 #: deadlocked worker would, and only SIGKILL can remove it
 STALL_KEY = "__stall__"
 
-#: heartbeat-slot layout: each worker owns ``HB_SLOTS`` consecutive
-#: doubles in the pool's lock-free shared array
-HB_SLOTS = 4
-#: slot 0 — last ``time.monotonic()`` stamped by the heartbeat thread
-HB_BEAT = 0
-#: slot 1 — ``time.monotonic()`` when the current task started (0.0
-#: when idle)
-HB_TASK_START = 1
-#: slot 2 — round id of the current task (-1 when idle)
-HB_ROUND = 2
-#: slot 3 — chunk id of the current task (-1 when idle)
-HB_CHUNK = 3
+#: frame prefix: magic + u64 payload length
+MAGIC = 0x534C4142
+PREFIX = struct.Struct("<IQ")
 
 
-def _start_heartbeat(heartbeat, base: int, interval: float) -> None:
+def encode(obj) -> bytes:
+    """Frame *obj*: the prefix, then its protocol-5 pickle.  Raises
+    whatever ``pickle`` raises for an object it cannot carry."""
+    payload = pickle.dumps(obj, protocol=5)
+    return PREFIX.pack(MAGIC, len(payload)) + payload
+
+
+def decode(payload):
+    """Unpickle one frame's payload, as :meth:`Channel.read` returns
+    it.  Frames come only from this pool's own processes; unpickling
+    anything else could run foreign code."""
+    return pickle.loads(payload)
+
+
+class Channel:
+    """One end of a worker's socket, moving whole frames.
+
+    On a blocking socket (the worker's end) :meth:`read` and
+    :meth:`write` return when the frame is through.  On a non-blocking
+    one (the parent's end) they move what the socket takes now; the
+    parent polls the socket and calls :meth:`read` or :meth:`flush`
+    again.
+    """
+
+    def __init__(self, sock) -> None:
+        self.sock = sock
+        self._head = bytearray(PREFIX.size)
+        self._body: Optional[bytearray] = None
+        self._got = 0
+        self._out = memoryview(b"")
+
+    @property
+    def sending(self) -> bool:
+        """Is part of the last written frame still unsent?"""
+        return len(self._out) > 0
+
+    def write(self, frame: bytes) -> None:
+        """Send *frame* (an :func:`encode` result); on a non-blocking
+        socket, as much of it as the socket takes now."""
+        self._out = memoryview(frame)
+        self.flush()
+
+    def flush(self) -> None:
+        """Send what the socket takes of the frame still unsent."""
+        while self._out:
+            try:
+                sent = self.sock.send(self._out)
+            except BlockingIOError:
+                return
+            self._out = self._out[sent:]
+
+    def read(self) -> Optional[bytearray]:
+        """The next frame's payload once all of it is in; ``None``
+        while a non-blocking socket holds less.  Raises ``ValueError``
+        on a bad magic and ``EOFError`` when the peer has closed its
+        end (a truncated frame, if it did so mid-frame)."""
+        while True:
+            buf = self._head if self._body is None else self._body
+            view = memoryview(buf)
+            while self._got < len(buf):
+                try:
+                    got = self.sock.recv_into(view[self._got:])
+                except BlockingIOError:
+                    return None
+                if not got:
+                    mid = self._got > 0 or self._body is not None
+                    raise EOFError("truncated frame" if mid
+                                   else "channel closed")
+                self._got += got
+            self._got = 0
+            if self._body is not None:
+                payload, self._body = self._body, None
+                return payload
+            magic, length = PREFIX.unpack(self._head)
+            if magic != MAGIC:
+                raise ValueError(f"bad frame magic {magic:#x}")
+            self._body = bytearray(length)
+
+
+def _start_heartbeat(heartbeat, slot: int, interval: float) -> None:
     """Start the daemon thread that stamps ``time.monotonic()`` into
     this worker's beat slot every *interval* seconds.
 
@@ -93,67 +172,41 @@ def _start_heartbeat(heartbeat, base: int, interval: float) -> None:
 
     def _beat() -> None:
         while True:
-            heartbeat[base + HB_BEAT] = time.monotonic()
+            heartbeat[slot] = time.monotonic()
             time.sleep(interval)
 
     threading.Thread(target=_beat, daemon=True,
                      name="repro-heartbeat").start()
 
 
-def post_result(results, writer, round_id: int, chunk_id: int,
-                result) -> None:
-    """Ship one chunk result to the parent.
+def post_result(channel: Channel, status: str, result) -> None:
+    """Write one reply frame, ``(status, result)``, to the parent.  A
+    result ``pickle`` cannot carry raises here, before a byte is
+    written; the task loop reports it as the task's error."""
+    channel.write(encode((status, result)))
 
-    The result is framed once (:func:`repro.parallel.slabs.encode`).
-    The frame goes into this worker's slab row and only a ``(worker,
-    offset, length)`` header crosses the queue (``ok-slab``); a frame
-    too big for the remaining row space spills through the queue
-    itself (``ok-enc``).  A result ``pickle`` cannot carry raises here,
-    before anything is queued; the task loop reports it as the task's
-    error.
+
+def worker_main(sock, worker_id: int, heartbeat,
+                heartbeat_interval: float) -> None:
+    """Serve tasks from this worker's channel (*sock*) until the parent
+    closes its end; never let an exception escape (errors travel back
+    to the parent as ``("error", traceback)`` replies).
+
+    When *heartbeat* (the pool's shared beat array, one slot per
+    worker) is provided with a positive *heartbeat_interval*, a thread
+    stamps this worker's slot so the supervisor can detect hangs.
     """
-    frame = _slabs.encode(result)
-    ref = writer.write(round_id, frame)
-    if ref is None:
-        results.put(("ok-enc", round_id, chunk_id, frame))
-    else:
-        results.put(("ok-slab", round_id, chunk_id,
-                     (writer.worker_id, ref[0], ref[1])))
-
-
-def worker_main(tasks, results, worker_id: int, heartbeat,
-                heartbeat_interval: float, slab_spec: dict) -> None:
-    """Pull tasks until :data:`STOP`; never let an exception escape
-    (errors travel back to the parent as structured results).
-
-    When *heartbeat* (the pool's shared slot array) is provided with a
-    positive *heartbeat_interval*, the worker stamps liveness and
-    per-task (round, chunk, start-time) bookkeeping into its slots so
-    the supervisor can detect hangs and attribute them to a chunk.
-
-    Results are staged in this worker's row of the pool's result slabs
-    (*slab_spec*) via :func:`post_result`.
-    """
+    channel = Channel(sock)
     attachment = None
-    writer = _slabs.SlabWriter(slab_spec, worker_id)
-    base = HB_SLOTS * int(worker_id)
-    beating = heartbeat is not None and heartbeat_interval > 0
-    if beating:
-        heartbeat[base + HB_BEAT] = time.monotonic()
-        _start_heartbeat(heartbeat, base, float(heartbeat_interval))
+    if heartbeat is not None and heartbeat_interval > 0:
+        heartbeat[worker_id] = time.monotonic()
+        _start_heartbeat(heartbeat, int(worker_id), float(heartbeat_interval))
     while True:
-        message = tasks.get()
-        if message == STOP:
-            break
-        kind, round_id, chunk_id, common, payload = message
         try:
-            if beating:
-                # Attribution before the fault hooks: a worker that
-                # crashes or stalls right here must still be blamed on
-                # the correct (round, chunk).
-                heartbeat[base + HB_ROUND] = float(round_id)
-                heartbeat[base + HB_CHUNK] = float(chunk_id)
-                heartbeat[base + HB_TASK_START] = time.monotonic()
+            kind, common, payload = decode(channel.read())
+        except (EOFError, OSError):
+            break  # the parent closed its end: the pool is shutting down
+        try:
             if payload.get(CRASH_KEY):
                 os._exit(3)
             if payload.get(STALL_KEY):
@@ -167,28 +220,22 @@ def worker_main(tasks, results, worker_id: int, heartbeat,
                     attachment.close()
                 attachment = ShmAttachment(spec)
             result = _HANDLERS[kind](attachment, common, payload)
-            post_result(results, writer, round_id, chunk_id, result)
+            post_result(channel, "ok", result)
         except BaseException as exc:
             detail = (
                 f"{type(exc).__name__}: {exc}\n"
                 f"{traceback.format_exc()}"
             )
             try:
-                results.put(("error", round_id, chunk_id, detail))
-            except Exception:  # pragma: no cover - queue already gone
+                post_result(channel, "error", detail)
+            except OSError:  # pragma: no cover - the parent is gone
                 os._exit(1)
-        finally:
-            if beating:
-                heartbeat[base + HB_TASK_START] = 0.0
-                heartbeat[base + HB_ROUND] = -1.0
-                heartbeat[base + HB_CHUNK] = -1.0
-    writer.close()
     if attachment is not None:
         attachment.close()
 
 
 def run_task(attachment, kind: str, common: dict, payload: dict):
-    """Execute one task *in the calling process* (no queue round-trip).
+    """Execute one task *in the calling process* (no channel round-trip).
 
     This is the supervisor's serial-retry primitive: the parent runs
     the exact handler a worker would have run, against an attachment

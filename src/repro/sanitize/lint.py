@@ -13,11 +13,11 @@ R001  No raw wall-clock (``time.time``/``perf_counter``/...) inside
 R002  No module-level / unseeded ``np.random.*``: the legacy global
       API is banned everywhere, and RNG constructors must receive an
       explicit seed or Generator (``repro.utils.prng.default_rng``).
-R003  Every ``ShmArena``/``SharedMemory``/``ResultSlabs`` creation
-      must be lexically paired with a ``close``/``unlink`` path (or a
-      ``with`` block) in its enclosing function/class/module;
-      importing raw ``multiprocessing.shared_memory`` is banned
-      outside ``parallel/shm.py``.
+R003  Every ``ShmArena``/``SharedMemory`` creation must be lexically
+      paired with a ``close``/``unlink`` path (or a ``with`` block) in
+      its enclosing function/class/module; importing raw
+      ``multiprocessing.shared_memory`` is banned outside
+      ``parallel/shm.py``.
 R004  No bare ``except:`` and no ``except Exception: pass`` in
       ``resilience/`` and ``parallel/`` — swallowed failures defeat
       the supervision/transaction layers (use
@@ -313,7 +313,7 @@ class R003ShmLifecycle(LintRule):
     def on_call(self, ctx, node, chain):
         """Flag arena/segment creation with no release path in scope."""
         name = chain[-1] if chain else ""
-        if name not in ("ShmArena", "SharedMemory", "ResultSlabs"):
+        if name not in ("ShmArena", "SharedMemory"):
             return
         if ctx.with_depth > 0:
             return  # context-managed: lifecycle is structural

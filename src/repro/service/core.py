@@ -31,8 +31,8 @@ On top of the replay semantics it adds the service bookkeeping:
 
 Because the core owns one engine for its whole life, a pooled engine
 keeps its worker processes **warm across batches** — successive
-:meth:`apply_batch` calls reuse the same workers, shared-memory arena
-and result slabs with no respawn.
+:meth:`apply_batch` calls reuse the same workers, their channels and
+the shared-memory arena with no respawn.
 :meth:`transport_report` exposes the engine's cumulative result-path
 accounting for the service's observability surface.
 
@@ -179,7 +179,7 @@ class ServiceCore:
 
     def transport_report(self) -> dict:
         """The engine's cumulative result-path accounting (rounds,
-        chunks, queue/slab bytes, spills, dispatch/decode/fold seconds)
+        chunks, result bytes read, dispatch/decode/fold seconds)
         across every batch this core has applied — empty when the
         engine runs serial or exposes no report."""
         report = getattr(self.engine, "transport_report", None)

@@ -255,20 +255,22 @@ def test_default_path_runs_no_accountant_charge(monkeypatch, small_er):
 
 
 def test_pooled_round_decodes_few_frames_per_chunk(monkeypatch):
-    """An update chunk comes back as one tuple of flat columns: each
-    chunk the parent reads decodes to at most 16 arrays, however many
-    sources the chunk holds."""
-    from repro.parallel import slabs
+    """An update chunk comes back as one frame holding one tuple of
+    flat columns: the parent decodes one frame per chunk, each at most
+    16 arrays, however many sources the chunk holds."""
+    from repro.parallel import worker as _worker
 
     decoded = []
-    read = slabs.ResultSlabs.read
+    decode = _worker.decode
 
-    def spy(self, *args):
-        out = read(self, *args)
+    def spy(payload):
+        out = decode(payload)
         decoded.append(out)
         return out
 
-    monkeypatch.setattr(slabs.ResultSlabs, "read", spy)
+    # the forked workers inherit the spy too, but append to their own
+    # copies of the list
+    monkeypatch.setattr(_worker, "decode", spy)
     graph = gen.kronecker(9, 8, seed=1)
     stream = EdgeStream.churn(graph, 12, delete_fraction=0.35, seed=2)
     oracle = DynamicBC.from_graph(graph, num_sources=32, seed=3,
@@ -282,7 +284,8 @@ def test_pooled_round_decodes_few_frames_per_chunk(monkeypatch):
         got = replay(par, stream)
         chunks = par.transport_report()["chunks"] - chunks
     assert chunks > 0 and len(decoded) == chunks
-    for out in decoded:
+    for status, out in decoded:
+        assert status == "ok"
         assert isinstance(out, tuple) and len(out) <= 16
         assert all(isinstance(col, np.ndarray) for col in out)
     assert [r.per_source_seconds.tolist() for r in got.reports] == [

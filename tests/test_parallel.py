@@ -178,6 +178,45 @@ class TestBitIdentity:
 
 
 # ----------------------------------------------------------------------
+# Result frames of any size
+# ----------------------------------------------------------------------
+def test_deletion_with_large_result_frames(monkeypatch):
+    """Deleting a leaf's edge from a tree of n = 65,536 vertices leaves
+    the leaf unreachable from every other source, so every row is
+    rebuilt and ships whole (32 B per vertex): each chunk's result
+    frame is larger than 8 MiB, dozens of socket buffers.  The pooled
+    engine matches its serial twin bit for bit with no respawn, and
+    every result byte the parent reads is counted."""
+    from repro.parallel import worker as _worker
+
+    frames = []
+    decode = _worker.decode
+
+    def spy(payload):
+        frames.append(_worker.PREFIX.size + len(payload))
+        return decode(payload)
+
+    monkeypatch.setattr(_worker, "decode", spy)
+    graph = gen.preferential_attachment(1 << 16, m=1, seed=1)
+    u = int(np.flatnonzero(np.diff(graph.row_offsets) == 1)[0])
+    v = int(graph.col_indices[graph.row_offsets[u]])
+    serial = DynamicBC.from_graph(DynamicGraph.from_csr(graph),
+                                  num_sources=12, seed=1)
+    with DynamicBC.from_graph(DynamicGraph.from_csr(graph), num_sources=12,
+                              seed=1, workers=2) as par:
+        before = par.transport_report()
+        frames.clear()
+        report = par.delete_edge(u, v)
+        after = par.transport_report()
+        assert par.health_report()["respawns"] == 0
+        assert reports_identical(serial.delete_edge(u, v), report)
+        assert_states_equal(serial, par)
+    assert after["chunks"] - before["chunks"] == len(frames) == 2
+    assert min(frames) > 8 << 20
+    assert after["queue_bytes"] - before["queue_bytes"] == sum(frames)
+
+
+# ----------------------------------------------------------------------
 # Checkpoint / resume
 # ----------------------------------------------------------------------
 def test_checkpoint_resume_workers4_matches_uninterrupted_serial(

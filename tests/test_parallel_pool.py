@@ -8,18 +8,16 @@ this module pins the contracts of each layer in isolation.
 """
 
 import os
+import socket
 import threading
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.bc.engine import split_round
 from repro.parallel import (
-    ResultSlabs,
     ShmArena,
     ShmAttachment,
-    SlabWriter,
     SupervisedPool,
     WorkerPool,
     WorkerTaskError,
@@ -28,6 +26,7 @@ from repro.parallel import (
     shm_available,
 )
 from repro.parallel import worker as _worker
+from repro.parallel.worker import Channel
 from repro.gpu.counters import Step
 
 
@@ -192,19 +191,14 @@ class TestWorkerPool:
             assert pool.run("ping", {}, [{"items": [1]}]) == [[1]]
 
     def test_unencodable_result_raises_task_error(self, monkeypatch):
-        # A result pickle cannot carry raises in post_result before
-        # anything is queued or staged...
-        posted = []
-        with ResultSlabs(1) as result_slabs:
-            writer = SlabWriter(result_slabs.spec(), worker_id=0)
-            try:
-                with pytest.raises(TypeError, match="pickle"):
-                    _worker.post_result(SimpleNamespace(put=posted.append),
-                                        writer, 1, 0, threading.Lock())
-                assert writer.write(1, b"x") == (0, 1)
-            finally:
-                writer.close()
-        assert posted == []
+        # A result pickle cannot carry raises in post_result before a
+        # byte is sent...
+        a, b = socket.socketpair()
+        with a, b:
+            with pytest.raises(TypeError, match="pickle"):
+                _worker.post_result(Channel(a), "ok", threading.Lock())
+            b.setblocking(False)
+            assert Channel(b).read() is None
         # ...and in a worker it is the task's error (the forked workers
         # inherit the patched handler table).
         monkeypatch.setitem(_worker._HANDLERS, "lock",

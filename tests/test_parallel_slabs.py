@@ -1,30 +1,24 @@
-"""Result-slab transport: frame round-trips and prefix checks,
-spill/overflow, and the parent/worker slab lifecycle."""
+"""The channels' wire format: frame round-trips over a socket pair,
+the prefix checks, and non-blocking ends that move a frame in pieces."""
 
+import socket
 import threading
 
 import numpy as np
 import pytest
 
 from repro.gpu.counters import Step
-from repro.parallel.shm import shm_available
-from repro.parallel.slabs import (
-    MAGIC,
-    ResultSlabs,
-    SlabWriter,
-    decode,
-    encode,
-)
+from repro.parallel.worker import MAGIC, Channel, decode, encode
 
 
 def roundtrip(obj):
-    """Frame to private bytes and decode back (the spill path)."""
-    return decode(encode(obj))
+    """Send *obj* as one frame over a socket pair and read it back."""
+    a, b = socket.socketpair()
+    with a, b:
+        Channel(a).write(encode(obj))
+        return decode(Channel(b).read())
 
 
-# ----------------------------------------------------------------------
-# Frame round-trips: every result shape a task returns
-# ----------------------------------------------------------------------
 class TestFraming:
     @pytest.mark.parametrize("obj", [
         None, True, False, 0, 1, -1, 2**62, -(2**62), 0.0, -3.25,
@@ -57,7 +51,7 @@ class TestFraming:
         assert np.array_equal(out, arr)
 
     def test_mixed_result_payload(self):
-        # The shape an update chunk posts: one tuple of flat columns
+        # The shape an update chunk returns: one tuple of flat columns
         # (row ids, per-row seconds, a stage matrix, counters, a stats
         # matrix, CSR-packed write-sets).
         payload = (
@@ -77,48 +71,39 @@ class TestFraming:
             assert np.array_equal(got, want)
 
     def test_decoded_arrays_own_their_memory(self):
-        # The parent owns what it decodes: zeroing the frame's bytes
-        # afterwards (a worker reusing its slab row) changes nothing.
-        buf = bytearray(encode(np.arange(8, dtype=np.int64)))
-        out = decode(buf)
-        assert not np.shares_memory(out, np.frombuffer(buf, np.uint8))
-        buf[12:] = bytes(len(buf) - 12)
+        # The parent owns what it decodes: zeroing the payload buffer
+        # afterwards changes nothing.
+        a, b = socket.socketpair()
+        with a, b:
+            Channel(a).write(encode(np.arange(8, dtype=np.int64)))
+            payload = Channel(b).read()
+        out = decode(payload)
+        assert not np.shares_memory(out, np.frombuffer(payload, np.uint8))
+        payload[:] = bytes(len(payload))
         assert np.array_equal(out, np.arange(8))
 
-    def test_encode_into_matches_encode(self):
-        # Spill bytes and slab bytes are one frame, so one decoder
-        # serves both paths: the private bytes staged mid-buffer (a
-        # slab row at the writer's cursor, which is not padded to any
-        # alignment) decode exactly as they do on their own.
-        obj = ("trace", np.arange(5, dtype=np.float64), [1, None])
-        private = encode(obj)
-        assert encode(obj) == private
-        buf = bytearray(4096)
-        start = 13
-        buf[start:start + len(private)] = private
-        for got in (decode(buf, start, len(private)), decode(private)):
-            assert got[0] == obj[0]
-            assert got[1].dtype == obj[1].dtype
-            assert np.array_equal(got[1], obj[1])
-            assert got[2] == obj[2]
-
-    @pytest.mark.skipif(not shm_available(), reason="POSIX shm unavailable")
-    def test_encode_into_returns_none_when_full(self):
-        # A frame the rest of the row cannot hold is refused whole:
-        # write returns None (the caller spills) and not one byte of
-        # it lands past the frames already staged.
-        with ResultSlabs(1, slab_bytes=4096) as slabs:
-            writer = SlabWriter(slabs.spec(), worker_id=0)
-            try:
-                small = encode("staged")
-                assert writer.write(0, small) == (0, len(small))
-                big = encode(np.arange(1024, dtype=np.int64))  # 8 KiB
-                assert writer.write(0, big) is None
-                row = slabs._arena.get("result_slab")[0]
-                assert row[:len(small)].tobytes() == small
-                assert not row[len(small):].any()
-            finally:
-                writer.close()
+    def test_nonblocking_ends_move_a_frame_in_pieces(self):
+        # A frame several socket buffers long, between two
+        # non-blocking ends: the writer sends what the socket takes,
+        # the reader returns None on every partial frame, and the
+        # frame arrives whole.
+        want = np.arange(1 << 17, dtype=np.int64)  # 1 MiB
+        a, b = socket.socketpair()
+        with a, b:
+            a.setblocking(False)
+            b.setblocking(False)
+            writer, reader = Channel(a), Channel(b)
+            writer.write(encode(want))
+            assert writer.sending
+            partial = 0
+            payload = reader.read()
+            while payload is None:
+                partial += 1
+                writer.flush()
+                payload = reader.read()
+            assert partial > 0 and not writer.sending
+            assert np.array_equal(decode(payload), want)
+            assert reader.read() is None  # nothing past the frame
 
     def test_unencodable_types_raise(self):
         # pickle decides what a result may hold; what it cannot carry
@@ -129,100 +114,30 @@ class TestFraming:
     def test_bad_magic_rejected(self):
         blob = bytearray(encode(42))
         blob[0] ^= 0xFF
-        with pytest.raises(ValueError, match="magic"):
-            decode(blob)
+        a, b = socket.socketpair()
+        with a, b:
+            a.sendall(blob)
+            with pytest.raises(ValueError, match="magic"):
+                Channel(b).read()
 
     def test_length_mismatch_rejected(self):
-        blob = encode([1, 2, 3])
-        with pytest.raises(ValueError, match="length mismatch"):
-            decode(blob, length=len(blob) + 8)
-        assert decode(blob, length=len(blob)) == [1, 2, 3]
-        with pytest.raises(ValueError, match="truncated"):
-            decode(blob[:-1])
+        # A frame is read at exactly its announced length, so frames
+        # sent back to back come apart; a peer that closes mid-frame
+        # leaves a truncated frame, never a short result.
+        a, b = socket.socketpair()
+        with a, b:
+            a.sendall(encode([1, 2, 3]) + encode("next")[:-1])
+            a.shutdown(socket.SHUT_WR)
+            reader = Channel(b)
+            assert decode(reader.read()) == [1, 2, 3]
+            with pytest.raises(EOFError, match="truncated"):
+                reader.read()
+        a, b = socket.socketpair()
+        with a, b:
+            a.sendall(encode(None)[:5])
+            a.shutdown(socket.SHUT_WR)
+            with pytest.raises(EOFError, match="truncated"):
+                Channel(b).read()
 
     def test_magic_constant(self):
         assert MAGIC == 0x534C4142  # "SLAB"
-
-
-# ----------------------------------------------------------------------
-# ResultSlabs / SlabWriter lifecycle
-# ----------------------------------------------------------------------
-@pytest.mark.skipif(not shm_available(), reason="POSIX shm unavailable")
-class TestResultSlabs:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ResultSlabs(0)
-        with pytest.raises(ValueError):
-            ResultSlabs(2, slab_bytes=16)
-
-    def test_write_read_roundtrip(self):
-        with ResultSlabs(2, slab_bytes=65536) as slabs:
-            writer = SlabWriter(slabs.spec(), worker_id=1)
-            try:
-                obj = (np.arange(32, dtype=np.float64), "chunk", 7)
-                frame = encode(obj)
-                ref = writer.write(0, frame)
-                assert ref is not None
-                offset, length = ref
-                # one frame for both paths: the slab holds exactly the
-                # bytes a spill would carry
-                row = slabs._arena.get("result_slab")[1]
-                assert row[offset:offset + length].tobytes() == frame
-                out = slabs.read(1, offset, length)
-                assert np.array_equal(out[0], obj[0])
-                assert out[1:] == obj[1:]
-                # the parent owns its results: the next round's write
-                # over the same bytes leaves them intact
-                assert writer.write(1, encode(np.zeros(32)))[0] == offset
-                assert np.array_equal(out[0], obj[0])
-            finally:
-                writer.close()
-
-    def test_cursor_advances_within_round_resets_on_new_round(self):
-        with ResultSlabs(1, slab_bytes=65536) as slabs:
-            writer = SlabWriter(slabs.spec(), worker_id=0)
-            try:
-                off_a, _ = writer.write(5, encode([1]))
-                off_b, _ = writer.write(5, encode([2]))
-                assert off_b > off_a  # bump within the round
-                off_c, len_c = writer.write(6, encode([3]))
-                assert off_c == off_a  # new round resets the cursor
-                assert slabs.read(0, off_c, len_c) == [3]
-            finally:
-                writer.close()
-
-    def test_overflow_returns_none_for_spill(self):
-        with ResultSlabs(1, slab_bytes=4096) as slabs:
-            writer = SlabWriter(slabs.spec(), worker_id=0)
-            try:
-                big = np.zeros(4096, dtype=np.float64)  # 32 KiB > slab
-                assert writer.write(0, encode(big)) is None
-                # The slab remains usable for fitting results, up to
-                # its last byte and not one past it.
-                small = encode("small")
-                assert writer.write(0, small) == (0, len(small))
-                rest = 4096 - len(small)
-                assert writer.write(0, bytes(rest + 1)) is None
-                assert writer.write(0, bytes(rest)) == (len(small), rest)
-            finally:
-                writer.close()
-
-    def test_read_bounds_checked(self):
-        with ResultSlabs(1, slab_bytes=4096) as slabs:
-            with pytest.raises(ValueError):
-                slabs.read(1, 0, 8)  # worker out of range
-            with pytest.raises(ValueError):
-                slabs.read(0, 4090, 64)  # ref past the row end
-
-    def test_rows_are_private_per_worker(self):
-        with ResultSlabs(2, slab_bytes=4096) as slabs:
-            w0 = SlabWriter(slabs.spec(), worker_id=0)
-            w1 = SlabWriter(slabs.spec(), worker_id=1)
-            try:
-                r0 = w0.write(0, encode("worker-zero"))
-                r1 = w1.write(0, encode("worker-one"))
-                assert slabs.read(0, *r0) == "worker-zero"
-                assert slabs.read(1, *r1) == "worker-one"
-            finally:
-                w0.close()
-                w1.close()

@@ -101,30 +101,26 @@ class TestDetection:
     def test_externally_sigstopped_worker_mid_chunk(self):
         # Freeze a live worker from the outside while it busy-sleeps
         # on a chunk — the closest harness analogue of a production
-        # hang that no cooperative check can see.  The trigger watches
-        # the heartbeat block for a worker that has demonstrably picked
-        # up a chunk (HB_TASK_START goes nonzero) instead of sleeping a
-        # fixed 0.2s and hoping the pipeline lined up — freezing an
-        # *idle* worker would never trip hung detection and the
-        # counts below would flake.
-        from repro.parallel import worker as _worker
-
+        # hang that no cooperative check can see.  The trigger waits
+        # for the parent's chunk table to show a worker holding a
+        # chunk; a chunk sent to a worker stays with it, so the frozen
+        # worker's chunk cannot finish elsewhere and the hang is always
+        # detected.
         from tests.conftest import wait_until
 
         with SupervisedPool(2, policy=FAST) as pool:
-            hb = pool._pool._heartbeat
+            raw = pool._pool
 
             def busy_worker():
-                for j in range(2):
-                    base = _worker.HB_SLOTS * j
-                    if hb[base + _worker.HB_TASK_START] > 0.0:
+                for j, held in enumerate(raw._held):
+                    if held is not None:
                         return j + 1  # 1-based so 0 stays falsy
                 return 0
 
             def freeze_first_busy():
                 j = wait_until(busy_worker, timeout=10.0,
-                               message="a worker to pick up a chunk") - 1
-                os.kill(pool._pool._procs[j].pid, signal.SIGSTOP)
+                               message="a worker to hold a chunk") - 1
+                os.kill(raw._procs[j].pid, signal.SIGSTOP)
 
             trigger = threading.Thread(target=freeze_first_busy, daemon=True)
             trigger.start()
@@ -133,9 +129,54 @@ class TestDetection:
                 outs = pool.run("sleep", {}, payloads, serial=serial_ping)
             finally:
                 trigger.join(timeout=30.0)
+            assert not trigger.is_alive()
             assert outs == [[0], [1]]
             assert pool.counts["hung"] >= 1
             assert pool.counts["kills"] >= 1
+
+    def test_worker_stopped_mid_frame_is_detected(self, monkeypatch):
+        # A worker that writes half of a result frame several channel
+        # buffers long and then freezes must not leave the parent
+        # waiting on the rest: the heartbeat check kills it.  Every
+        # attempt freezes the same way (respawned workers fork with the
+        # patch), so quarantine's serial retry finishes the round.
+        from repro.parallel import worker as _worker
+
+        size = 4 << 20
+
+        def stop_midway(channel, status, result):
+            frame = _worker.encode((status, result))
+            channel.sock.sendall(frame[:len(frame) // 2])
+            os.kill(os.getpid(), signal.SIGSTOP)
+
+        def blob(kind, common, payload):
+            return bytes(range(256)) * (payload["size"] // 256)
+
+        monkeypatch.setattr(_worker, "post_result", stop_midway)
+        monkeypatch.setitem(_worker._HANDLERS, "blob",
+                            lambda attachment, common, payload:
+                            blob("blob", common, payload))
+        payloads = [{"size": size}]
+        outs = []
+        with SupervisedPool(2, policy=FAST) as pool:
+            runner = threading.Thread(
+                target=lambda: outs.extend(
+                    pool.run("blob", {}, payloads, serial=blob)),
+                daemon=True)
+            runner.start()
+            runner.join(timeout=60.0)
+            blocked = runner.is_alive()
+            if blocked:
+                # free the parent so the test fails instead of hanging:
+                # workers forked from now on reply at once
+                monkeypatch.undo()
+                for proc in pool._pool._procs:
+                    proc.kill()
+                runner.join(timeout=60.0)
+            assert not blocked, "parent blocked on a partial frame"
+            assert outs == [blob("blob", {}, p) for p in payloads]
+            assert pool.counts["hung"] >= 1
+            assert pool.counts["quarantined"] == 1
 
     def test_crashed_worker_round_is_retried(self):
         with SupervisedPool(2, policy=FAST) as pool:

@@ -139,23 +139,6 @@ class TestR003:
                "        arena.close()\n")
         assert lint_at(src, PARALLEL_PATH) == []
 
-    def test_fires_on_unpaired_result_slabs(self):
-        # The PR-8 result-slab block is shm like any other: allocation
-        # without a lexical release path is a leak hazard.
-        src = ("def leak(workers):\n"
-               "    slabs = ResultSlabs(workers)\n"
-               "    return slabs.spec()\n")
-        assert rules_of(lint_at(src, PARALLEL_PATH)) == ["R003"]
-
-    def test_silent_when_result_slabs_paired(self):
-        src = ("def ok(workers):\n"
-               "    slabs = ResultSlabs(workers)\n"
-               "    try:\n"
-               "        return slabs.spec()\n"
-               "    finally:\n"
-               "        slabs.close()\n")
-        assert lint_at(src, PARALLEL_PATH) == []
-
     def test_silent_when_paired_across_methods(self):
         # The engine pattern: creation in one method, release in a
         # sibling — the widening search must reach the class body.
