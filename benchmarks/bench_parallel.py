@@ -20,9 +20,10 @@ worker count, and
   wall-clock-subtraction estimate, which went *negative* on noisy
   hosts (−0.148 s/event was recorded once) because serial and parallel
   replays see different cache/turbo conditions,
-* checks that each round was cut into at most one chunk per worker
-  (``chunks <= workers * rounds``: one contiguous share of the active
-  sources per worker), and
+* checks that each round sent at most one chunk per forked worker
+  (``chunks <= (workers - 1) * rounds``: one contiguous share of the
+  active sources per worker, of which the parent computes the first
+  itself and sends none), and
 * records the sweep — including per-width ``parallel_efficiency``
   (speedup / workers) — in ``BENCH_parallel.json`` at the repo root.
 
@@ -95,8 +96,8 @@ def _run_sweep_point(graph, workers, seed):
 
 
 def _queue_bytes_per_round(report):
-    """Result bytes read from the workers' channels per dispatched
-    round (0 when the engine never went parallel)."""
+    """Result bytes read from the forked workers' channels per round
+    (0 when the engine never went parallel)."""
     rounds = report.get("rounds", 0)
     if not rounds:
         return 0.0
@@ -152,12 +153,13 @@ def test_parallel_sweep(benchmark, bench_config, save_artifact, record_bench):
             "bit_identical": True,
         }
         # The round shape: one contiguous share of the round's
-        # sources per worker, never more.
+        # sources per worker, never more; the parent computes the
+        # first share, so only the others are sent.
         chunks, rounds = tr_w.get("chunks", 0), tr_w.get("rounds", 0)
         assert chunks > 0, f"workers={w} never went parallel"
-        assert chunks <= w * rounds, (
-            f"workers={w} dispatched {chunks} chunks for {rounds} "
-            f"rounds (at most {w} per round)"
+        assert chunks <= (w - 1) * rounds, (
+            f"workers={w} sent {chunks} chunks for {rounds} rounds "
+            f"(at most {w - 1} per round)"
         )
 
     cores = available_cores()

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict
 
 import numpy as np
-from scipy import stats as sp_stats
 
 
 def top_k_overlap(approx: np.ndarray, exact: np.ndarray, k: int = 10) -> float:
@@ -38,7 +37,9 @@ def kendall_tau_topk(approx: np.ndarray, exact: np.ndarray, k: int = 0) -> float
         approx, exact = approx[idx], exact[idx]
     if approx.size < 2 or np.allclose(exact, exact[0]):
         return 1.0
-    tau, _ = sp_stats.kendalltau(approx, exact)
+    from scipy import stats  # deferred: importing scipy.stats is heavy
+
+    tau, _ = stats.kendalltau(approx, exact)
     return float(tau) if tau == tau else 0.0  # NaN -> 0
 
 

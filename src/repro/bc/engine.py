@@ -209,8 +209,9 @@ class DynamicBC:
         #: coarse-grained source parallelism: a supervised worker pool
         #: sharing the CSR arrays and state rows — the CPU analogue of
         #: the paper's one-source-per-SM decomposition (docs/MODEL.md,
-        #: "Parallel execution").  ``1`` runs serially; every reported
-        #: artifact is bit-identical either way.
+        #: "Parallel execution"), in which the parent computes one of
+        #: the N shares and forks N - 1 workers.  ``1`` runs serially;
+        #: every reported artifact is bit-identical either way.
         self.workers = max(1, int(workers))
         #: heartbeat, respawn, quarantine and ladder tuning of the pool
         self.supervisor_policy = supervisor_policy
@@ -653,22 +654,22 @@ class DynamicBC:
         self._release_parallel()
 
     def _pool_run(self, kind: str, common: dict, items: List) -> List:
-        """Dispatch one round of *items* through the engine's pool, one
-        contiguous share per worker (:func:`split_round`), with the
-        in-parent executor the supervisor falls back to.  Every round
+        """Run one round of *items* through the engine's pool, one
+        contiguous share per worker (:func:`split_round`): the parent
+        computes share 0 itself (:meth:`_serial_chunk`) while the
+        ``workers - 1`` forked workers compute the rest.  Every round
         is retry-safe as it stands: ``update`` workers write no state,
         and the other kinds only read rows or rewrite them whole."""
         payloads = [{"items": share}
-                    for share in split_round(items, self._pool.workers)]
-        return self._pool.run(kind, common, payloads,
-                              serial=self._serial_chunk)
+                    for share in split_round(items, self.workers)]
+        return self._pool.run(kind, common, payloads, self._serial_chunk)
 
     def _serial_chunk(self, kind: str, common: dict, payload: dict):
-        """Execute one worker chunk in the parent process (quarantine
-        retry / the ladder's serial rung): the exact worker handler
-        runs against the arena's parent-side views — the same bytes
-        the workers map — so results are bit-identical to pool
-        execution."""
+        """Execute one chunk in the parent process (the parent's own
+        share of every round, a quarantine retry, or the ladder's
+        serial rung): the exact worker handler runs against the
+        arena's parent-side views — the same bytes the workers map —
+        so results are bit-identical to pool execution."""
         from types import SimpleNamespace
 
         from repro.parallel import worker as _worker_mod
@@ -680,9 +681,10 @@ class DynamicBC:
     def health_report(self) -> Dict:
         """Operator-facing supervision snapshot: execution mode
         (``"processes"`` with a live pool, else ``"serial"``) plus —
-        with a live pool — the ladder level, live worker count and
-        every supervision counter (kills, respawns, quarantines,
-        demotions, promotions...)."""
+        with a live pool — the ladder level, the number of live forked
+        workers (``workers - 1`` when healthy) and every supervision
+        counter (kills, respawns, quarantines, demotions,
+        promotions...)."""
         pool = self._pool
         report: Dict = {
             "workers": self.workers,
@@ -696,12 +698,12 @@ class DynamicBC:
         return report
 
     def transport_report(self) -> Dict:
-        """Result-path economics of the live pool: rounds/chunks
-        dispatched, result bytes read from the workers' channels
-        (``queue_bytes``, whole frames), and the parent's
-        dispatch/decode/fold seconds — the direct dispatch+reduction
-        overhead measurement the benchmarks record (no more negative
-        overhead-by-subtraction).  Empty when running serially."""
+        """Result-path economics of the live pool: rounds run, chunks
+        sent to the forked workers (the parent's own share is not one),
+        result bytes read from their channels (``queue_bytes``, whole
+        frames), and the parent's dispatch/decode/fold seconds — the
+        direct dispatch+reduction overhead measurement the benchmarks
+        record.  Empty when running serially."""
         pool = self._pool
         if pool is None:
             return {}

@@ -6,7 +6,9 @@ worker executes whole sources against shared-memory state
 (``DynamicBC(workers=N)``; see docs/MODEL.md, "Parallel execution").
 The engine cuts every round into one contiguous share of the sources
 per worker (:func:`repro.bc.engine.split_round`), as each SM loops
-over a fixed share of them; the pool only runs the chunks it is given.
+over a fixed share of them.  The parent is worker 0: it computes the
+first share itself while ``workers - 1`` forked processes compute the
+rest, as the host takes a share in the paper's heterogeneous split.
 
 Modules
 -------
@@ -19,10 +21,10 @@ pool
     the worker sends back its result, and the parent reads every
     channel without blocking.
 supervisor
-    :class:`SupervisedPool` — the one collect loop: heartbeat
-    monitoring, hung-worker SIGKILL, bounded respawn with backoff,
-    poisoned-chunk quarantine, and the full-pool → shrunk-pool →
-    serial degradation ladder.
+    :class:`SupervisedPool` — the parent's share and the one collect
+    loop: heartbeat monitoring, hung-worker SIGKILL, bounded respawn
+    with backoff, poisoned-chunk quarantine, and the pool → serial
+    degradation ladder.
 reducer
     :func:`merge_indexed` / :func:`rebuild_trace` — deterministic
     (source-order) reduction of worker results.

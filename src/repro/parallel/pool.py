@@ -1,16 +1,18 @@
-"""The worker pool: N long-lived processes, one private channel each.
+"""The worker pool: forked processes, one private channel each.
 
 A *round* is one list of chunk payloads of one task kind.  Every worker
 owns one duplex channel to the parent, a ``socket.socketpair``
 (:class:`~repro.parallel.worker.Channel`): the parent writes a chunk
 to it as one frame and the worker writes back one frame, its result.
-The engine cuts a round into at most one contiguous chunk per
-requested worker (:func:`repro.bc.engine.split_round`): at full
-strength chunk *j* goes to worker *j*, the fixed share per SM that
-``schedule_blocks`` models; on a shrunk pool the next pending chunk
-goes to whichever worker has just returned one.  The parent keeps the
-table of which chunk each worker holds and since when, so it can
-blame a failure on the right chunk without asking the worker.
+The engine cuts a round into at most one contiguous share per worker
+(:func:`repro.bc.engine.split_round`), the fixed share per SM that
+``schedule_blocks`` models; the parent computes the first share itself
+(:class:`~repro.parallel.supervisor.SupervisedPool`), so
+``DynamicBC(workers=N)`` forks ``N - 1`` processes and a round sends
+chunk *j* to process *j*, never more chunks than processes.  The
+parent keeps the table of which worker holds a chunk and since when,
+so it can blame a failure on the right chunk without asking the
+worker.
 
 The parent reads every channel without blocking: :meth:`WorkerPool.poll`
 waits on all of them at once and reads what each holds into one buffer
@@ -37,9 +39,8 @@ import multiprocessing as mp
 import select
 import socket
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.parallel import worker as _worker
 
@@ -56,13 +57,14 @@ class WorkerTaskError(ParallelExecutionError):
 #: seconds between liveness polls while waiting on the channels
 _POLL_SECONDS = 0.05
 
-#: default seconds granted per process per teardown-escalation stage
-DEFAULT_JOIN_TIMEOUT = 2.0
+#: seconds a graceful close waits for the workers to leave their loops
+#: before it SIGKILLs the rest, and the bound on reaping a killed one
+JOIN_TIMEOUT = 2.0
 
 #: zeroed transport-stats template (:meth:`WorkerPool.transport_stats`)
 _STATS_ZERO = {
     "rounds": 0,  #: rounds dispatched
-    "chunks": 0,  #: chunks dispatched
+    "chunks": 0,  #: chunks sent to the workers
     "queue_bytes": 0,  #: result bytes read from the channels
     "dispatch_seconds": 0.0,  #: parent time encoding and sending chunks
     "decode_seconds": 0.0,  #: parent time decoding result frames
@@ -86,23 +88,15 @@ class WorkerStatus:
 
 
 class WorkerPool:
-    """N worker processes, each on its own channel to the parent."""
+    """*processes* worker processes, each on its own channel to the
+    parent."""
 
-    def __init__(
-        self,
-        workers: int,
-        join_timeout: float = DEFAULT_JOIN_TIMEOUT,
-        heartbeat_interval: float = 0.0,
-    ) -> None:
-        if workers < 2:
-            raise ValueError(f"WorkerPool needs >= 2 workers, got {workers}")
-        if join_timeout <= 0:
-            raise ValueError(f"join_timeout must be > 0, got {join_timeout}")
-        self.workers = int(workers)
-        #: seconds granted per worker per stage of the teardown
-        #: escalation; each stage that times out hands the worker to
-        #: the next, harder one
-        self.join_timeout = float(join_timeout)
+    def __init__(self, processes: int,
+                 heartbeat_interval: float = 0.0) -> None:
+        if processes < 1:
+            raise ValueError(
+                f"WorkerPool needs >= 1 process, got {processes}")
+        self.processes = int(processes)
         #: heartbeat stamp period for the workers (0 disables the
         #: heartbeat slots entirely)
         self.heartbeat_interval = float(heartbeat_interval)
@@ -113,10 +107,8 @@ class WorkerPool:
         self._ctx = mp.get_context(self.start_method)
         self._procs: List[Any] = []
         self._channels: List[Optional[_worker.Channel]] = []
-        #: per worker, the (chunk id, monotonic send time) it holds
-        self._held: List[Optional[Tuple[int, float]]] = []
-        self._task: Tuple[str, dict, List[dict]] = ("", {}, [])
-        self._pending: Deque[int] = deque()
+        #: per worker, the monotonic time its chunk was sent (None: idle)
+        self._sent: List[Optional[float]] = []
         self._heartbeat: Any = None
         self._stats: Dict[str, float] = dict(_STATS_ZERO)
         self._spawn()
@@ -126,10 +118,10 @@ class WorkerPool:
         if self.heartbeat_interval > 0:
             # every worker's beat slot starts fresh
             self._heartbeat = self._ctx.Array(
-                "d", [time.monotonic()] * self.workers, lock=False
+                "d", [time.monotonic()] * self.processes, lock=False
             )
-        self._held = [None] * self.workers
-        for j in range(self.workers):
+        self._sent = [None] * self.processes
+        for j in range(self.processes):
             ours, theirs = socket.socketpair()
             ours.setblocking(False)
             self._channels.append(_worker.Channel(ours))
@@ -147,39 +139,35 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def start_round(self, kind: str, common: dict,
                     payloads: List[dict]) -> None:
-        """Send a round's first chunks, chunk *j* to worker *j*; the
-        rest wait until a worker returns one.  The caller collects the
+        """Send chunk *j* to worker *j* (at most one chunk per worker)
+        and enter it in the chunk table.  The caller collects the
         replies via :meth:`poll`."""
-        if not self._procs:
+        if payloads and not self._procs:
             self._spawn()
-        self._task = (kind, common, payloads)
-        self._pending = deque(range(len(payloads)))
         self._stats["rounds"] += 1
         self._stats["chunks"] += len(payloads)
-        for j in range(min(self.workers, len(payloads))):
-            self._dispatch(j)
-
-    def _dispatch(self, j: int) -> None:
-        """Send worker *j* the round's next pending chunk and enter it
-        in the chunk table."""
         start = time.perf_counter()
-        chunk_id = self._pending.popleft()
-        self._held[j] = (chunk_id, time.monotonic())
-        kind, common, payloads = self._task
-        channel = self._channels[j]
-        if channel is not None:
-            try:
-                channel.write(_worker.encode((kind, common,
-                                              payloads[chunk_id])))
-            except OSError:  # the worker is gone
-                self._drop(j)
+        for j, payload in enumerate(payloads):
+            self._sent[j] = time.monotonic()
+            channel = self._channels[j]
+            if channel is not None:
+                try:
+                    channel.write(_worker.encode((kind, common, payload)))
+                except OSError:  # the worker is gone
+                    self._drop(j)
         self._stats["dispatch_seconds"] += time.perf_counter() - start
+
+    @property
+    def sending(self) -> bool:
+        """Is part of some chunk still unsent (a frame longer than its
+        socket's buffer, finished by later polls)?"""
+        return any(c is not None and c.sending for c in self._channels)
 
     def poll(self, timeout: float = _POLL_SECONDS) -> List[tuple]:
         """Wait up to *timeout* seconds on every open channel, move
         what each one holds without blocking, and return the
-        ``(chunk_id, status, result)`` replies it completed.  A worker
-        that returns one gets the round's next pending chunk."""
+        ``(chunk_id, status, result)`` replies it completed (chunk *j*
+        is worker *j*'s)."""
         poller = select.poll()
         workers = {}
         for j, channel in enumerate(self._channels):
@@ -203,11 +191,8 @@ class WorkerPool:
             start = time.perf_counter()
             status, result = _worker.decode(payload)
             self._stats["decode_seconds"] += time.perf_counter() - start
-            chunk_id = self._held[j][0]
-            self._held[j] = None
-            replies.append((chunk_id, status, result))
-            if self._pending:
-                self._dispatch(j)
+            self._sent[j] = None
+            replies.append((j, status, result))
         return replies
 
     def _drop(self, j: int) -> None:
@@ -230,9 +215,8 @@ class WorkerPool:
         if self._heartbeat is not None:
             beat_age = max(0.0, now - self._heartbeat[j])
         chunk_id, busy = -1, 0.0
-        if self._held[j] is not None:
-            chunk_id, sent = self._held[j]
-            busy = max(0.0, now - sent)
+        if self._sent[j] is not None:
+            chunk_id, busy = j, max(0.0, now - self._sent[j])
         return WorkerStatus(
             worker=j,
             alive=self._channels[j] is not None and self._procs[j].is_alive(),
@@ -248,16 +232,11 @@ class WorkerPool:
         proc = self._procs[j]
         if proc.is_alive():
             proc.kill()
-        proc.join(timeout=self.join_timeout)
+        proc.join(timeout=JOIN_TIMEOUT)
 
-    def respawn(self, workers: Optional[int] = None) -> None:
-        """Tear the pool down (non-graceful) and bring up a fresh one,
-        optionally resized to *workers* workers."""
+    def respawn(self) -> None:
+        """Tear the pool down (non-graceful) and bring up a fresh one."""
         self._teardown(graceful=False)
-        if workers is not None:
-            if workers < 2:
-                raise ValueError(f"WorkerPool needs >= 2 workers, got {workers}")
-            self.workers = int(workers)
         self._spawn()
 
     def close(self) -> None:
@@ -273,24 +252,21 @@ class WorkerPool:
                 with contextlib.suppress(OSError):  # the worker is gone
                     channel.sock.shutdown(socket.SHUT_RDWR)
                 channel.sock.close()
-        # Escalation ladder: (graceful) join -> terminate -> kill, each
-        # stage bounded by join_timeout.  The final SIGKILL+join always
-        # reaps — even a SIGSTOPped worker, which ignores SIGTERM but
-        # cannot survive SIGKILL — so no zombie outlives a teardown.
-        deadline = time.monotonic() + self.join_timeout
+        # A graceful close lets the workers leave within JOIN_TIMEOUT;
+        # the rest, and every worker of a failed round at once, get
+        # SIGKILL: workers hold no state a gentler signal could save,
+        # and a SIGSTOPped one heeds nothing else.  The join after it
+        # reaps, so no zombie outlives a teardown.
+        deadline = time.monotonic() + JOIN_TIMEOUT
         for proc in self._procs:
             if graceful:
                 proc.join(timeout=max(0.0, deadline - time.monotonic()))
             if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=self.join_timeout)
-            if proc.is_alive():
                 proc.kill()
-                proc.join(timeout=self.join_timeout)
+                proc.join(timeout=JOIN_TIMEOUT)
         self._procs = []
         self._channels = []
-        self._held = []
-        self._pending.clear()
+        self._sent = []
         self._heartbeat = None
 
     def __enter__(self) -> "WorkerPool":
@@ -301,6 +277,6 @@ class WorkerPool:
 
     def __repr__(self) -> str:
         return (
-            f"WorkerPool(workers={self.workers}, "
+            f"WorkerPool(processes={self.processes}, "
             f"alive={sum(p.is_alive() for p in self._procs)})"
         )

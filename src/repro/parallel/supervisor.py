@@ -6,6 +6,16 @@ collect loop and wraps it with the machinery a long-running streaming
 service needs, because workers die (crash, OOM kill) and — worse —
 *hang* (SIGSTOPped, deadlocked, or spinning):
 
+**The parent's share.**  A pool of ``workers=N`` forks ``N - 1``
+processes.  Of a round's (at most ``N``) chunks the parent sends
+chunks ``1..N-1``, one per forked worker, computes chunk 0 itself with
+the caller's in-parent executor, and then collects — the host taking
+its share, as in the paper's heterogeneous CPU+GPU split
+(``repro.bc.hybrid``).  An exception in the parent's chunk is the
+caller's own failure, not the pool's: the round is torn down and the
+exception propagates as it is, with no quarantine, escalation or
+ladder step counted.
+
 **Detection.**  Every worker stamps a heartbeat into a lock-free shared
 array (:mod:`repro.parallel.worker`); the supervisor's collect loop
 ages those stamps against its own clock.  A worker whose beat is older
@@ -16,16 +26,18 @@ worker that keeps beating but has held one chunk longer than
 ``chunk_deadline`` has a runaway chunk.  Both are SIGKILLed — the only
 signal a stopped process cannot ignore.  A dead worker (crash, OOM
 kill) closes its channel, which the pool reads as EOF, and is caught
-by liveness polling besides.  The pool's chunk table names the chunk
-each culprit held.
+by liveness polling besides.  The collect loop starts once the parent
+has computed its own chunk, so a failure is noticed only after that.
+The pool's chunk table names the chunk each culprit held.
 
-**Recovery.**  A failed round tears the pool down (a worker may still
-hold a chunk of it, and no reply of that round may reach the retry),
-respawns after an exponential backoff, and re-runs the round.  Nothing
-needs restoring first: an update round's workers write no state (the
-engine commits their results), and a Brandes build, recompute or
-repair rewrites each of its rows whole, so re-executing a chunk is
-bit-identical to the first attempt.
+**Recovery.**  A failed round SIGKILLs every worker at once (a worker
+may still hold a chunk of it, no reply of that round may reach the
+retry, and no worker holds state worth a gentler signal), respawns
+after an exponential backoff, and re-sends the forked chunks that did
+not finish.  Nothing needs restoring first: an update round's
+workers write no state (the engine commits their results), and a
+Brandes build, recompute or repair rewrites each of its rows whole, so
+re-executing a chunk is bit-identical to the first attempt.
 
 **Quarantine.**  A chunk whose execution has killed
 ``poison_threshold`` workers is poisoned: it is pulled out of pool
@@ -34,19 +46,19 @@ shared arrays — bit-identical).  If even that fails, the chunk
 escalates as :class:`ChunkEscalated`; the engine's transaction rolls
 the update back and the guard layer takes over (repair/recompute).
 
-**Degradation ladder.**  ``full-pool -> shrunk-pool -> serial`` (and,
-beyond the pool, the guard's recompute).  Exhausting the respawn
-budget demotes one rung; a configurable streak of healthy rounds
-promotes back up, through a ping probe when leaving serial.  Every
-transition and every detection is recorded as a :class:`HealthEvent`
-(drained by the engine into the guard-event log and
-``DynamicBC.health_report()``).
+**Degradation ladder.**  ``pool -> serial`` (and, beyond the pool, the
+guard's recompute).  Exhausting the respawn budget demotes to serial,
+where the parent computes every chunk; a configurable streak of
+healthy rounds promotes back, through a ping probe of every forked
+worker.  Every transition and every detection is recorded as a
+:class:`HealthEvent` (drained by the engine into the guard-event log
+and ``DynamicBC.health_report()``).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.parallel.pool import (
@@ -57,12 +69,11 @@ from repro.parallel.pool import (
 )
 from repro.parallel import worker as _worker
 
-#: ladder rungs, healthiest first (the fourth rung — guarded
+#: ladder rungs, healthiest first (the third rung — guarded
 #: recompute — lives outside the pool, in repro.resilience.guards)
-FULL_POOL = "full-pool"
-SHRUNK_POOL = "shrunk-pool"
+POOL = "pool"
 SERIAL = "serial"
-LADDER = (FULL_POOL, SHRUNK_POOL, SERIAL)
+LADDER = (POOL, SERIAL)
 
 
 class ChunkEscalated(ParallelExecutionError):
@@ -86,9 +97,11 @@ class SupervisorPolicy:
     chunk_deadline:
         Wall-clock budget for one chunk; a worker that keeps beating
         but exceeds it is treated as hung (runaway compute loop).
+        Like every detection, it is checked only once the parent has
+        computed its own chunk of the round.
     max_respawns:
         Pool respawn+retry attempts per :meth:`SupervisedPool.run`
-        before demoting one ladder rung.
+        before demoting to the serial rung.
     backoff_base / backoff_max:
         Exponential respawn backoff: attempt *a* sleeps
         ``min(backoff_base * 2**(a-1), backoff_max)`` seconds.
@@ -96,10 +109,8 @@ class SupervisorPolicy:
         Worker deaths attributable to one chunk before it is
         quarantined and retried serially in the parent.
     promote_after:
-        Consecutive healthy rounds at a degraded rung before probing /
-        promoting one rung up.
-    min_workers:
-        Floor of the shrunk pool (``max(min_workers, workers // 2)``).
+        Consecutive healthy rounds at the serial rung before probing
+        the pool and promoting back.
     """
 
     heartbeat_interval: float = 0.25
@@ -110,7 +121,6 @@ class SupervisorPolicy:
     backoff_max: float = 1.0
     poison_threshold: int = 2
     promote_after: int = 8
-    min_workers: int = 2
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0:
@@ -138,10 +148,6 @@ class SupervisorPolicy:
         if self.promote_after < 1:
             raise ValueError(
                 f"promote_after must be >= 1, got {self.promote_after}"
-            )
-        if self.min_workers < 2:
-            raise ValueError(
-                f"min_workers must be >= 2, got {self.min_workers}"
             )
 
     @property
@@ -179,27 +185,22 @@ class _RoundFailure(Exception):
 
 
 class SupervisedPool:
-    """A :class:`~repro.parallel.pool.WorkerPool` under heartbeat
-    supervision — the engine's only pool.
+    """A :class:`~repro.parallel.pool.WorkerPool` of ``workers - 1``
+    processes under heartbeat supervision, with the parent as worker 0
+    — the engine's only pool.
 
     :meth:`run` executes one round and returns chunk results in
     payload order, surviving crashes and hangs via monitored rounds,
     bounded respawn, quarantine and the degradation ladder (module
-    docstring).  The optional ``serial`` callback executes a chunk in
-    the parent process, which the supervisor itself cannot do.
+    docstring).
     """
 
-    def __init__(
-        self,
-        workers: int,
-        policy: Optional[SupervisorPolicy] = None,
-        join_timeout: float = 2.0,
-    ) -> None:
+    def __init__(self, workers: int,
+                 policy: Optional[SupervisorPolicy] = None) -> None:
         self.policy = policy or SupervisorPolicy()
-        #: the pool size the caller asked for (chunk planning uses
-        #: this even while degraded, keeping chunk shapes stable)
-        self.requested_workers = int(workers)
-        self.level = FULL_POOL
+        #: chunks per round: the parent's and one per forked worker
+        self.workers = int(workers)
+        self.level = POOL
         self.events: List[HealthEvent] = []
         self.counts: Dict[str, int] = {
             "kills": 0, "deaths": 0, "hung": 0, "timeouts": 0,
@@ -212,20 +213,13 @@ class SupervisedPool:
         self._drained = 0
         self._armed: Dict[str, List[int]] = {}  # key -> [chunks, rounds]
         self._pool = WorkerPool(
-            workers,
-            join_timeout=join_timeout,
+            self.workers - 1,
             heartbeat_interval=self.policy.heartbeat_interval,
         )
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def workers(self) -> int:
-        """Requested pool width (stable across ladder levels so chunk
-        planning — and therefore results — never depends on health)."""
-        return self.requested_workers
-
     def transport_stats(self) -> Dict[str, Any]:
         """The underlying pool's result-transport accounting."""
         return self._pool.transport_stats()
@@ -238,12 +232,11 @@ class SupervisedPool:
         return new
 
     def health_report(self) -> Dict[str, Any]:
-        """Operator-facing snapshot: ladder level, live workers, and
-        every supervision counter."""
+        """Operator-facing snapshot: ladder level, live forked workers,
+        and every supervision counter."""
         report: Dict[str, Any] = {
             "level": self.level,
             "ladder": list(LADDER),
-            "requested_workers": self.requested_workers,
             "live_workers": sum(
                 p.is_alive() for p in self._pool._procs
             ),
@@ -257,9 +250,11 @@ class SupervisedPool:
     # Fault arming (chaos harness hooks)
     # ------------------------------------------------------------------
     def arm_crash(self, chunks: int = 1, rounds: int = 1) -> None:
-        """For the next *rounds* dispatched pool rounds (retries
-        included), the first *chunks* pending chunks kill their
-        worker mid-task (``os._exit``)."""
+        """For the next *rounds* pool rounds that send chunks to the
+        forked workers (retries included), the first *chunks* forked
+        chunks kill their worker mid-task (``os._exit``).  The
+        parent's own chunk is never marked, and a round of one chunk,
+        which the parent computes alone, consumes no round."""
         self._arm(_worker.CRASH_KEY, chunks, rounds)
 
     def arm_stall(self, chunks: int = 1, rounds: int = 1) -> None:
@@ -284,66 +279,85 @@ class SupervisedPool:
         kind: str,
         common: dict,
         payloads: List[dict],
-        *,
-        serial: Optional[Callable[[str, dict, dict], Any]] = None,
+        local: Callable[[str, dict, dict], Any],
     ) -> List[Any]:
-        """Execute one round under supervision; results in payload
-        order, bit-identical to a serial run.  Every chunk must be
-        safe to re-execute as it stands (module docstring).
+        """Execute one round of at most :attr:`workers` chunks under
+        supervision; results in payload order, bit-identical to a
+        serial run.  Every chunk must be safe to re-execute as it
+        stands (module docstring).
 
-        ``serial`` executes one chunk in the parent (quarantine and the
-        serial ladder rung).
+        ``local(kind, common, payload)`` executes one chunk in the
+        parent: chunk 0, the parent's own share, which it computes
+        while the forked workers compute chunks ``1..``; quarantined
+        chunks; and, at the serial rung, every chunk.  An exception in
+        the parent's share propagates as it is, once the round is torn
+        down.
         """
         if not payloads:
             return []
+        if len(payloads) > self.workers:
+            raise ValueError(f"{len(payloads)} chunks for a pool of "
+                             f"{self.workers} workers")
         self._maybe_promote()
         results: List[Any] = [None] * len(payloads)
         done = [False] * len(payloads)
+
+        def own() -> None:
+            results[0] = local(kind, common, payloads[0])
+            done[0] = True
+
         strikes: Dict[int, int] = {}
         quarantined: Set[int] = set()
         attempts = 0
         while self.level != SERIAL:
-            pending = [
-                i for i in range(len(payloads))
+            forked = [
+                i for i in range(1, len(payloads))
                 if not done[i] and i not in quarantined
             ]
-            if not pending:
+            if done[0] and not forked:
                 break
-            marked = self._mark_faults([payloads[i] for i in pending])
+            marked = self._mark_faults([payloads[i] for i in forked])
+            replies: Dict[int, Any] = {}
+            failure = None
             try:
-                outputs = self._round(kind, common, marked)
+                self._round(kind, common, marked, None if done[0] else own,
+                            replies)
             except WorkerTaskError:
                 # A handler bug is deterministic: retrying cannot help
                 # and the pool is not unhealthy.  Respawn (the round
                 # tore the pool down) and let the caller handle it.
-                self._respawn_pool(self._level_size())
+                self._respawn_pool()
                 self._emit("task-error", detail=f"kind={kind}")
                 raise
             except _RoundFailure as fail:
-                self._absorb_failure(fail, kind, pending, strikes,
-                                     quarantined)
-                attempts += 1
-                if attempts > self.policy.max_respawns:
-                    self._demote()
-                    attempts = 0
-                if self.level != SERIAL:
-                    self._backoff(attempts)
-                    self._respawn_pool(self._level_size())
+                failure = fail
+            # worker j returned forked chunk j; a failed round keeps the
+            # results it got, so only unfinished chunks are re-sent
+            for j, out in replies.items():
+                results[forked[j]] = out
+                done[forked[j]] = True
+            if failure is None:
+                self.healthy_rounds += 1
                 continue
-            for i, out in zip(pending, outputs):
-                results[i] = out
-                done[i] = True
-            self.healthy_rounds += 1
-        # Serial leg: quarantined chunks, plus everything when the
-        # ladder sits at its serial rung.
-        leftovers = [i for i in range(len(payloads)) if not done[i]]
-        for i in leftovers:
+            self._absorb_failure(failure, kind, forked, strikes, quarantined)
+            attempts += 1
+            if attempts > self.policy.max_respawns:
+                self._demote()
+                attempts = 0
+            if self.level != SERIAL:
+                self._backoff(attempts)
+                self._respawn_pool()
+        # Serial leg: the parent's share if no pool round ran it, then
+        # quarantined chunks, plus every chunk at the serial rung.
+        if not done[0]:
+            own()
+        for i in range(1, len(payloads)):
+            if done[i]:
+                continue
             self.counts["serial_retries"] += 1
             self._emit("serial-retry", chunk=i, detail=f"kind={kind}")
             try:
-                if serial is None:
-                    raise RuntimeError("no serial executor provided")
-                results[i] = serial(kind, common, payloads[i])
+                results[i] = local(kind, common, payloads[i])
             except Exception as exc:
                 self.counts["escalations"] += 1
                 self._emit("escalate", chunk=i,
@@ -352,42 +366,48 @@ class SupervisedPool:
                     f"chunk {i} (kind={kind!r}) failed its serial retry: "
                     f"{exc}"
                 ) from exc
-            done[i] = True
-        if leftovers and self.level == SERIAL:
+        if self.level == SERIAL:
             self.healthy_rounds += 1
         return results
 
-    def _round(self, kind: str, common: dict,
-               payloads: List[dict]) -> List[Any]:
-        """One monitored pool round; raises :class:`_RoundFailure` on
-        any death/hang/deadline (hung workers already SIGKILLed) and
-        :class:`WorkerTaskError` on a remote exception.  A round that
-        does not finish tears the pool down: its workers may still hold
-        chunks, and no reply of theirs may reach a later round."""
+    def _round(self, kind: str, common: dict, payloads: List[dict],
+               own: Optional[Callable[[], None]],
+               replies: Dict[int, Any]) -> None:
+        """One monitored pool round: send chunk *j* to worker *j*, run
+        *own* (the parent's share, if any) once every chunk is sent,
+        then collect worker *j*'s result into ``replies[j]``.  Raises
+        :class:`_RoundFailure` on any death/hang/deadline (hung workers
+        already SIGKILLed), with the results collected so far left in
+        *replies*, and :class:`WorkerTaskError` on a remote exception.
+        A round that does not finish — *own* raising included — tears
+        the pool down: its workers may still hold chunks, and no reply
+        of theirs may reach a later round."""
         pool = self._pool
-        outputs: dict = {}
         try:
-            pool.start_round(kind, common, payloads)
-            while len(outputs) < len(payloads):
-                replies = pool.poll(_POLL_SECONDS)
-                for chunk_id, status, result in replies:
+            try:
+                pool.start_round(kind, common, payloads)
+            except OSError as exc:  # the pool could not be started
+                raise _RoundFailure([], f"dispatch failed: {exc}") from exc
+            while own is not None or len(replies) < len(payloads):
+                if own is not None and not pool.sending:
+                    own()
+                    own = None
+                    continue
+                got = pool.poll(_POLL_SECONDS)
+                for j, status, result in got:
                     if status == "error":
                         raise WorkerTaskError(
-                            f"task {kind!r} chunk {chunk_id} failed in "
-                            f"worker:\n{result}"
+                            f"task {kind!r} failed in worker {j}:\n"
+                            f"{result}"
                         )
-                    outputs[chunk_id] = result
-                if not replies:
+                    replies[j] = result
+                if not got:
                     culprits = self._find_culprits()
                     if culprits:
                         raise _RoundFailure(culprits)
-        except OSError as exc:  # the pool could not be started
-            pool._teardown(graceful=False)
-            raise _RoundFailure([], f"dispatch failed: {exc}") from exc
         except BaseException:
             pool._teardown(graceful=False)
             raise
-        return [outputs[chunk_id] for chunk_id in range(len(payloads))]
 
     def _find_culprits(self) -> List[tuple]:
         """Scan worker health; SIGKILL hung ones.  Returns
@@ -420,18 +440,19 @@ class SupervisedPool:
         return culprits
 
     def _absorb_failure(
-        self, fail: _RoundFailure, kind: str, pending: List[int],
+        self, fail: _RoundFailure, kind: str, forked: List[int],
         strikes: Dict[int, int], quarantined: Set[int],
     ) -> None:
         """Record a failed round (whose pool :meth:`_round` has torn
-        down): events, strike counters, quarantine decisions."""
+        down): events, strike counters, quarantine decisions.  Worker
+        *j* held chunk ``forked[j]``."""
         if not fail.culprits:
             self._emit("worker-death", detail=fail.detail)
         for j, action, local_chunk, detail in fail.culprits:
             key = {"worker-death": "deaths", "hung-worker": "hung",
                    "chunk-timeout": "timeouts"}[action]
             self.counts[key] += 1
-            chunk = pending[local_chunk] if 0 <= local_chunk < len(pending) \
+            chunk = forked[local_chunk] if 0 <= local_chunk < len(forked) \
                 else -1
             self._emit(action, worker=j, chunk=chunk, detail=detail)
             if action in ("hung-worker", "chunk-timeout"):
@@ -452,53 +473,40 @@ class SupervisedPool:
     # ------------------------------------------------------------------
     # Ladder transitions
     # ------------------------------------------------------------------
-    def _level_size(self) -> int:
-        """Pool width for the current ladder rung."""
-        if self.level == FULL_POOL:
-            return self.requested_workers
-        return max(self.policy.min_workers, self.requested_workers // 2)
-
     def _demote(self) -> None:
-        """Step one rung down after exhausting the respawn budget."""
-        old = self.level
-        self.level = LADDER[min(LADDER.index(old) + 1, len(LADDER) - 1)]
-        if self.level == old:
-            return
+        """Drop to the serial rung after exhausting the respawn
+        budget."""
+        self.level = SERIAL
         self.healthy_rounds = 0
         self.counts["demotions"] += 1
         self._emit(
             "demote",
-            detail=(f"{old} -> {self.level} after "
+            detail=(f"{POOL} -> {SERIAL} after "
                     f"{self.policy.max_respawns} failed respawns"),
         )
 
     def _maybe_promote(self) -> None:
-        """Climb one rung after a healthy streak; leaving serial runs
-        a ping probe first (a dead platform must not flap)."""
-        if self.level == FULL_POOL:
+        """Leave the serial rung after a healthy streak, once a ping
+        probe of every forked worker succeeds (a dead platform must
+        not flap)."""
+        if self.level == POOL:
             return
         if self.healthy_rounds < self.policy.promote_after:
             return
-        target = LADDER[LADDER.index(self.level) - 1]
-        if self.level == SERIAL:
-            self.counts["probes"] += 1
-            self._emit("probe", detail="ping probe before leaving serial")
-            old_level, self.level = self.level, target
-            self._respawn_pool(self._level_size())
-            try:
-                self._round("ping", {}, [{"items": [0]}])
-            except (_RoundFailure, WorkerTaskError) as exc:
-                self.level = old_level
-                self.healthy_rounds = 0
-                self._emit("probe",
-                           detail=f"probe failed, staying serial: {exc}")
-                return
-        else:
-            old_level, self.level = self.level, target
-            self._respawn_pool(self._level_size())
+        self.counts["probes"] += 1
+        self._emit("probe", detail="ping probe before leaving serial")
+        self._respawn_pool()
+        try:
+            self._round("ping", {}, [{"items": [j]} for j in
+                                     range(self._pool.processes)], None, {})
+        except (_RoundFailure, WorkerTaskError) as exc:
+            self.healthy_rounds = 0
+            self._emit("probe", detail=f"probe failed, staying serial: {exc}")
+            return
+        self.level = POOL
         self.healthy_rounds = 0
         self.counts["promotions"] += 1
-        self._emit("promote", detail=f"{old_level} -> {self.level}")
+        self._emit("promote", detail=f"{SERIAL} -> {POOL}")
 
     def _backoff(self, attempt: int) -> None:
         """Exponential backoff before a respawn."""
@@ -509,15 +517,17 @@ class SupervisedPool:
                                          f"(attempt {attempt})")
             time.sleep(delay)
 
-    def _respawn_pool(self, size: int) -> None:
+    def _respawn_pool(self) -> None:
         self.counts["respawns"] += 1
-        self._pool.respawn(size)
-        self._emit("respawn", detail=f"{size} workers ({self.level})")
+        self._pool.respawn()
+        self._emit("respawn", detail=f"{self._pool.processes} forked "
+                                     f"workers ({self.level})")
 
     def _mark_faults(self, payloads: List[dict]) -> List[dict]:
-        """Apply armed crash/stall marks to copies of the first
-        chunk(s) and consume one armed round per key."""
-        if not self._armed:
+        """Apply armed crash/stall marks to copies of the first forked
+        chunk(s) and consume one armed round per key; a round that
+        forks nothing consumes none."""
+        if not self._armed or not payloads:
             return payloads
         out = list(payloads)
         for key in list(self._armed):
@@ -530,11 +540,10 @@ class SupervisedPool:
                 self._armed[key][1] = rounds - 1
         return out
 
-    def _emit(self, action: str, level: Optional[str] = None,
-              detail: str = "", worker: int = -1, chunk: int = -1) -> None:
+    def _emit(self, action: str, detail: str = "", worker: int = -1,
+              chunk: int = -1) -> None:
         self.events.append(HealthEvent(
-            seq=self._seq, action=action,
-            level=level if level is not None else self.level,
+            seq=self._seq, action=action, level=self.level,
             detail=detail, worker=int(worker), chunk=int(chunk),
         ))
         self._seq += 1
@@ -554,7 +563,7 @@ class SupervisedPool:
 
     def __repr__(self) -> str:
         return (
-            f"SupervisedPool(workers={self.requested_workers}, "
+            f"SupervisedPool(workers={self.workers}, "
             f"level={self.level!r}, kills={self.counts['kills']}, "
             f"respawns={self.counts['respawns']})"
         )

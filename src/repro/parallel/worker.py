@@ -7,7 +7,8 @@ one duplex channel to the parent (a ``socket.socketpair``; see
 indices — the worker's whole share of the round, as the engine cuts
 one chunk per worker — against the shared-memory arena
 (:mod:`repro.parallel.shm`), and the worker writes back one frame of
-``(status, result)`` (:func:`post_result`).
+``(status, result)`` (:func:`post_result`).  The parent runs the same
+handlers on its own share of every round (:func:`run_task`).
 
 Division of labour with the parent (the determinism contract):
 
@@ -237,11 +238,12 @@ def worker_main(sock, worker_id: int, heartbeat,
 def run_task(attachment, kind: str, common: dict, payload: dict):
     """Execute one task *in the calling process* (no channel round-trip).
 
-    This is the supervisor's serial-retry primitive: the parent runs
-    the exact handler a worker would have run, against an attachment
-    shim whose ``arrays`` are the arena's parent-side views — the same
-    bytes the workers see — so the result (and every row a build or
-    repair writes) is bit-identical to pool execution.
+    This is how the parent computes its own share of every round, a
+    quarantined chunk, or every chunk at the serial rung: it runs the
+    exact handler a worker would have run, against an attachment shim
+    whose ``arrays`` are the arena's parent-side views — the same bytes
+    the workers see — so the result (and every row a build or repair
+    writes) is bit-identical to pool execution.
     """
     return _HANDLERS[kind](attachment, common, payload)
 

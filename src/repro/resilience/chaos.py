@@ -329,8 +329,9 @@ def run_chaos(
         try:
             pool = eng_p._ensure_pool()
             if pool is not None:
-                # Round 1 of the first dispatched update crashes the
-                # chunk's worker; the retry round stalls it (SIGSTOP).
+                # Round 1 of the first update that forks work crashes
+                # the worker of its first forked chunk; the retry round
+                # stalls it (SIGSTOP).
                 # Two strikes quarantine the chunk, so one armed pair
                 # walks the whole recovery path: death detection, hung
                 # detection + SIGKILL, respawn, quarantine, in-parent

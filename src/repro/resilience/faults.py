@@ -110,8 +110,9 @@ class FaultInjector:
         restores the engine) when it fires.
 
         On an engine with a live worker pool (``workers > 1``) the trap
-        instead kills the worker that picks up the next update's first
-        chunk — the pool-era equivalent of dying mid-batch.  The two
+        instead kills the forked worker that gets the next pool round's
+        first forked chunk (the parent computes the round's first share
+        itself) — the pool-era equivalent of dying mid-batch.  The two
         flavours end differently: the serial trap surfaces as a
         rolled-back :class:`~repro.resilience.errors.UpdateError`,
         while the pool's supervisor respawns the worker and retries
@@ -146,9 +147,10 @@ class FaultInjector:
         self.log.append(f"arm_update_fault after_sources={after_sources}")
 
     def arm_update_stall(self, engine, chunks: int = 1, rounds: int = 1) -> None:
-        """One-shot trap: a worker picking up the next update's first
-        chunk(s) freezes (``SIGSTOP``) instead of crashing — the hang
-        the supervisor's heartbeat deadline must catch and SIGKILL.
+        """One-shot trap: the forked worker(s) getting the next pool
+        round's first forked chunk(s) freeze (``SIGSTOP``) instead of
+        crashing — the hang the supervisor's heartbeat deadline must
+        catch and SIGKILL.
 
         On a pooled engine this arms the pool's stall marks directly.
         On a serial engine it degrades to the mid-kernel

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.bc.accuracy import kendall_tau_topk, ranking_metrics, top_k_overlap
 from repro.bc.brandes import brandes_bc
 from repro.graph import generators as gen
@@ -66,3 +71,17 @@ class TestRankingMetrics:
             overlaps.append(top_k_overlap(approx, exact, k=10))
         assert overlaps[-1] >= overlaps[0]
         assert overlaps[-1] == 1.0  # all sources == exact
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.cli"])
+def test_import_loads_no_scipy(module):
+    """SciPy is imported only where a metric needs it: a fresh
+    interpreter (and every worker forked from one) loads none of it."""
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -46,8 +46,9 @@ def assert_states_equal(a, b):
 
 
 def active_insert_edge(engine):
-    """A non-edge whose insertion has at least one non-Case-1 source
-    (guaranteeing the update actually dispatches to the pool)."""
+    """A non-edge whose insertion has at least two non-Case-1 sources
+    (guaranteeing the update sends a share to a forked worker; the
+    parent computes the first share itself)."""
     snap = engine.graph.snapshot()
     n = snap.num_vertices
     for u in range(n):
@@ -55,7 +56,7 @@ def active_insert_edge(engine):
             if engine.graph.has_edge(u, v):
                 continue
             cases, _, _ = classify_insertions_batch(engine.state.d, u, v)
-            if np.any(cases != int(Case.SAME_LEVEL)):
+            if np.count_nonzero(cases != int(Case.SAME_LEVEL)) >= 2:
                 return u, v
     raise AssertionError("no active insertion found")
 
@@ -115,8 +116,10 @@ class TestBitIdentity:
         assert cnt_s == cnt_p
 
     def test_round_is_one_share_per_worker(self, er_graph, workers):
-        """Every update round is cut into min(workers, active) chunks,
-        one contiguous share per worker (transport_report() counts)."""
+        """Every update round is cut into min(workers, active) shares,
+        one contiguous share per worker; the parent computes the first
+        and sends the rest, one per forked worker (transport_report()
+        counts the rounds and the chunks sent)."""
         dyn = DynamicGraph.from_csr(er_graph)
         stream = EdgeStream.removal_reinsertion(dyn, 8, seed=5)
         with DynamicBC.from_graph(dyn, num_sources=K, seed=SEED,
@@ -129,7 +132,7 @@ class TestBitIdentity:
         rounds = after["rounds"] - before["rounds"]
         chunks = after["chunks"] - before["chunks"]
         assert rounds == sum(a > 0 for a in active) > 0
-        assert chunks == sum(min(workers, a) for a in active)
+        assert chunks == sum(min(workers, a) - 1 for a in active if a)
 
     def test_add_vertex_triggers_readoption(self, er_graph, workers):
         serial, par = build_pair(er_graph, workers)
@@ -183,10 +186,10 @@ class TestBitIdentity:
 def test_deletion_with_large_result_frames(monkeypatch):
     """Deleting a leaf's edge from a tree of n = 65,536 vertices leaves
     the leaf unreachable from every other source, so every row is
-    rebuilt and ships whole (32 B per vertex): each chunk's result
-    frame is larger than 8 MiB, dozens of socket buffers.  The pooled
-    engine matches its serial twin bit for bit with no respawn, and
-    every result byte the parent reads is counted."""
+    rebuilt and ships whole (32 B per vertex): the forked worker's
+    result frame is larger than 8 MiB, dozens of socket buffers.  The
+    pooled engine matches its serial twin bit for bit with no respawn,
+    and every result byte the parent reads is counted."""
     from repro.parallel import worker as _worker
 
     frames = []
@@ -211,7 +214,7 @@ def test_deletion_with_large_result_frames(monkeypatch):
         assert par.health_report()["respawns"] == 0
         assert reports_identical(serial.delete_edge(u, v), report)
         assert_states_equal(serial, par)
-    assert after["chunks"] - before["chunks"] == len(frames) == 2
+    assert after["chunks"] - before["chunks"] == len(frames) == 1
     assert min(frames) > 8 << 20
     assert after["queue_bytes"] - before["queue_bytes"] == sum(frames)
 
@@ -272,8 +275,13 @@ class TestWorkerCrash:
                 par.state.delta.copy(), par.state.bc.copy(), par.counters,
             )
             par._ensure_pool().arm_crash(rounds=2)
+            run_chunk = par._serial_chunk
+            calls = []
 
             def failing_retry(kind, common, payload):
+                calls.append(payload)
+                if len(calls) == 1:  # the parent's own share
+                    return run_chunk(kind, common, payload)
                 raise RuntimeError("in-parent retry failed")
 
             monkeypatch.setattr(par, "_serial_chunk", failing_retry)
@@ -302,6 +310,54 @@ class TestWorkerCrash:
             par.verify()
         finally:
             par.close()
+
+    def test_parent_share_failure_is_an_ordinary_update_failure(self,
+                                                                karate):
+        # The parent computes the first share of every round itself.  An
+        # exception there (a corrupt row failing its own update) is the
+        # update's failure, not the pool's: the round is torn down, the
+        # update rolls back as an UpdateError naming its row, exactly as
+        # on the serial twin, supervision counts nothing, and the next
+        # update runs through the pool again.
+        from repro.resilience import CorruptRowError
+
+        clean = DynamicBC.from_graph(karate, num_sources=8, seed=1)
+        with DynamicBC.from_graph(karate, num_sources=8, seed=1,
+                                  workers=2) as par:
+            pool = par._ensure_pool()
+            for eng in (clean, par):
+                eng.state.d[0, 0] += 1  # row 0 leads the parent's share
+            before = (par.state.d.copy(), par.state.sigma.copy(),
+                      par.state.delta.copy(), par.state.bc.copy(),
+                      par.counters)
+            sent = par.transport_report()["chunks"]
+            for eng in (clean, par):
+                with pytest.raises(UpdateError) as info:
+                    eng.delete_edge(0, 2)
+                assert isinstance(info.value.cause, CorruptRowError)
+                assert info.value.source_index == 0
+                assert info.value.rolled_back
+            # a forked share was in flight, and its worker is gone
+            assert par.transport_report()["chunks"] == sent + 1
+            assert not pool._pool._procs
+            assert par.graph.has_edge(0, 2)
+            for name, old in zip(("d", "sigma", "delta", "bc"), before):
+                assert np.array_equal(getattr(par.state, name), old), name
+            assert par.counters == before[-1]
+            health = par.health_report()
+            for key in ("deaths", "hung", "quarantined", "serial_retries",
+                        "escalations", "demotions"):
+                assert health[key] == 0, key
+            assert health["level"] == "pool"
+
+            for eng in (clean, par):
+                eng.repair_source(0)
+            sent = par.transport_report()["chunks"]
+            assert reports_identical(clean.delete_edge(0, 2),
+                                     par.delete_edge(0, 2))
+            assert_states_equal(clean, par)
+            assert par.transport_report()["chunks"] == sent + 1
+            assert par.health_report()["live_workers"] == 1
 
     def test_injector_arms_pool_crash(self, er_graph):
         # The supervisor respawns the worker and retries the round (the
@@ -432,6 +488,22 @@ class TestResolve:
         monkeypatch.setattr("repro.bc.engine.shm_available", lambda: False)
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             assert resolved() == "serial"
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_parent_is_worker_zero(er_graph, workers):
+    """workers=N forks N - 1 processes: the parent computes the first
+    share of every round itself."""
+    import multiprocessing as mp
+
+    before = set(mp.active_children())
+    with DynamicBC.from_graph(DynamicGraph.from_csr(er_graph),
+                              num_sources=K, seed=SEED,
+                              workers=workers) as engine:
+        forked = set(mp.active_children()) - before
+        assert len(forked) == workers - 1
+        assert engine.health_report()["live_workers"] == workers - 1
+    assert not set(mp.active_children()) & forked
 
 
 class TestWarmPool:

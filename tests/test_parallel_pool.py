@@ -25,9 +25,15 @@ from repro.parallel import (
     rebuild_trace,
     shm_available,
 )
+from repro.parallel import pool as _pool
 from repro.parallel import worker as _worker
 from repro.parallel.worker import Channel
 from repro.gpu.counters import Step
+
+
+def in_parent(kind, common, payload):
+    """The parent's share of a test round: the handler a worker runs."""
+    return _worker.run_task(None, kind, common, payload)
 
 
 # ----------------------------------------------------------------------
@@ -177,18 +183,21 @@ class TestLeakGuard:
 @pytest.mark.skipif(not shm_available(), reason="POSIX shm unavailable")
 class TestWorkerPool:
     def test_ping_returns_chunks_in_payload_order(self):
-        with SupervisedPool(2) as pool:
-            payloads = [{"items": [i, i + 1]} for i in range(0, 10, 2)]
-            outs = pool.run("ping", {}, payloads)
-            assert outs == [[i, i + 1] for i in range(0, 10, 2)]
+        with SupervisedPool(3) as pool:
+            payloads = [{"items": [i, i + 1]} for i in range(0, 6, 2)]
+            outs = pool.run("ping", {}, payloads, in_parent)
+            assert outs == [[i, i + 1] for i in range(0, 6, 2)]
 
     def test_task_error_carries_remote_traceback(self):
         with SupervisedPool(2) as pool:
             with pytest.raises(WorkerTaskError) as info:
-                pool.run("no-such-kind", {}, [{"items": []}])
+                pool.run("no-such-kind", {}, [{"items": []}] * 2,
+                         lambda kind, common, payload: None)
             assert "KeyError" in str(info.value)
             # The pool respawned: the next round must still work.
-            assert pool.run("ping", {}, [{"items": [1]}]) == [[1]]
+            outs = pool.run("ping", {}, [{"items": [0]}, {"items": [1]}],
+                            in_parent)
+            assert outs == [[0], [1]]
 
     def test_unencodable_result_raises_task_error(self, monkeypatch):
         # A result pickle cannot carry raises in post_result before a
@@ -206,24 +215,26 @@ class TestWorkerPool:
                             threading.Lock())
         with SupervisedPool(2) as pool:
             with pytest.raises(WorkerTaskError, match="cannot pickle"):
-                pool.run("lock", {}, [{"items": []}])
-            assert pool.run("ping", {}, [{"items": [1]}]) == [[1]]
+                pool.run("lock", {}, [{"items": []}] * 2, in_parent)
+            outs = pool.run("ping", {}, [{"items": [0]}, {"items": [1]}],
+                            in_parent)
+            assert outs == [[0], [1]]
 
     def test_close_idempotent_and_rejects_tiny_pool(self):
-        pool = WorkerPool(2)
+        pool = WorkerPool(1)
         pool.close()
         pool.close()
         with pytest.raises(ValueError):
-            WorkerPool(1)
+            WorkerPool(0)
 
     def test_empty_round_short_circuits(self):
         with SupervisedPool(2) as pool:
-            assert pool.run("ping", {}, []) == []
+            assert pool.run("ping", {}, [], in_parent) == []
             assert pool.transport_stats()["rounds"] == 0
 
 
 # ----------------------------------------------------------------------
-# Teardown escalation (join -> terminate -> kill), no zombies
+# Teardown (a graceful join, then SIGKILL), no zombies
 # ----------------------------------------------------------------------
 def _assert_reaped(pid):
     """The process must be gone or at least not a zombie (a zombie
@@ -238,23 +249,16 @@ def _assert_reaped(pid):
 
 @pytest.mark.skipif(not shm_available(), reason="POSIX shm unavailable")
 class TestTeardown:
-    def test_join_timeout_is_configurable_and_validated(self):
-        with pytest.raises(ValueError):
-            WorkerPool(2, join_timeout=0.0)
-        with pytest.raises(ValueError):
-            WorkerPool(2, join_timeout=-1.0)
-        pool = WorkerPool(2, join_timeout=0.5)
-        assert pool.join_timeout == 0.5
-        pool.close()
-
-    def test_close_escalates_to_sigkill_for_stopped_workers(self):
+    def test_close_escalates_to_sigkill_for_stopped_workers(self,
+                                                            monkeypatch):
         import os
         import signal
         import time
 
-        # SIGSTOPped workers ignore the sentinel and SIGTERM alike;
-        # close() must walk the whole escalation and still reap them.
-        pool = WorkerPool(2, join_timeout=0.3)
+        # SIGSTOPped workers ignore the shut-down channel; close() must
+        # SIGKILL them once the graceful deadline passes, and reap them.
+        monkeypatch.setattr(_pool, "JOIN_TIMEOUT", 0.3)
+        pool = WorkerPool(2)
         pids = [p.pid for p in pool._procs]
         for pid in pids:
             os.kill(pid, signal.SIGSTOP)
@@ -263,31 +267,33 @@ class TestTeardown:
         elapsed = time.monotonic() - start
         for pid in pids:
             _assert_reaped(pid)
-        # Bounded: one graceful deadline + one terminate deadline,
-        # plus slack — never the historical infinite join.
-        assert elapsed < 10.0
+        # Bounded: one graceful deadline, then the kills, plus slack —
+        # never the historical infinite join.
+        assert elapsed < 5.0
 
     def test_kill_worker_reaps_and_respawn_restores_service(self):
-        with SupervisedPool(2, join_timeout=0.5) as pool:
+        with SupervisedPool(2) as pool:
             raw = pool._pool
             victim = raw._procs[0].pid
             raw.kill_worker(0)
             _assert_reaped(victim)
             raw.respawn()
-            assert pool.run("ping", {}, [{"items": [5]}]) == [[5]]
+            outs = pool.run("ping", {}, [{"items": [5]}, {"items": [6]}],
+                            in_parent)
+            assert outs == [[5], [6]]
 
     def test_sigkilled_run_leaves_no_zombies(self):
         import os
         import signal
 
-        with SupervisedPool(2, join_timeout=0.5) as pool:
+        with SupervisedPool(2) as pool:
             pids = [p.pid for p in pool._pool._procs]
             os.kill(pids[0], signal.SIGKILL)
-            # The survivor may drain every chunk before the death is
-            # noticed, or the supervisor may fail the round, respawn
-            # and retry it — either way the round completes and
-            # close() must reap everything.
-            outs = pool.run("ping", {}, [{"items": [0]}, {"items": [1]}])
+            # The forked chunk goes to the dead worker: the supervisor
+            # fails the round, respawns and retries it; the round
+            # completes and close() must reap everything.
+            outs = pool.run("ping", {}, [{"items": [0]}, {"items": [1]}],
+                            in_parent)
             assert outs == [[0], [1]]
             pids += [p.pid for p in pool._pool._procs]
         for pid in pids:

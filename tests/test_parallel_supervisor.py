@@ -1,9 +1,9 @@
-"""Supervision subsystem: heartbeats, hung-worker kills, respawn,
-quarantine, and the degradation ladder.
+"""Supervision subsystem: the parent's own share, heartbeats,
+hung-worker kills, respawn, quarantine, and the degradation ladder.
 
 The pool-level tests drive :class:`SupervisedPool` directly with cheap
-``ping``/``sleep`` rounds; the engine-level tests prove the headline
-claim — a supervised engine hit by crashes *and* SIGSTOP hangs stays
+``ping``/``sleep`` rounds (the parent computes chunk 0 with
+:func:`serial_ping`); the engine-level tests prove the headline claim — a supervised engine hit by crashes *and* SIGSTOP hangs stays
 bit-identical to its serial twin with no permanent serial demotion.
 """
 
@@ -21,10 +21,10 @@ from repro.graph import generators as gen
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.stream import EdgeStream, replay
 from repro.parallel.shm import shm_available
+from repro.parallel.pool import JOIN_TIMEOUT
 from repro.parallel.supervisor import (
-    FULL_POOL,
+    POOL,
     SERIAL,
-    SHRUNK_POOL,
     SupervisedPool,
     SupervisorPolicy,
 )
@@ -46,7 +46,8 @@ SEED = 3
 
 
 def serial_ping(kind, common, payload):
-    """In-parent executor for ping-style chunks (quarantine/serial leg)."""
+    """In-parent executor for ping-style chunks (the parent's share,
+    quarantine and the serial rung)."""
     assert kind in ("ping", "sleep")
     return list(payload["items"])
 
@@ -75,21 +76,49 @@ class TestDetection:
         policy = SupervisorPolicy()
         assert policy.hung_deadline == 2 * policy.heartbeat_interval
 
-    def test_self_stalled_worker_is_killed_and_chunk_reassigned(self):
+    def test_self_stalled_worker_is_killed_and_chunk_reassigned(
+            self, monkeypatch):
         # The worker SIGSTOPs itself mid-chunk (a live-but-frozen
         # process): the heartbeat goes silent, the supervisor SIGKILLs
-        # it, respawns, and the round still returns every chunk.
-        with SupervisedPool(2, policy=FAST) as pool:
+        # it, respawns, and the round still returns every chunk.  The
+        # retry re-sends only the forked chunks whose results had not
+        # come back (the sibling's may or may not have); the parent's
+        # share is not redone.
+        calls, rounds = [], []
+
+        def local(kind, common, payload):
+            calls.append(payload)
+            return serial_ping(kind, common, payload)
+
+        with SupervisedPool(3, policy=FAST) as pool:
+            raw = pool._pool
+            start_round, poll = raw.start_round, raw.poll
+
+            def spy_start(kind, common, payloads):
+                rounds.append(([p["items"] for p in payloads], []))
+                return start_round(kind, common, payloads)
+
+            def spy_poll(timeout):
+                replies = poll(timeout)
+                rounds[-1][1].extend(result for _, _, result in replies)
+                return replies
+
+            monkeypatch.setattr(raw, "start_round", spy_start)
+            monkeypatch.setattr(raw, "poll", spy_poll)
             pool.arm_stall()
-            payloads = [{"items": [i]} for i in range(4)]
+            payloads = [{"items": [i]} for i in range(3)]
             start = time.monotonic()
-            outs = pool.run("ping", {}, payloads, serial=serial_ping)
+            outs = pool.run("ping", {}, payloads, local)
             elapsed = time.monotonic() - start
-            assert outs == [[i] for i in range(4)]
+            assert outs == [[i] for i in range(3)]
+            assert calls == [payloads[0]]
+            (sent, got), (resent, _) = rounds
+            assert sent == [[1], [2]] and [1] not in got
+            assert resent == [items for items in sent if items not in got]
             assert pool.counts["hung"] == 1
             assert pool.counts["kills"] == 1
             assert pool.counts["respawns"] >= 1
-            assert pool.level == FULL_POOL
+            assert pool.level == POOL
             # Detection is bounded by the hung deadline (2x heartbeat)
             # plus polling slack — nowhere near a blocking hang.
             assert elapsed < FAST.hung_deadline + 5.0
@@ -112,8 +141,8 @@ class TestDetection:
             raw = pool._pool
 
             def busy_worker():
-                for j, held in enumerate(raw._held):
-                    if held is not None:
+                for j, sent in enumerate(raw._sent):
+                    if sent is not None:
                         return j + 1  # 1-based so 0 stays falsy
                 return 0
 
@@ -126,7 +155,7 @@ class TestDetection:
             trigger.start()
             try:
                 payloads = [{"items": [i], "seconds": 1.5} for i in range(2)]
-                outs = pool.run("sleep", {}, payloads, serial=serial_ping)
+                outs = pool.run("sleep", {}, payloads, serial_ping)
             finally:
                 trigger.join(timeout=30.0)
             assert not trigger.is_alive()
@@ -139,7 +168,8 @@ class TestDetection:
         # buffers long and then freezes must not leave the parent
         # waiting on the rest: the heartbeat check kills it.  Every
         # attempt freezes the same way (respawned workers fork with the
-        # patch), so quarantine's serial retry finishes the round.
+        # patch), so quarantine's serial retry finishes the round; the
+        # parent computes chunk 0 itself.
         from repro.parallel import worker as _worker
 
         size = 4 << 20
@@ -156,12 +186,12 @@ class TestDetection:
         monkeypatch.setitem(_worker._HANDLERS, "blob",
                             lambda attachment, common, payload:
                             blob("blob", common, payload))
-        payloads = [{"size": size}]
+        payloads = [{"size": size}, {"size": size}]
         outs = []
         with SupervisedPool(2, policy=FAST) as pool:
             runner = threading.Thread(
                 target=lambda: outs.extend(
-                    pool.run("blob", {}, payloads, serial=blob)),
+                    pool.run("blob", {}, payloads, blob)),
                 daemon=True)
             runner.start()
             runner.join(timeout=60.0)
@@ -178,31 +208,100 @@ class TestDetection:
             assert pool.counts["hung"] >= 1
             assert pool.counts["quarantined"] == 1
 
+    def test_frozen_worker_of_a_failed_round_is_killed_at_once(self):
+        # One forked worker crashes while its sibling sits frozen, its
+        # heartbeat still younger than the hung deadline: the crash
+        # fails the round first.  Tearing the round down SIGKILLs the
+        # frozen worker at once (a stopped process heeds nothing else,
+        # and workers hold no state a gentler signal could save), so
+        # the retry is done well within JOIN_TIMEOUT.
+        policy = SupervisorPolicy(heartbeat_interval=0.5, backoff_base=0.01,
+                                  backoff_max=0.05)
+        with SupervisedPool(3, policy=policy) as pool:
+            frozen = pool._pool._procs[1].pid
+            os.kill(frozen, signal.SIGSTOP)
+            pool.arm_crash()
+            start = time.monotonic()
+            outs = pool.run("ping", {}, [{"items": [i]} for i in range(3)],
+                            serial_ping)
+            elapsed = time.monotonic() - start
+            assert outs == [[0], [1], [2]]
+            assert pool.counts["deaths"] == 1
+            assert pool.counts["hung"] == 0
+            assert frozen not in [p.pid for p in pool._pool._procs]
+        assert elapsed < JOIN_TIMEOUT / 2
+
     def test_crashed_worker_round_is_retried(self):
-        with SupervisedPool(2, policy=FAST) as pool:
+        with SupervisedPool(3, policy=FAST) as pool:
             pool.arm_crash()
             outs = pool.run("ping", {}, [{"items": [i]} for i in range(3)],
-                            serial=serial_ping)
+                            serial_ping)
             assert outs == [[i] for i in range(3)]
             assert pool.counts["deaths"] == 1
             assert pool.counts["quarantined"] == 0
-            assert pool.level == FULL_POOL
+            assert pool.level == POOL
 
 
 class TestQuarantine:
     def test_poisoned_chunk_retried_serially_in_parent(self):
         # The same chunk kills two workers -> quarantined, executed by
         # the parent; the other chunks still go through the pool and
-        # the pool stays at full strength.
-        with SupervisedPool(2, policy=FAST) as pool:
+        # the pool stays at its rung.
+        with SupervisedPool(3, policy=FAST) as pool:
             pool.arm_crash(chunks=1, rounds=2)
-            outs = pool.run("ping", {}, [{"items": [i]} for i in range(4)],
-                            serial=serial_ping)
-            assert outs == [[i] for i in range(4)]
+            outs = pool.run("ping", {}, [{"items": [i]} for i in range(3)],
+                            serial_ping)
+            assert outs == [[i] for i in range(3)]
             assert pool.counts["quarantined"] == 1
             assert pool.counts["serial_retries"] == 1
-            assert pool.level == FULL_POOL
+            assert pool.level == POOL
             assert pool.pending_faults() == 0
+
+
+class TestParentShare:
+    def test_pool_forks_one_process_fewer_than_its_width(self):
+        with SupervisedPool(3, policy=FAST) as pool:
+            assert pool.workers == 3
+            assert pool._pool.processes == 2
+            assert pool.health_report()["live_workers"] == 2
+            with pytest.raises(ValueError, match="4 chunks"):
+                pool.run("ping", {}, [{"items": [i]} for i in range(4)],
+                         serial_ping)
+
+    def test_marks_land_only_on_forked_chunks(self):
+        seen = []
+
+        def local(kind, common, payload):
+            seen.append(payload)
+            return serial_ping(kind, common, payload)
+
+        with SupervisedPool(3, policy=FAST) as pool:
+            pool.arm_crash(chunks=3)
+            pool.arm_stall(chunks=3)
+            outs = pool.run("ping", {}, [{"items": [i]} for i in range(3)],
+                            local)
+            assert outs == [[0], [1], [2]]
+            # the forked chunks crash their workers (a crash mark fires
+            # before a stall mark); the parent's chunk carries no mark
+            assert seen == [{"items": [0]}]
+            assert pool.counts["deaths"] >= 1
+            assert pool.counts["hung"] == 0
+            assert pool.pending_faults() == 0
+
+    def test_round_of_one_chunk_runs_in_parent_and_keeps_marks(self):
+        with SupervisedPool(2, policy=FAST) as pool:
+            pool.arm_crash()
+            assert pool.run("ping", {}, [{"items": [7]}], serial_ping) == [[7]]
+            stats = pool.transport_stats()
+            assert (stats["rounds"], stats["chunks"]) == (1, 0)
+            assert pool.pending_faults() == 1
+            assert pool.counts["deaths"] == 0
+            # the next round that forks work takes the mark
+            outs = pool.run("ping", {}, [{"items": [0]}, {"items": [1]}],
+                            serial_ping)
+            assert outs == [[0], [1]]
+            assert pool.pending_faults() == 0
+            assert pool.counts["deaths"] == 1
 
 
 class TestLadder:
@@ -210,47 +309,42 @@ class TestLadder:
         policy = SupervisorPolicy(heartbeat_interval=0.05, backoff_base=0.01,
                                   backoff_max=0.02, max_respawns=1,
                                   promote_after=2, poison_threshold=99)
-        with SupervisedPool(4, policy=policy) as pool:
-            # 4 failing rounds walk the whole ladder: 2 respawn
-            # attempts at full strength, demote, 2 at half strength,
-            # demote to serial (poison_threshold=99 keeps quarantine
-            # out of the way so it is the *ladder* that degrades).
-            pool.arm_crash(chunks=1, rounds=4)
-            outs = pool.run("ping", {}, [{"items": [i]} for i in range(4)],
-                            serial=serial_ping)
-            assert outs == [[i] for i in range(4)]
+        with SupervisedPool(3, policy=policy) as pool:
+            # 2 failing rounds exhaust the respawn budget and demote to
+            # serial (poison_threshold=99 keeps quarantine out of the
+            # way so it is the *ladder* that degrades); the parent then
+            # computes every chunk.
+            pool.arm_crash(chunks=1, rounds=2)
+            outs = pool.run("ping", {}, [{"items": [i]} for i in range(3)],
+                            serial_ping)
+            assert outs == [[i] for i in range(3)]
             assert pool.level == SERIAL
-            assert pool.counts["demotions"] == 2
+            assert pool.counts["demotions"] == 1
+            # the crashing chunk, and its sibling unless it came back
+            # before a failure was noticed
+            assert pool.counts["serial_retries"] in (1, 2)
             assert pool.pending_faults() == 0
-            ladder_walk = [e.detail for e in pool.events
-                           if e.action == "demote"]
-            assert any(FULL_POOL in d and SHRUNK_POOL in d
-                       for d in ladder_walk)
-            assert any(SHRUNK_POOL in d and SERIAL in d for d in ladder_walk)
+            assert pool.health_report()["live_workers"] == 0
 
             # Healthy (serial) runs build the promotion streak; the
-            # climb back to full strength goes through a ping probe.
+            # climb back goes through a ping of every forked worker.
+            sent = pool.transport_stats()["chunks"]
             for _ in range(policy.promote_after):
-                pool.run("ping", {}, [{"items": [0]}], serial=serial_ping)
-            pool.run("ping", {}, [{"items": [0]}], serial=serial_ping)
-            assert pool.level == SHRUNK_POOL
+                pool.run("ping", {}, [{"items": [0]}], serial_ping)
+            assert pool.level == POOL
             assert pool.counts["probes"] == 1
-            for _ in range(policy.promote_after + 1):
-                pool.run("ping", {}, [{"items": [0]}], serial=serial_ping)
-            assert pool.level == FULL_POOL
-            assert pool.counts["promotions"] == 2
-
-    def test_shrunk_pool_width_respects_floor(self):
-        policy = SupervisorPolicy(min_workers=2)
-        pool = SupervisedPool(3, policy=policy)
-        try:
-            pool.level = SHRUNK_POOL
-            assert pool._level_size() == 2
-            # Chunk planning still sees the requested width, so chunk
-            # shapes (and results) never depend on pool health.
-            assert pool.workers == 3
-        finally:
-            pool.close()
+            assert pool.counts["promotions"] == 1
+            assert pool.transport_stats()["chunks"] == sent + 2
+            walk = [(e.action, e.detail) for e in pool.events
+                    if e.action in ("demote", "probe", "promote")]
+            assert [action for action, _ in walk] == [
+                "demote", "probe", "promote"]
+            assert f"{POOL} -> {SERIAL}" in walk[0][1]
+            assert f"{SERIAL} -> {POOL}" in walk[2][1]
+            outs = pool.run("ping", {}, [{"items": [i]} for i in range(3)],
+                            serial_ping)
+            assert outs == [[i] for i in range(3)]
+            assert pool.transport_stats()["chunks"] == sent + 4
 
 
 # ----------------------------------------------------------------------
@@ -281,9 +375,9 @@ class TestEngineSupervised:
             assert pool.counts["deaths"] == 1
             assert pool.counts["hung"] == 1
             assert pool.counts["quarantined"] == 1
-            assert pool.level == FULL_POOL
+            assert pool.level == POOL
             hr = par.health_report()
-            assert hr["level"] == FULL_POOL
+            assert hr["level"] == POOL
             assert not hr["parallel_disabled"]
         finally:
             par.close()
@@ -325,6 +419,7 @@ def _active_edge(engine):
             if engine.graph.has_edge(u, v):
                 continue
             cases, _, _ = classify_insertions_batch(engine.state.d, u, v)
-            if np.any(cases != int(Case.SAME_LEVEL)):
+            # two active rows: one share for the parent, one forked
+            if np.count_nonzero(cases != int(Case.SAME_LEVEL)) >= 2:
                 return u, v
     raise AssertionError("no active insertion found")
