@@ -59,7 +59,7 @@ from repro.bc.update_core import DOWN, UNTOUCHED, UP, UpdateStats
 from repro.gpu.costmodel import CostModel, OpCosts
 from repro.gpu.counters import Trace
 from repro.gpu.ledger import CostLedger
-from repro.gpu.primitives import atomic_scatter_add
+from repro.gpu.primitives import atomic_scatter_add, unique
 from repro.graph.csr import CSRGraph
 from repro.resilience.errors import CorruptRowError
 
@@ -624,7 +624,7 @@ class _Batch:
                 if o.size:
                     atomic_scatter_add(SH, o.lh, SH[o.lt] - S[o.gt],
                                        array="sigma_hat")
-                new = _unique(raw_new)
+                new = unique(raw_new)
                 if new.size:
                     T[new] = DOWN
                 arcs += a.row_arcs()
@@ -702,12 +702,12 @@ class _Batch:
                 s = _Arcs(self, front, b)
                 heads = s.lh
                 next_level = s.rowwise(level) + 1
-                movers = _unique(heads[DN[heads] > next_level])
+                movers = unique(heads[DN[heads] > next_level])
                 if movers.size:
                     DN[movers] = level[movers // n if b is None else b] + 1
                     MV[movers] = True
                 cand = DN[heads] == next_level
-                nxt = _unique(heads[cand])
+                nxt = unique(heads[cand])
                 if nxt.size:
                     T[nxt] = DOWN
                 scan += s.row_arcs()
@@ -733,7 +733,7 @@ class _Batch:
             T, _, DH, _, _, D, S, DL = self.views(b)
             x = a.select(D[a.gh] == a.spread(D[a.gt_keys] - 1))
             x = x[T[x.lh] != DOWN]
-            new_up = _unique(x.lh[T[x.lh] == UNTOUCHED])
+            new_up = unique(x.lh[T[x.lh] == UNTOUCHED])
             if new_up.size:
                 T[new_up] = UP
                 DH[new_up] = DL[self.to_global(new_up, b)]
@@ -773,7 +773,7 @@ class _Batch:
         }
         for level in range(int(max_level.max()), 0, -1):
             parts = buckets.pop(level, [])
-            w = _unique(_concat(parts)) if parts else _EMPTY
+            w = unique(_concat(parts)) if parts else _EMPTY
             live = np.flatnonzero(max_level >= level)
             self.dep_levels[live] += 1
             arcs = np.zeros(m, dtype=np.int64)
@@ -788,7 +788,7 @@ class _Batch:
                 b = a.b
                 T, SH, DH, DN, MV, D, S, DL = self.views(b)
                 p, old = a.preds(level, case3)
-                fresh = _unique(p.lh[T[p.lh] == UNTOUCHED])
+                fresh = unique(p.lh[T[p.lh] == UNTOUCHED])
                 if fresh.size:
                     T[fresh] = UP
                     DH[fresh] = DL[self.to_global(fresh, b)]
@@ -906,19 +906,6 @@ def _holds(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """Which of *probe* the sorted, non-empty *keys* hold."""
     pos = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
     return keys[pos] == probe
-
-
-def _unique(x: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of *x*, as ``np.unique`` returns them;
-    sorting is several times faster than its hashing on the
-    few-thousand-element arrays a level produces."""
-    x = np.sort(x)
-    if x.size > 1:
-        keep = np.empty(x.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(x[1:], x[:-1], out=keep[1:])
-        x = x[keep]
-    return x
 
 
 def _concat(parts: List[np.ndarray]) -> np.ndarray:

@@ -2,7 +2,22 @@
 
 This is the exact/approximate *static* reference everything else is
 validated against, implemented as a vectorized level-synchronous
-BFS + dependency accumulation over CSR arrays.
+BFS + dependency accumulation over CSR arrays.  Every from-scratch
+state row runs it: the engine build, ``recompute()``, the deletion
+fallback, ``repair_source``, guard row checks and ``verify()``.
+
+Each BFS level is taken from its cheaper side, as in Beamer et al.'s
+direction-optimizing BFS (SC'12): top-down over the frontier's arcs,
+or, when those outnumber the arcs of the still-unvisited vertices,
+bottom-up, where each unvisited vertex keeps its arcs to the frontier
+(:func:`bottom_up` decides; tests patch it to force either side).  A
+level stores the DAG arcs it found, at most m per source, and the
+dependency stage walks them from the deepest level up instead of
+gathering and testing every arc again.  The bits do not depend on the
+direction: CSR rows are sorted and adjacency is symmetric, so σ[w]
+always adds its predecessors' σ in ascending predecessor order and
+δ[v] its successors' terms in ascending successor order, the order of
+a plain top-down pass over every arc.
 
 Conventions (matching the paper):
 
@@ -29,10 +44,17 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.gpu.primitives import atomic_scatter_add
+from repro.gpu.primitives import atomic_scatter_add, unique
 from repro.graph.csr import CSRGraph, DIST_INF
 from repro.sanitize import tracer as san
 from repro.sanitize.report import SanitizerReport
+
+
+def bottom_up(frontier_arcs: int, unvisited_arcs: int) -> bool:
+    """True when a BFS level of :func:`single_source_state` is taken
+    bottom-up: its frontier has more arcs than the still-unvisited
+    vertices.  The direction seam: tests force either side here."""
+    return frontier_arcs > unvisited_arcs
 
 
 def single_source_state(
@@ -42,8 +64,9 @@ def single_source_state(
     """Stages 1–3 of Algorithm 1 for one source.
 
     Returns ``(d, sigma, delta, levels)`` where ``levels[i]`` is the
-    BFS frontier at distance *i* (``levels[0] == [source]``) — the
-    level-bucketed equivalent of the stack ``S``.
+    BFS frontier at distance *i* (``levels[0] == [source]``, each level
+    sorted ``int32``) — the level-bucketed equivalent of the stack
+    ``S``.
 
     ``out`` — optional ``(d, sigma, delta)`` arrays (e.g. rows of the
     ``(k, n)`` state matrices) written in place and returned; callers
@@ -71,53 +94,65 @@ def single_source_state(
         delta[...] = 0.0
     d[source] = 0
     sigma[source] = 1.0
+    offsets = graph.row_offsets
 
     with san.kernel(f"sssp:{source}"):
-        # Stage 2: shortest-path calculation (level-synchronous BFS).
+        # Stage 2: shortest-path calculation (level-synchronous BFS),
+        # each level from its cheaper side; dag[i] holds the DAG arcs
+        # (pred, succ) into levels[i + 1], grouped by pred (top-down)
+        # or by succ (bottom-up), sorted either way.
         levels: List[np.ndarray] = [np.array([source], dtype=np.int32)]
+        dag: List[Tuple[np.ndarray, np.ndarray]] = []
+        unvisited = np.arange(n)  # compacted by bottom-up levels only
+        f_arcs = int(offsets[source + 1] - offsets[source])
+        u_arcs = 2 * graph.num_edges - f_arcs
         depth = 0
-        while True:
-            tails, heads = graph.frontier_arcs(levels[depth])
-            if tails.size == 0:
-                break
+        while f_arcs:
             with san.interval("sp", depth):
-                san.read("d", heads)
-                undiscovered = d[heads] == DIST_INF
-                new_nodes = np.unique(heads[undiscovered])
+                if bottom_up(f_arcs, u_arcs):
+                    # each unvisited vertex keeps its arcs to the frontier
+                    unvisited = unvisited[d[unvisited] == DIST_INF]
+                    succ, pred = graph.frontier_arcs(unvisited)
+                    san.read("d", pred)
+                    hit = np.flatnonzero(d[pred] == depth)
+                    succ, pred = succ[hit], pred[hit]
+                else:
+                    # the frontier keeps its arcs to unvisited vertices
+                    pred, succ = graph.frontier_arcs(levels[depth])
+                    san.read("d", succ)
+                    hit = np.flatnonzero(d[succ] == DIST_INF)
+                    pred, succ = pred[hit], succ[hit]
+                new_nodes = unique(succ)
                 if new_nodes.size:
                     d[new_nodes] = depth + 1
                     san.write("d", new_nodes, intent="discover")
-                on_path = d[heads] == depth + 1
-                if np.any(on_path):
-                    san.read("sigma", tails[on_path])
-                    atomic_scatter_add(
-                        sigma, heads[on_path], sigma[tails[on_path]],
-                        array="sigma",
-                    )
+                    san.read("sigma", pred)
+                    atomic_scatter_add(sigma, succ, sigma[pred],
+                                       array="sigma")
                 san.enqueue("Q", new_nodes, depth + 1, distances=d,
                             direction=1)
             if new_nodes.size == 0:
                 break
-            levels.append(new_nodes.astype(np.int32))
+            levels.append(new_nodes)
+            dag.append((pred, succ))
+            f_arcs = int((offsets[new_nodes + 1] - offsets[new_nodes]).sum())
+            u_arcs -= f_arcs
             depth += 1
 
-        # Stage 3: dependency accumulation, deepest level first.  For
-        # each DAG arc (w at depth L, predecessor v at L-1):
+        # Stage 3: dependency accumulation, deepest level first, over
+        # the stored DAG arcs (w at depth L, predecessor v at L-1):
         #   delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
         for depth in range(len(levels) - 1, 0, -1):
-            tails, heads = graph.frontier_arcs(levels[depth])
+            pred, succ = dag[depth - 1]
             with san.interval("dep", depth):
-                san.read("d", heads)
-                pred = d[heads] == depth - 1
-                pt, ph = tails[pred], heads[pred]
-                if pt.size:
-                    san.read("sigma", ph)
-                    san.read("sigma", pt)
-                    san.read("delta", pt)
-                    atomic_scatter_add(
-                        delta, ph, sigma[ph] / sigma[pt] * (1.0 + delta[pt]),
-                        array="delta",
-                    )
+                san.read("sigma", pred)
+                san.read("sigma", succ)
+                san.read("delta", succ)
+                atomic_scatter_add(
+                    delta, pred,
+                    sigma[pred] / sigma[succ] * (1.0 + delta[succ]),
+                    array="delta",
+                )
     return d, sigma, delta, levels
 
 

@@ -31,7 +31,7 @@ from repro.bc.cases import (
     classify_insertion,
     classify_insertions_batch,
 )
-from repro.bc.state import BCState
+from repro.bc.state import BCState, checked_sources
 from repro.bc.static_gpu import trace_static_source
 from repro.bc.update_core import (
     UpdateStats,
@@ -304,13 +304,10 @@ class DynamicBC:
     ) -> Optional["DynamicBC"]:
         """Initial Brandes build through the worker pool; ``None`` when
         the pool is unavailable or failed (caller falls back to the
-        serial build, which also re-raises any real input error)."""
-        src = np.asarray(sorted(int(s) for s in chosen), dtype=np.int64)
-        k, n = int(src.size), snap.num_vertices
-        if np.unique(src).size != k:
-            return None  # let BCState.compute raise its usual error
-        if k and (src[0] < 0 or src[-1] >= n):
-            return None  # ditto (IndexError from single_source_state)
+        serial build).  A bad source list raises before any pass."""
+        n = snap.num_vertices
+        src = checked_sources(chosen, n)
+        k = int(src.size)
         state = BCState(
             src,
             np.full((k, n), DIST_INF, dtype=np.int64),

@@ -18,6 +18,19 @@ from repro.graph.csr import CSRGraph
 from repro.utils.prng import SeedLike, default_rng, sample_without_replacement
 
 
+def checked_sources(sources: Sequence[int], n: int) -> np.ndarray:
+    """*sources* as a sorted ``int64`` array, checked before any
+    Brandes pass runs: :class:`IndexError` on a source outside
+    ``0 .. n-1``, :class:`ValueError` on a repeated one."""
+    src = np.asarray(sorted(int(s) for s in sources), dtype=np.int64)
+    bad = src[(src < 0) | (src >= n)]
+    if bad.size:
+        raise IndexError(f"source {int(bad[0])} out of range")
+    if np.any(src[1:] == src[:-1]):
+        raise ValueError("sources must be distinct")
+    return src
+
+
 class BCState:
     """Stored state: ``d``, ``sigma``, ``delta`` are ``(k, n)`` arrays
     (one row per source), ``bc`` is the shared ``(n,)`` score vector."""
@@ -65,8 +78,8 @@ class BCState:
     def compute(cls, graph: CSRGraph, sources: Sequence[int]) -> "BCState":
         """Build the state from scratch with Brandes (the "static
         recomputation" the dynamic algorithm avoids)."""
-        sources = np.asarray(sorted(int(s) for s in sources), dtype=np.int64)
         n = graph.num_vertices
+        sources = checked_sources(sources, n)
         k = sources.size
         d = np.empty((k, n), dtype=np.int64)
         sigma = np.empty((k, n), dtype=np.float64)

@@ -131,27 +131,23 @@ def trace_static_source(
         (d, levels), delta = rebuilt, None
     # Stage 1: initialization of d/sigma/delta.
     trace.add(n, ops.init_cycles, ops.init_bytes * n)
-    # Stage 2: BFS levels.
+    # Stage 2: BFS levels.  Level depth's updates are its DAG arcs
+    # into depth + 1; dependency level depth walks the same arcs back
+    # (adjacency is symmetric), so it reuses level depth - 1's count.
     degrees = graph.degrees
+    f_arcs = [int(degrees[frontier].sum()) for frontier in levels]
+    updates = [
+        int(np.count_nonzero(d[graph.frontier_arcs(frontier)[1]] == depth + 1))
+        for depth, frontier in enumerate(levels[:-1])
+    ] + [0]
     for depth, frontier in enumerate(levels):
-        f_arcs = int(degrees[frontier].sum())
-        # sigma updates = arcs into the next level
-        nxt = levels[depth + 1] if depth + 1 < len(levels) else None
-        if nxt is not None:
-            t_, h_ = graph.frontier_arcs(frontier)
-            updates = int(np.count_nonzero(d[h_] == depth + 1))
-        else:
-            updates = 0
-        _charge_level(trace, strategy, ops, n, arcs_total,
-                      frontier.size, f_arcs, updates, access_cycles)
+        _charge_level(trace, strategy, ops, n, arcs_total, frontier.size,
+                      f_arcs[depth], updates[depth], access_cycles)
     # Stage 3: dependency accumulation, deepest level first.
     for depth in range(len(levels) - 1, 0, -1):
-        frontier = levels[depth]
-        f_arcs = int(degrees[frontier].sum())
-        t_, h_ = graph.frontier_arcs(frontier)
-        updates = int(np.count_nonzero(d[h_] == depth - 1))
         _charge_level(trace, strategy, ops, n, arcs_total,
-                      frontier.size, f_arcs, updates, access_cycles)
+                      levels[depth].size, f_arcs[depth], updates[depth - 1],
+                      access_cycles)
     # Final BC accumulation.
     trace.add(n, ops.commit_cycles, 16.0 * n, atomic_ops=n)
     return delta, trace

@@ -1,6 +1,11 @@
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.bc import brandes
 from repro.bc.brandes import brandes_bc, single_source_state
 from repro.bc.reference import brandes_reference, single_source_reference
 from repro.graph import generators as gen
@@ -130,3 +135,133 @@ class TestBrandesBC:
 
     def test_empty_graph(self):
         assert brandes_bc(CSRGraph.empty(3)).tolist() == [0, 0, 0]
+
+
+def topdown_state(graph, source):
+    """The plain top-down pass: every BFS level scans its frontier's
+    arcs, and every dependency level gathers its vertices' arcs again
+    and tests each for a predecessor.  The bit-identity reference for
+    :func:`single_source_state`, which must match it in either
+    direction."""
+    n = graph.num_vertices
+    d = np.full(n, DIST_INF, dtype=np.int64)
+    sigma = np.zeros(n, dtype=np.float64)
+    delta = np.zeros(n, dtype=np.float64)
+    d[source] = 0
+    sigma[source] = 1.0
+    levels = [np.array([source], dtype=np.int32)]
+    depth = 0
+    while True:
+        tails, heads = graph.frontier_arcs(levels[depth])
+        if tails.size == 0:
+            break
+        undiscovered = d[heads] == DIST_INF
+        new_nodes = np.unique(heads[undiscovered])
+        if new_nodes.size:
+            d[new_nodes] = depth + 1
+        on_path = d[heads] == depth + 1
+        np.add.at(sigma, heads[on_path], sigma[tails[on_path]])
+        if new_nodes.size == 0:
+            break
+        levels.append(new_nodes.astype(np.int32))
+        depth += 1
+    for depth in range(len(levels) - 1, 0, -1):
+        tails, heads = graph.frontier_arcs(levels[depth])
+        pred = d[heads] == depth - 1
+        pt, ph = tails[pred], heads[pred]
+        np.add.at(delta, ph, sigma[ph] / sigma[pt] * (1.0 + delta[pt]))
+    return d, sigma, delta, levels
+
+
+#: bottom_up stand-ins that force one side at every level
+FORCE = {
+    "top-down": lambda frontier_arcs, unvisited_arcs: False,
+    "bottom-up": lambda frontier_arcs, unvisited_arcs: True,
+}
+DIRECTIONS = ("auto", "top-down", "bottom-up")
+
+
+@contextlib.contextmanager
+def forced(direction):
+    """Run :func:`single_source_state` with every BFS level's side
+    forced (``"auto"``: the rule)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if direction != "auto":
+            mp.setattr(brandes, "bottom_up", FORCE[direction])
+        yield
+
+
+def assert_bit_identical(graph, source, direction):
+    want = topdown_state(graph, source)
+    n = graph.num_vertices
+    rows = (np.full((2, n), 7, dtype=np.int64),
+            np.full((2, n), np.nan), np.full((2, n), np.nan))
+    out = tuple(r[1] for r in rows)
+    with forced(direction):
+        fresh = single_source_state(graph, source)
+        into = single_source_state(graph, source, out=out)
+    assert all(a is b for a, b in zip(into[:3], out))
+    for got in (fresh, into):
+        for name, mine, ref in zip(("d", "sigma", "delta"), got, want):
+            assert mine.dtype == ref.dtype, name
+            assert mine.tobytes() == ref.tobytes(), (name, source, direction)
+        assert len(got[3]) == len(want[3])
+        for mine, ref in zip(got[3], want[3]):
+            assert mine.dtype == np.int32
+            assert np.array_equal(mine, ref)
+    assert np.all(rows[0][0] == 7)  # the neighbouring row is untouched
+
+
+@st.composite
+def graphs(draw):
+    """ER unions with isolated vertices and several components, paths,
+    stars and small Kronecker graphs."""
+    kind = draw(st.sampled_from(("er", "path", "star", "kron")))
+    seed = draw(st.integers(0, 2**16))
+    if kind == "path":
+        return gen.path_graph(draw(st.integers(1, 40)))
+    if kind == "star":
+        return gen.star_graph(draw(st.integers(2, 40)))
+    if kind == "kron":
+        return gen.kronecker(draw(st.integers(3, 7)),
+                             draw(st.integers(2, 8)), seed=seed)
+    parts, base = [], 0
+    for i in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(2, 30))
+        edges = draw(st.integers(0, size * (size - 1) // 2))
+        er = gen.erdos_renyi(size, min(edges, 3 * size), seed=seed + i)
+        parts.append(er.edge_list() + base)
+        base += size
+    isolated = draw(st.integers(0, 5))
+    return CSRGraph.from_edges(base + isolated, np.concatenate(parts))
+
+
+class TestBitIdentity:
+    """Either side, any mix of sides: the same bits as a plain
+    top-down pass, through fresh arrays and through ``out=`` rows."""
+
+    @given(graph=graphs(), picks=st.lists(st.integers(0, 2**16),
+                                          min_size=1, max_size=4))
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_topdown(self, graph, picks):
+        for source in sorted({p % graph.num_vertices for p in picks}):
+            for direction in DIRECTIONS:
+                assert_bit_identical(graph, source, direction)
+
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_every_source_of_kron(self, kron_small, direction):
+        for source in range(kron_small.num_vertices):
+            assert_bit_identical(kron_small, source, direction)
+
+    def test_both_sides_run_by_the_rule(self, kron_small):
+        sides = []
+        rule = brandes.bottom_up
+
+        def spy(frontier_arcs, unvisited_arcs):
+            sides.append(rule(frontier_arcs, unvisited_arcs))
+            return sides[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(brandes, "bottom_up", spy)
+            single_source_state(kron_small, 0)
+        assert True in sides and False in sides

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from repro.bc import brandes, engine, state
 from repro.bc.brandes import brandes_bc
+from repro.bc.engine import DynamicBC
 from repro.bc.state import BCState
+from repro.parallel import worker
 from repro.graph import generators as gen
 
 
@@ -53,6 +56,42 @@ class TestValidation:
         bad = np.array([0, 0])
         with pytest.raises(ValueError):
             BCState(bad, st.d, st.sigma, st.delta, st.bc)
+
+
+class TestSourceListCheckedFirst:
+    """A bad source list is rejected before the first Brandes pass,
+    serially and on a pooled build, with the same exception types."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return brandes.single_source_state(*args, **kwargs)
+
+        for module in (state, engine, worker):
+            monkeypatch.setattr(module, "single_source_state", spy)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def kron(self):
+        return gen.kronecker(11, seed=2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("head,error", [
+        ([5, 9, 5], ValueError),
+        ([5, 9, 2048], IndexError),
+        ([-1, 9], IndexError),
+        ([5, 5, 2048], IndexError),
+    ])
+    def test_no_pass_runs(self, kron, passes, workers, head, error):
+        sources = head + list(range(10, 200))
+        with pytest.raises(error):
+            DynamicBC.from_graph(kron, sources=sources, workers=workers)
+        with pytest.raises(error):
+            BCState.compute(kron, sources)
+        assert passes == []
 
 
 class TestVerify:

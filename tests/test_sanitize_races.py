@@ -9,10 +9,11 @@ The proof obligation runs in both directions:
   real workload (Kronecker n=2^8, k=8 churn replay), and sanitize mode
   is bit-identical to the uninstrumented engine.
 
-The mutants are faithful copies of the instrumented BFS in
-:func:`repro.bc.brandes.single_source_state` with exactly one defect
-each, run on a diamond graph (0-1, 0-2, 1-3, 2-3) whose two equal-cost
-paths guarantee duplicate-head traffic at level 1.
+The mutants are faithful copies of a top-down BFS level of
+:func:`repro.bc.brandes.single_source_state`, instrumented like it,
+with exactly one defect each, run on a diamond graph (0-1, 0-2, 1-3,
+2-3) whose two equal-cost paths guarantee duplicate-head traffic at
+level 1.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bc import brandes
 from repro.bc.brandes import brandes_bc, single_source_state
 from repro.bc.engine import DynamicBC
 from repro.bc.static_gpu import static_bc_gpu
@@ -38,8 +40,9 @@ def diamond() -> CSRGraph:
 
 
 def _mutant_bfs(graph: CSRGraph, source: int, mutation: str):
-    """The stage-2 BFS of ``single_source_state``, instrumented exactly
-    like the original, with one seeded defect selected by *mutation*."""
+    """A stage-2 BFS whose every level copies a top-down level of
+    ``single_source_state``, instrumented exactly like it, with one
+    seeded defect selected by *mutation*."""
     n = graph.num_vertices
     d = np.full(n, DIST_INF, dtype=np.int64)
     sigma = np.zeros(n, dtype=np.float64)
@@ -176,11 +179,20 @@ class TestBenignRegistry:
 class TestSpecificity:
     """Shipped kernels: zero findings on a real workload."""
 
-    def test_brandes_clean_on_kron(self, kron_small):
+    def test_brandes_clean_on_kron(self, kron_small, monkeypatch):
+        sides = []
+        rule = brandes.bottom_up
+
+        def spy(frontier_arcs, unvisited_arcs):
+            sides.append(rule(frontier_arcs, unvisited_arcs))
+            return sides[-1]
+
+        monkeypatch.setattr(brandes, "bottom_up", spy)
         _, report = brandes_bc(kron_small, sources=range(8), sanitize=True)
         assert report.ok, report.summary()
         assert report.kernels == 8
         assert report.atomics > 0
+        assert True in sides  # a bottom-up level was traced
 
     def test_static_gpu_clean_on_kron(self, kron_small):
         result = static_bc_gpu(kron_small, sources=range(4),
