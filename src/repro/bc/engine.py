@@ -16,13 +16,14 @@ case distribution (Fig. 2), touched counts (Fig. 4), simulated seconds
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.bc.accountants import ACCOUNTANTS, CLASSIFY_STEP, make_accountant
-from repro.bc.batched import RowResults, SourceExecutor
+from repro.bc.batched import RowResults
 from repro.bc.brandes import single_source_state
 from repro.bc.cases import (
     Case,
@@ -31,7 +32,7 @@ from repro.bc.cases import (
     classify_insertion,
     classify_insertions_batch,
 )
-from repro.bc.state import BCState, checked_sources
+from repro.bc.state import BCState
 from repro.bc.static_gpu import trace_static_source
 from repro.bc.update_core import (
     UpdateStats,
@@ -58,6 +59,7 @@ from repro.parallel.supervisor import (
     SupervisedPool,
     SupervisorPolicy,
 )
+from repro.parallel.worker import run_task
 from repro.resilience.errors import CorruptRowError, UpdateError
 from repro.resilience.transactions import UpdateTransaction
 from repro.sanitize import tracer as _san
@@ -147,9 +149,10 @@ def rebuild_row(graph: CSRGraph, s: int, strategy: str, op_costs: OpCosts,
     delta)`` rows (δ zero at *s*), the pass's stats, and the static
     per-source trace it is charged, built from the levels the pass just
     produced under the nearest static *strategy*
-    (:meth:`DynamicBC._static_strategy`).  The engine and the pool
-    workers share it; only :meth:`DynamicBC.repair_source` (and its
-    pool round) and the per-source loop write the rows in place."""
+    (:meth:`DynamicBC._static_strategy`).  The per-source loop and the
+    ``update`` and ``rebuild`` round tasks share it; only the loop and
+    the ``rebuild`` task (:meth:`DynamicBC.repair_source`) write the
+    rows in place."""
     d, sigma, delta, levels = single_source_state(graph, s)
     delta[s] = 0.0
     _, trace = trace_static_source(graph, s, strategy, op_costs, access,
@@ -269,62 +272,19 @@ class DynamicBC:
         itself is not traced — use ``brandes_bc(..., sanitize=True)``
         to check the static kernels.
         """
-        snap = graph.snapshot() if isinstance(graph, DynamicGraph) else graph
-        if sources is not None:
-            chosen = [int(s) for s in sources]
-        elif num_sources is not None:
+        n = graph.num_vertices
+        if sources is None and num_sources is not None:
             # Same sampling calls as BCState.compute_with_random_sources
-            # so workers=N picks the identical source set.
-            rng = default_rng(seed)
-            chosen = sample_without_replacement(
-                rng, snap.num_vertices, min(num_sources, snap.num_vertices)
-            )
-        else:
-            chosen = range(snap.num_vertices)
-        if workers > 1 and not sanitize:
-            engine = cls._from_graph_parallel(
-                graph, snap, chosen, backend, device, num_blocks, op_costs,
-                vectorized, workers, supervisor_policy,
-            )
-            if engine is not None:
-                return engine
-        state = BCState.compute(snap, chosen)
-        engine = cls(graph, state, backend, device, num_blocks, op_costs,
-                     vectorized, workers=workers,
+            # so the engine and the plain state pick the same sources.
+            sources = sample_without_replacement(default_rng(seed), n,
+                                                 min(num_sources, n))
+        elif sources is None:
+            sources = range(n)
+        engine = cls(graph, BCState.empty(sources, n), backend, device,
+                     num_blocks, op_costs, vectorized, workers=workers,
                      supervisor_policy=supervisor_policy, sanitize=sanitize)
-        # A pooled build that gets here failed to start its pool or to
-        # finish its build, and has warned: the engine stays serial.
-        engine._parallel_disabled = workers > 1 and not sanitize
-        return engine
-
-    @classmethod
-    def _from_graph_parallel(
-        cls, graph, snap, chosen, backend, device, num_blocks, op_costs,
-        vectorized, workers, supervisor_policy,
-    ) -> Optional["DynamicBC"]:
-        """Initial Brandes build through the worker pool; ``None`` when
-        the pool is unavailable or failed (caller falls back to the
-        serial build).  A bad source list raises before any pass."""
-        n = snap.num_vertices
-        src = checked_sources(chosen, n)
-        k = int(src.size)
-        state = BCState(
-            src,
-            np.full((k, n), DIST_INF, dtype=np.int64),
-            np.zeros((k, n), dtype=np.float64),
-            np.zeros((k, n), dtype=np.float64),
-            np.zeros(n, dtype=np.float64),
-        )
-        engine = cls(graph, state, backend, device, num_blocks, op_costs,
-                     vectorized, workers=workers,
-                     supervisor_policy=supervisor_policy)
-        if engine._ensure_pool() is None:
-            return None  # zeros state discarded; caller builds serially
-        try:
-            engine._brandes_fill(snap, range(k))
-        except ParallelExecutionError as exc:
-            engine._disable_parallel(f"initial build failed: {exc}")
-            return None
+        engine._round("brandes", range(engine.state.num_sources))
+        engine.state.rebuild_bc()
         return engine
 
     # ------------------------------------------------------------------
@@ -445,25 +405,19 @@ class DynamicBC:
         return result
 
     def recompute(self) -> None:
-        """Throw the state away and rebuild it with Brandes (the static
-        recomputation the dynamic algorithm is measured against).
-
-        With ``workers > 1`` the k passes fan out to the pool, writing
-        the shared rows in place; the parent re-folds bc in source
-        order, so the result is bit-identical to the serial rebuild.
-        """
-        snap = self.graph.snapshot()
-        if self._ensure_pool() is not None:
-            try:
-                self._brandes_fill(snap, range(self.state.num_sources))
-                return
-            except ParallelExecutionError:
-                pass  # supervision gave up on the round: rebuild here
-        if self._tracer is not None:
-            with _san.tracing(self._tracer):
-                self.state = BCState.compute(snap, self.state.sources)
-            return
-        self.state = BCState.compute(snap, self.state.sources)
+        """Rebuild every state row with Brandes, in place (the static
+        recomputation the dynamic algorithm is measured against), and
+        re-fold bc in source order: bit-identical to a fresh build,
+        serial or pooled (with ``workers > 1`` the passes fan out to
+        the pool).  Rows narrower than the graph are replaced."""
+        n = self.graph.num_vertices
+        if self.state.num_vertices != n:
+            # a graph grown behind the state's back (a structural guard
+            # escalation): rows of the graph's width
+            self.state = BCState.empty(self.state.sources, n)
+        with self._traced():
+            self._round("brandes", range(self.state.num_sources))
+        self.state.rebuild_bc()
 
     def verify(self, atol: float = 1e-6) -> None:
         """Assert the incrementally-maintained state matches scratch."""
@@ -478,14 +432,11 @@ class DynamicBC:
         cost on every step of a long stream.  BC scores are sums over
         *all* sources, so they are only checked by :meth:`verify`.
         """
-        from repro.utils.prng import default_rng
-
-        from repro.resilience.guards import check_rows_against_scratch
-
-        rng = default_rng(seed)
         k = self.state.num_sources
-        picks = rng.choice(k, size=min(num_sources, k), replace=False)
-        bad = check_rows_against_scratch(self, picks, atol=atol)
+        picks = default_rng(seed).choice(k, size=min(num_sources, k),
+                                         replace=False)
+        outputs = self._round("check", picks.tolist(), atol=float(atol))
+        bad = [record for output in outputs for record in output]
         if bad:
             i, component = bad[0]
             raise AssertionError(
@@ -496,26 +447,18 @@ class DynamicBC:
         """Return the subset of source-row *indices* whose stored
         ``d``/``sigma``/``delta`` rows differ from a from-scratch
         single-source recomputation (the guard's detection primitive;
-        :meth:`spot_check` is the raising wrapper).
+        :meth:`spot_check` is the raising wrapper), in input order.
 
-        With ``workers > 1`` the scratch recomputations fan out to the
-        pool; chunks stay in input order, so the returned list matches
-        the serial scan exactly.  An index outside ``[0, k)`` raises
-        :class:`IndexError` before anything runs.
+        An index outside ``[0, k)`` raises :class:`IndexError` before
+        anything runs.
         """
         indices = [int(i) for i in indices]
         k = self.state.num_sources
         for i in indices:
             if not 0 <= i < k:
                 raise IndexError(f"source index {i} out of range for k={k}")
-        if len(indices) > 1 and self._ensure_pool() is not None:
-            try:
-                return self._check_rows_parallel(indices, atol)
-            except ParallelExecutionError:
-                pass  # supervision gave up on the round: check here
-        from repro.resilience.guards import check_rows_against_scratch
-
-        return [i for i, _ in check_rows_against_scratch(self, indices, atol=atol)]
+        outputs = self._round("check", indices, atol=float(atol))
+        return [int(record[0]) for output in outputs for record in output]
 
     def repair_source(self, i: int) -> UpdateStats:
         """Rebuild source row *i* from scratch and restore the
@@ -533,24 +476,17 @@ class DynamicBC:
         if not 0 <= i < k:
             raise IndexError(f"source index {i} out of range for k={k}")
         i = int(i)
-        snap = self.graph.snapshot()
-        if self._ensure_pool() is not None:
-            try:
-                return self._repair_parallel(snap, i)
-            except ParallelExecutionError:
-                pass  # supervision gave up on the round: repair here
-        if self._tracer is not None:
-            with _san.tracing(self._tracer):
-                rows, stats, trace = self._rebuild_row(snap, i)
-        else:
-            rows, stats, trace = self._rebuild_row(snap, i)
-        st = self.state
-        st.d[i], st.sigma[i], st.delta[i] = rows
-        st.rebuild_bc()
+        with self._traced():
+            (output,) = self._round("rebuild", [i])
+        _, steps, touched, num_levels = output[0]
+        trace = rebuild_trace(f"repair:{int(self.state.sources[i])}", steps)
+        self.state.rebuild_bc()
         counters = KernelCounters()
         counters.absorb(trace, kernel="repair")
         self.counters = self.counters.merged(counters)
-        return stats
+        return UpdateStats(touched=int(touched), moved=0,
+                           sp_levels=int(num_levels),
+                           dep_levels=int(num_levels) - 1)
 
     def sanitizer_report(self) -> SanitizerReport:
         """Everything the race sanitizer has observed on this engine so
@@ -650,30 +586,71 @@ class DynamicBC:
         self._parallel_disabled = True
         self._release_parallel()
 
-    def _pool_run(self, kind: str, common: dict, items: List) -> List:
-        """Run one round of *items* through the engine's pool, one
-        contiguous share per worker (:func:`split_round`): the parent
-        computes share 0 itself (:meth:`_serial_chunk`) while the
-        ``workers - 1`` forked workers compute the rest.  Every round
-        is retry-safe as it stands: ``update`` workers write no state,
-        and the other kinds only read rows or rewrite them whole."""
-        payloads = [{"items": share}
-                    for share in split_round(items, self.workers)]
-        return self._pool.run(kind, common, payloads, self._serial_chunk)
+    def _round(self, kind: str, items: Sequence, **extra) -> List:
+        """Run one round of the worker task *kind* (``brandes``,
+        ``update``, ``check``, ``rebuild``; see
+        :mod:`repro.parallel.worker`) over *items* on the current
+        snapshot and state rows, and return its shares' results in
+        order.
+
+        The one place that decides where a round runs: without a live
+        pool (``workers=1``, sanitize mode, a closed or disabled pool)
+        the parent runs it whole, as one share; with one, it is cut
+        into one contiguous share per worker (:func:`split_round`) and
+        the parent computes share 0 (:meth:`_serial_chunk`) while the
+        forked workers compute the rest.  A round the pool gives up on
+        re-runs whole in the parent, with one exception: an ``update``
+        round re-runs only when a task raised in a worker (so the error
+        surfaces here with its type and row), and lets a chunk that
+        failed even its in-parent retry
+        (:class:`~repro.parallel.supervisor.ChunkEscalated`) reach the
+        update's transaction.  Every round is retry-safe as it stands:
+        ``update`` tasks write no state, and the other kinds only read
+        rows or rewrite them whole.
+        """
+        snap = self.graph.snapshot()
+        common = {
+            "n": int(snap.num_vertices),
+            "arcs": int(2 * snap.num_edges),
+            "backend": self.backend,
+            "op_costs": self.op_costs,
+            "access": cpu_access_cycles(
+                self.device, snap.num_vertices, 2 * snap.num_edges
+            ),
+            "static_strategy": self._static_strategy(),
+            "cost_model": self.cost_model,
+            **extra,
+        }
+        pool = self._ensure_pool()
+        if pool is not None:
+            common["spec"] = self._shared_spec(snap)
+            payloads = [{"items": share}
+                        for share in split_round(items, self.workers)]
+            try:
+                return pool.run(kind, common, payloads, self._serial_chunk)
+            except ParallelExecutionError as exc:
+                # an update's escalated chunk is its transaction's
+                if kind == "update" and not isinstance(exc, WorkerTaskError):
+                    raise
+        return [self._serial_chunk(kind, common, {"items": items})]
 
     def _serial_chunk(self, kind: str, common: dict, payload: dict):
-        """Execute one chunk in the parent process (the parent's own
-        share of every round, a quarantine retry, or the ladder's
-        serial rung): the exact worker handler runs against the
-        arena's parent-side views — the same bytes the workers map —
-        so results are bit-identical to pool execution."""
-        from types import SimpleNamespace
+        """Execute one chunk of a round in the parent process (its own
+        share, a quarantine retry, the ladder's serial rung, or a whole
+        round without a pool): the exact worker handler runs over the
+        engine's own snapshot — the round's, as snapshots are cached —
+        and state rows, the bytes the workers map, so results are
+        bit-identical to pool execution."""
+        st = self.state
+        views = (self.graph.snapshot(), st.sources, st.d, st.sigma, st.delta)
+        return run_task(views, kind, common, payload)
 
-        from repro.parallel import worker as _worker_mod
-
-        attachment = SimpleNamespace(arrays=self._arena.views(),
-                                     generation=self._arena.generation)
-        return _worker_mod.run_task(attachment, kind, common, payload)
+    def _traced(self):
+        """The race sanitizer's tracing context in sanitize mode (whose
+        rounds all run in the parent), else a no-op one."""
+        if self._tracer is None:
+            return contextlib.nullcontext()
+        return _san.tracing(self._tracer)
 
     def health_report(self) -> Dict:
         """Operator-facing supervision snapshot: execution mode
@@ -745,9 +722,8 @@ class DynamicBC:
         *replaced* by shared-memory views, so worker writes and parent
         reads are the same bytes and steady-state dispatch copies only
         the CSR arrays (the graph changes every update).  Anything that
-        swaps the state arrays (``add_vertex``, checkpoint restore, a
-        serial ``recompute``) changes their identity and triggers
-        re-adoption here.
+        swaps the state arrays (``add_vertex``, checkpoint restore)
+        changes their identity and triggers re-adoption here.
         """
         arena = self._arena
         state = self.state
@@ -794,90 +770,19 @@ class DynamicBC:
             return self.backend
         return "cpu" if self.backend == "cpu" else "gpu-node"
 
-    def _parallel_common(self, snap: CSRGraph, **extra) -> dict:
-        """Build one round's shared task context, including the shm
-        attach ``spec`` of the CSR + state mirror
-        (:meth:`_shared_spec`)."""
-        common = {
-            "n": int(snap.num_vertices),
-            "arcs": int(2 * snap.num_edges),
-            "backend": self.backend,
-            "op_costs": self.op_costs,
-            "access": cpu_access_cycles(
-                self.device, snap.num_vertices, 2 * snap.num_edges
-            ),
-            "static_strategy": self._static_strategy(),
-            "cost_model": self.cost_model,
-            "spec": self._shared_spec(snap),
-        }
-        common.update(extra)
-        return common
-
-    def _brandes_fill(self, snap: CSRGraph, indices) -> None:
-        """Rebuild the given state rows from scratch in the workers and
-        re-fold bc in source order (bit-identical to
-        :meth:`BCState.compute`)."""
-        common = self._parallel_common(snap)
-        self._pool_run("brandes", common, [int(i) for i in indices])
-        self.state.rebuild_bc()
-
-    def _check_rows_parallel(self, indices: List[int], atol: float) -> List[int]:
-        snap = self.graph.snapshot()
-        common = self._parallel_common(snap, atol=float(atol))
-        outputs = self._pool_run("check", common, indices)
-        return [int(record[0]) for output in outputs for record in output]
-
-    def _repair_parallel(self, snap: CSRGraph, i: int) -> UpdateStats:
-        common = self._parallel_common(snap)
-        outputs = self._pool_run("rebuild", common, [i])
-        _, steps, touched, num_levels = outputs[0][0]
-        trace = rebuild_trace(f"repair:{int(self.state.sources[i])}", steps)
-        self.state.rebuild_bc()
-        counters = KernelCounters()
-        counters.absorb(trace, kernel="repair")
-        self.counters = self.counters.merged(counters)
-        return UpdateStats(touched=int(touched), moved=0,
-                           sp_levels=int(num_levels),
-                           dep_levels=int(num_levels) - 1)
-
-    def _run_active(
-        self, snap: CSRGraph, operation: str, cases, highs, lows,
-        active: np.ndarray,
-    ) -> RowResults:
-        """Run the executor over the active rows and return their
-        results in ascending order: in-process, or — with a live pool —
-        by each worker on its contiguous share (:func:`split_round`),
-        the shares' columns concatenated.
-        """
+    def _run_active(self, operation: str, cases, highs, lows,
+                    active: np.ndarray) -> RowResults:
+        """Run the executor over the active rows in one ``update``
+        round and return their results in ascending order (the shares'
+        columns concatenated)."""
         items = [
             (i, int(cases[i]), int(highs[i]), int(lows[i]))
             for i in active.tolist()
         ]
-        if self._ensure_pool() is None:
-            return self._run_in_process(snap, operation, items)
-        common = self._parallel_common(snap, operation=operation)
-        try:
-            outputs = self._pool_run("update", common, items)
-        except WorkerTaskError:
-            # The executor raised inside a worker (a corrupt row failing
-            # its pre-commit check, say): rerun in process, so the error
-            # surfaces with its type and row.
-            return self._run_in_process(snap, operation, items)
+        outputs = self._round("update", items, operation=operation)
+        if len(outputs) == 1:
+            return RowResults(*outputs[0])
         return RowResults(*merge_indexed(outputs, active))
-
-    def _run_in_process(self, snap: CSRGraph, operation: str,
-                        items: List[tuple]) -> RowResults:
-        state = self.state
-        executor = SourceExecutor(
-            self.backend, self.op_costs,
-            cpu_access_cycles(self.device, snap.num_vertices,
-                              2 * snap.num_edges),
-            self.cost_model,
-        )
-        return executor.run(
-            snap, state.sources, state.d, state.sigma, state.delta,
-            items, operation, rebuild=lambda i: self._rebuild_row(snap, i),
-        )
 
     def _apply_batched(
         self,
@@ -907,7 +812,6 @@ class DynamicBC:
         adjustments in the order the per-source kernels would have
         added them.
         """
-        snap = self.graph.snapshot()
         state = self.state
         k = state.num_sources
         per_source = np.zeros(k, dtype=np.float64)
@@ -937,8 +841,7 @@ class DynamicBC:
             )
             active = np.flatnonzero(~same_mask)
             if active.size:
-                res = self._run_active(snap, operation, cases, highs,
-                                       lows, active)
+                res = self._run_active(operation, cases, highs, lows, active)
                 fold_timer = WallTimer().start()
                 self._commit(res)
                 per_source[res.rows] = res.seconds
@@ -1089,7 +992,7 @@ class DynamicBC:
         else:
             # Distance-increasing deletion: correct per-source
             # recompute fallback, charged at static cost.
-            stats = self._recompute_source(snap, i, acc)
+            stats = self._recompute_source(snap, i, acc, access)
         return acc.finish(), stats
 
     def _apply_looped(
@@ -1166,31 +1069,24 @@ class DynamicBC:
             stage_seconds=stage_seconds,
         )
 
-    def _recompute_source(self, snap: CSRGraph, i: int, acc) -> UpdateStats:
-        """Replace source *i*'s rows with a fresh Brandes pass and patch
-        BC by the dependency difference; cost = one static source.
+    def _recompute_source(self, snap: CSRGraph, i: int, acc,
+                          access: float) -> UpdateStats:
+        """Replace source *i*'s rows with a fresh Brandes pass
+        (:func:`rebuild_row`) and patch BC by the dependency
+        difference; cost = one static source.
 
         The incremental BC patch is only correct when the stored row is
         trusted (the normal Case-3 deletion fallback); recovery from a
         *corrupted* row goes through :meth:`repair_source` instead.
         """
         state = self.state
-        (d, sigma, delta), stats, trace = self._rebuild_row(snap, i)
+        (d, sigma, delta), stats, trace = rebuild_row(
+            snap, int(state.sources[i]), self._static_strategy(),
+            self.op_costs, access)
         acc.trace.extend(trace)
         state.bc += delta - state.delta[i]
         state.d[i], state.sigma[i], state.delta[i] = d, sigma, delta
         return stats
-
-    def _rebuild_row(self, snap: CSRGraph, i: int
-                     ) -> Tuple[tuple, UpdateStats, Trace]:
-        """:func:`rebuild_row` for source row *i* under this engine's
-        strategy and costs; writes nothing."""
-        return rebuild_row(
-            snap, int(self.state.sources[i]), self._static_strategy(),
-            self.op_costs,
-            cpu_access_cycles(self.device, snap.num_vertices,
-                              2 * snap.num_edges),
-        )
 
     def __repr__(self) -> str:
         return (

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.bc.accountants import UpdateAccountant
 from repro.bc.update_core import DOWN, UNTOUCHED, UP, UpdateStats, _commit
-from repro.gpu.primitives import atomic_scatter_add
+from repro.gpu.primitives import atomic_scatter_add, unique
 from repro.graph.csr import CSRGraph, DIST_INF
 from repro.sanitize import tracer as san
 
@@ -104,7 +104,7 @@ def flood_adjacent_level_update(
                         sigma_hat, oh, sigma_hat[ot] - sigma[ot],
                         array="sigma_hat",
                     )
-                new_nodes = np.unique(raw_new)
+                new_nodes = unique(raw_new)
                 if new_nodes.size:
                     t[new_nodes] = DOWN
                     san.write("t", new_nodes, intent="mark")
@@ -139,7 +139,7 @@ def flood_adjacent_level_update(
                     pred = d[heads] == level - 1
                     pt, ph = tails[pred], heads[pred]
                     san.read("t", ph)
-                    new_up = np.unique(ph[t[ph] == UNTOUCHED])
+                    new_up = unique(ph[t[ph] == UNTOUCHED])
                     if new_up.size:
                         t[new_up] = UP
                         san.write("t", new_up, intent="mark")

@@ -9,7 +9,7 @@ build itself from scratch (Brandes) and verify itself against one.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -18,22 +18,25 @@ from repro.graph.csr import CSRGraph
 from repro.utils.prng import SeedLike, default_rng, sample_without_replacement
 
 
-def checked_sources(sources: Sequence[int], n: int) -> np.ndarray:
-    """*sources* as a sorted ``int64`` array, checked before any
-    Brandes pass runs: :class:`IndexError` on a source outside
-    ``0 .. n-1``, :class:`ValueError` on a repeated one."""
-    src = np.asarray(sorted(int(s) for s in sources), dtype=np.int64)
-    bad = src[(src < 0) | (src >= n)]
-    if bad.size:
-        raise IndexError(f"source {int(bad[0])} out of range")
-    if np.any(src[1:] == src[:-1]):
-        raise ValueError("sources must be distinct")
-    return src
+def fill_rows(graph: CSRGraph, sources: np.ndarray, d: np.ndarray,
+              sigma: np.ndarray, delta: np.ndarray,
+              rows: Iterable[int]) -> None:
+    """Write a fresh Brandes pass from ``sources[i]`` into row *i* of
+    ``d``/``sigma``/``delta`` for every *i* in *rows* (δ zero at the
+    source), straight into the rows: no transient per-source triple, so
+    a build's peak memory is the retained state plus O(n + m) BFS
+    scratch.  :meth:`BCState.compute` and the ``brandes`` task of every
+    engine round (the worker's and the parent's share alike) run it."""
+    for i in rows:
+        s = int(sources[i])
+        single_source_state(graph, s, out=(d[i], sigma[i], delta[i]))
+        delta[i, s] = 0.0
 
 
 class BCState:
     """Stored state: ``d``, ``sigma``, ``delta`` are ``(k, n)`` arrays
-    (one row per source), ``bc`` is the shared ``(n,)`` score vector."""
+    (one row per source, sources strictly ascending), ``bc`` is the
+    shared ``(n,)`` score vector."""
 
     def __init__(
         self,
@@ -55,8 +58,10 @@ class BCState:
                 raise ValueError(f"{name} must have shape ({k}, {n}), got {arr.shape}")
             if arr.dtype != dtype:
                 raise ValueError(f"{name} must be {dtype}, got {arr.dtype}")
-        if np.unique(sources).size != k:
-            raise ValueError("sources must be distinct")
+        if np.any(sources[1:] <= sources[:-1]):
+            # every build and verify() sort the sources: row i must
+            # be the i-th smallest
+            raise ValueError("sources must be strictly ascending")
         self.sources = sources
         # C order: the update executor addresses the rows through flat
         # views (no copy for arrays already in C order)
@@ -78,21 +83,30 @@ class BCState:
     def compute(cls, graph: CSRGraph, sources: Sequence[int]) -> "BCState":
         """Build the state from scratch with Brandes (the "static
         recomputation" the dynamic algorithm avoids)."""
-        n = graph.num_vertices
-        sources = checked_sources(sources, n)
-        k = sources.size
-        d = np.empty((k, n), dtype=np.int64)
-        sigma = np.empty((k, n), dtype=np.float64)
-        delta = np.empty((k, n), dtype=np.float64)
-        bc = np.zeros(n, dtype=np.float64)
-        for i, s in enumerate(sources):
-            # Brandes writes straight into row i (no transient
-            # per-source triple), so peak memory during the build is
-            # the retained state plus O(n + m) BFS scratch.
-            single_source_state(graph, int(s), out=(d[i], sigma[i], delta[i]))
-            delta[i, int(s)] = 0.0
-            bc += delta[i]
-        return cls(sources, d, sigma, delta, bc)
+        state = cls.empty(sources, graph.num_vertices)
+        fill_rows(graph, state.sources, state.d, state.sigma, state.delta,
+                  range(state.num_sources))
+        state.rebuild_bc()
+        return state
+
+    @classmethod
+    def empty(cls, sources: Sequence[int], n: int) -> "BCState":
+        """A state over *n* vertices for *sources* (sorted), its rows
+        allocated but not written (``np.empty``: a build fills every
+        row) and its bc zero.  The list is checked before any Brandes
+        pass runs: :class:`IndexError` on a source outside ``0 .. n-1``,
+        :class:`ValueError` on a repeated one."""
+        src = np.asarray(sorted(int(s) for s in sources), dtype=np.int64)
+        bad = src[(src < 0) | (src >= n)]
+        if bad.size:
+            raise IndexError(f"source {int(bad[0])} out of range")
+        if np.any(src[1:] == src[:-1]):
+            raise ValueError("sources must be distinct")
+        k = src.size
+        return cls(src, np.empty((k, n), dtype=np.int64),
+                   np.empty((k, n), dtype=np.float64),
+                   np.empty((k, n), dtype=np.float64),
+                   np.zeros(n, dtype=np.float64))
 
     @classmethod
     def compute_with_random_sources(

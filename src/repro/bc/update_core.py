@@ -48,7 +48,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.bc.accountants import UpdateAccountant
-from repro.gpu.primitives import atomic_scatter_add
+from repro.gpu.primitives import atomic_scatter_add, unique
 from repro.graph.csr import CSRGraph
 from repro.sanitize import tracer as san
 
@@ -147,7 +147,7 @@ def adjacent_level_update(
                         sigma_hat, oh, sigma_hat[ot] - sigma[ot],
                         array="sigma_hat",
                     )
-                new_nodes = np.unique(raw_new).astype(np.int64)
+                new_nodes = unique(raw_new).astype(np.int64)
                 if new_nodes.size:
                     t[new_nodes] = DOWN
                     san.write("t", new_nodes, intent="mark")
@@ -177,7 +177,7 @@ def adjacent_level_update(
             stats.dep_levels += 1
             parts = lvl_touched.get(level, [])
             w_arr = (
-                np.unique(np.concatenate(parts)) if parts
+                unique(np.concatenate(parts)) if parts
                 else np.empty(0, dtype=np.int64)
             )
             adds = subs = arcs = new_up_count = 0
@@ -196,7 +196,7 @@ def adjacent_level_update(
                     # Newly reached predecessors enter the queue as
                     # "up" with delta_hat seeded from the old
                     # dependency (Alg. 2 line 30).
-                    new_up = np.unique(ph[t[ph] == UNTOUCHED])
+                    new_up = unique(ph[t[ph] == UNTOUCHED])
                     if new_up.size:
                         t[new_up] = UP
                         san.write("t", new_up, intent="mark")
@@ -335,7 +335,7 @@ def distant_level_update(
         pull_buf = np.zeros(n, dtype=np.float64)
         while pending.size:
             stats.sp_levels += 1
-            cur = np.unique(pending)
+            cur = unique(pending)
             tails, heads = graph.frontier_arcs(cur)
             tails = tails.astype(np.int64)
             heads = heads.astype(np.int64)
@@ -376,7 +376,7 @@ def distant_level_update(
                 with san.interval("pull-scan", level):
                     san.read("d_new", s_heads)
                     # Relabel vertices pulled closer by the new paths.
-                    movers = np.unique(s_heads[d_new[s_heads] > level + 1])
+                    movers = unique(s_heads[d_new[s_heads] > level + 1])
                     if movers.size:
                         d_new[movers] = level + 1
                         san.write("d_new", movers, intent="relabel")
@@ -386,7 +386,7 @@ def distant_level_update(
                     # level+1.
                     cand_mask = d_new[s_heads] == level + 1
                     raw_new = int(np.count_nonzero(cand_mask))
-                    next_pending = np.unique(s_heads[cand_mask])
+                    next_pending = unique(s_heads[cand_mask])
                     if next_pending.size:
                         t[next_pending] = DOWN
                         san.write("t", next_pending, intent="mark")
@@ -421,14 +421,14 @@ def distant_level_update(
                 old_pred = d[heads] == d[tails] - 1  # never true for d[tails]=INF
                 mask = old_pred & (t[heads] != DOWN)
                 xt, xh = tails[mask], heads[mask]
-                new_up = np.unique(xh[t[xh] == UNTOUCHED])
+                new_up = unique(xh[t[xh] == UNTOUCHED])
                 if new_up.size:
                     t[new_up] = UP
                     san.write("t", new_up, intent="mark")
                     san.read("delta", new_up)
                     delta_hat[new_up] = delta[new_up]
                     san.write("delta_hat", new_up)
-                    for lvl in np.unique(d_new[new_up]):
+                    for lvl in unique(d_new[new_up]):
                         group = new_up[d_new[new_up] == lvl]
                         lvl_touched.setdefault(int(lvl), []).append(group)
                     qq_len += int(new_up.size)
@@ -456,7 +456,7 @@ def distant_level_update(
             stats.dep_levels += 1
             parts = lvl_touched.get(level, [])
             w_arr = (
-                np.unique(np.concatenate(parts)) if parts
+                unique(np.concatenate(parts)) if parts
                 else np.empty(0, dtype=np.int64)
             )
             adds = subs = arcs = new_up_count = 0
@@ -473,7 +473,7 @@ def distant_level_update(
                     pred = d_new[heads] == level - 1
                     pt, ph = tails[pred], heads[pred]
                     san.read("t", ph)
-                    new_up = np.unique(ph[t[ph] == UNTOUCHED])
+                    new_up = unique(ph[t[ph] == UNTOUCHED])
                     if new_up.size:
                         t[new_up] = UP
                         san.write("t", new_up, intent="mark")

@@ -7,8 +7,9 @@ buffer with the three-phase procedure of §III-A (after Merrill et al.):
 2. adjacent-compare to flag unique entries,
 3. prefix sum to compact the unique entries into ``Q``.
 
-The *result* is computed with :func:`numpy.unique` (bit-identical to a
-real bitonic-sort pipeline on integers); the *cost* charged to the
+The *result* is computed with :func:`unique` (a sort, adjacent compare
+and compaction: the arrays :func:`numpy.unique` returns, bit-identical
+to a real bitonic-sort pipeline on integers); the *cost* charged to the
 trace is that of the parallel pipeline: ``O(log^2 p)`` sort steps over
 the next power of two ``p``, one compare step, ``O(log p)`` scan steps,
 and one scatter.
@@ -155,7 +156,7 @@ def remove_duplicates(buffer: np.ndarray, trace: Trace) -> np.ndarray:
     for _ in range(prefix_sum_steps(length)):
         trace.add(work_items=length, cycles_per_item=2.0, bytes_moved=8.0 * length)
     # Phase 4: compacting scatter of the unique entries.
-    unique = np.unique(buffer)
+    out = unique(buffer)
     trace.add(work_items=length, cycles_per_item=2.0,
-              bytes_moved=4.0 * length + 4.0 * unique.size)
-    return unique
+              bytes_moved=4.0 * length + 4.0 * out.size)
+    return out

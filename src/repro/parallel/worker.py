@@ -8,7 +8,8 @@ indices — the worker's whole share of the round, as the engine cuts
 one chunk per worker — against the shared-memory arena
 (:mod:`repro.parallel.shm`), and the worker writes back one frame of
 ``(status, result)`` (:func:`post_result`).  The parent runs the same
-handlers on its own share of every round (:func:`run_task`).
+handlers on its own share of every round (:func:`run_task`), over its
+own snapshot and state rows.
 
 Division of labour with the parent (the determinism contract):
 
@@ -61,7 +62,7 @@ import traceback
 from typing import Optional
 
 from repro.bc.batched import SourceExecutor
-from repro.bc.brandes import single_source_state
+from repro.bc.state import fill_rows
 from repro.graph.csr import CSRGraph
 from repro.parallel.shm import ShmAttachment
 
@@ -220,7 +221,8 @@ def worker_main(sock, worker_id: int, heartbeat,
                 if attachment is not None:
                     attachment.close()
                 attachment = ShmAttachment(spec)
-            result = _HANDLERS[kind](attachment, common, payload)
+            views = None if spec is None else _views(attachment, common)
+            result = run_task(views, kind, common, payload)
             post_result(channel, "ok", result)
         except BaseException as exc:
             detail = (
@@ -235,17 +237,20 @@ def worker_main(sock, worker_id: int, heartbeat,
         attachment.close()
 
 
-def run_task(attachment, kind: str, common: dict, payload: dict):
-    """Execute one task *in the calling process* (no channel round-trip).
+def run_task(views, kind: str, common: dict, payload: dict):
+    """Execute one task *in the calling process* over *views*, the
+    ``(graph, sources, d, sigma, delta)`` it runs on (``None`` for the
+    kinds that read no state).
 
-    This is how the parent computes its own share of every round, a
-    quarantined chunk, or every chunk at the serial rung: it runs the
-    exact handler a worker would have run, against an attachment shim
-    whose ``arrays`` are the arena's parent-side views — the same bytes
-    the workers see — so the result (and every row a build or repair
-    writes) is bit-identical to pool execution.
+    A worker passes the views of its attached arena (:func:`_views`);
+    the parent passes the round's own snapshot and state rows — the
+    same bytes the arena mirrors — when it computes its share of a
+    round, a quarantined chunk, every chunk at the serial rung, or a
+    whole round without a pool.  Either way the same handler runs, so
+    every result (and every row a build or repair writes) is
+    bit-identical.
     """
-    return _HANDLERS[kind](attachment, common, payload)
+    return _HANDLERS[kind](views, common, payload)
 
 
 def _views(attachment, common):
@@ -266,14 +271,14 @@ def _views(attachment, common):
     )
 
 
-def _handle_update(attachment, common, payload):
+def _handle_update(views, common, payload):
     """One streaming update's active sources in this chunk: run the
-    level-synchronous executor over the shared rows, which it only
+    level-synchronous executor over the state rows, which it only
     reads, and return the chunk's :class:`~repro.bc.batched.RowResults`
     columns, write-sets included."""
     from repro.bc.engine import rebuild_row
 
-    graph, sources, d, sigma, delta = _views(attachment, common)
+    graph, sources, d, sigma, delta = views
     static = (common["static_strategy"], common["op_costs"], common["access"])
     executor = SourceExecutor(common["backend"], common["op_costs"],
                               common["access"], common["cost_model"])
@@ -284,25 +289,17 @@ def _handle_update(attachment, common, payload):
     ).arrays()
 
 
-def _handle_brandes(attachment, common, payload):
+def _handle_brandes(views, common, payload):
     """Initial build / full recompute: fresh Brandes rows in place."""
-    graph, sources, d, sigma, delta = _views(attachment, common)
-    done = []
-    for i in payload["items"]:
-        i = int(i)
-        s = int(sources[i])
-        single_source_state(graph, s, out=(d[i], sigma[i], delta[i]))
-        delta[i, s] = 0.0
-        done.append(i)
-    return done
+    fill_rows(*views, payload["items"])
 
 
-def _handle_rebuild(attachment, common, payload):
+def _handle_rebuild(views, common, payload):
     """repair_source: rebuild rows in place and return the static
     repair trace."""
     from repro.bc.engine import rebuild_row
 
-    graph, sources, d, sigma, delta = _views(attachment, common)
+    graph, sources, d, sigma, delta = views
     static = (common["static_strategy"], common["op_costs"], common["access"])
     out = []
     for i in payload["items"]:
@@ -313,11 +310,11 @@ def _handle_rebuild(attachment, common, payload):
     return out
 
 
-def _handle_check(attachment, common, payload):
+def _handle_check(views, common, payload):
     """check_rows: compare stored rows against a scratch recompute."""
     from repro.resilience.guards import row_drift_component
 
-    graph, sources, d, sigma, delta = _views(attachment, common)
+    graph, sources, d, sigma, delta = views
     atol = common["atol"]
     bad = []
     for i in payload["items"]:
@@ -330,12 +327,12 @@ def _handle_check(attachment, common, payload):
     return bad
 
 
-def _handle_ping(attachment, common, payload):
+def _handle_ping(views, common, payload):
     """Health check / pool tests: echo the payload items."""
     return list(payload.get("items", []))
 
 
-def _handle_sleep(attachment, common, payload):
+def _handle_sleep(views, common, payload):
     """Supervision tests only: busy-sleep ``payload['seconds']`` (in
     short naps, heartbeats keep flowing), then echo the items — a
     compute loop that outlives a chunk deadline without hanging."""

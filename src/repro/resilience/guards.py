@@ -31,7 +31,7 @@ what the guard did and when.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -230,9 +230,10 @@ def row_drift_component(
     clean (``"distance"``/``"sigma"``/``"delta"``, checked in that
     order).
 
-    This is the detection primitive shared by the serial
-    :func:`check_rows_against_scratch` and the parallel worker's
-    ``check`` handler (:mod:`repro.parallel.worker`), so a guard run
+    This is the detection primitive of the ``check`` task
+    (:mod:`repro.parallel.worker`) that every
+    :meth:`DynamicBC.check_rows` and :meth:`DynamicBC.spot_check`
+    round runs, in the parent or in a worker alike, so a guard run
     under ``DynamicBC(workers=N)`` reports exactly what the serial
     guard would.
     """
@@ -248,27 +249,3 @@ def row_drift_component(
     if not np.allclose(delta_row, delta, atol=atol):
         return "delta"
     return None
-
-
-def check_rows_against_scratch(
-    engine, indices: Sequence[int], atol: float = 1e-6
-):
-    """Compare stored rows against a fresh single-source recomputation.
-
-    Returns ``(index, component)`` pairs — ``component`` naming the
-    first drifted array (``"distance"``/``"sigma"``/``"delta"``) — for
-    every row of *indices* that drifted.  Shared by the engine's
-    ``spot_check``/``check_rows`` and the guard.
-    """
-    st = engine.state
-    snap = engine.graph.snapshot()
-    bad: List[tuple] = []
-    for i in indices:
-        i = int(i)
-        component = row_drift_component(
-            snap, int(st.sources[i]), st.d[i], st.sigma[i], st.delta[i],
-            atol=atol,
-        )
-        if component is not None:
-            bad.append((i, component))
-    return bad

@@ -453,42 +453,38 @@ class TestPool:
                 replay_pooled(backend)
 
     def test_update_task_writes_no_state(self, monkeypatch):
-        """A worker's update task only reads the state rows it is given
-        (their bytes are unchanged afterwards) and ships each row's
-        write-set; the engine's commit of those write-sets reproduces
-        the serial engine bit for bit, rebuilt rows included."""
-        from types import SimpleNamespace
-
+        """An update task only reads the state rows it is given (their
+        bytes are unchanged afterwards) and ships each row's write-set;
+        the engine's commit of those write-sets reproduces the looped
+        oracle bit for bit, rebuilt rows included.  A serial engine
+        runs each update round whole, as one share, through the
+        parent's ``run_task``: the spy hands every task private copies
+        of the round's rows."""
+        import repro.bc.engine as engine_mod
         from repro.graph.stream import EdgeStream, replay
         from repro.parallel.worker import run_task
 
         graph = gen.kronecker(8, 8, seed=1)
         stream = EdgeStream.churn(graph, 20, delete_fraction=0.4, seed=2)
-        serial = DynamicBC.from_graph(graph, num_sources=16, seed=3)
-        expected = replay(serial, stream)
-        engine = DynamicBC.from_graph(graph, num_sources=16, seed=3,
-                                      workers=2)
+        oracle = DynamicBC.from_graph(graph, num_sources=16, seed=3,
+                                      vectorized=False)
+        expected = replay(oracle, stream)
+        engine = DynamicBC.from_graph(graph, num_sources=16, seed=3)
         tasks = []
 
-        def run_active(snap, operation, cases, highs, lows, active):
-            # the round's context mirrors the state into the arena; the
-            # task runs here, over private copies of the arena's arrays
-            common = engine._parallel_common(snap, operation=operation)
-            del common["spec"]
-            arrays = {name: a.copy()
-                      for name, a in engine._arena.views().items()}
-            before = {name: a.tobytes() for name, a in arrays.items()}
-            items = [(i, int(cases[i]), int(highs[i]), int(lows[i]))
-                     for i in active.tolist()]
-            out = run_task(SimpleNamespace(arrays=arrays), "update", common,
-                           {"items": items})
-            assert {name: a.tobytes() for name, a in arrays.items()} == before
-            tasks.append((operation, items))
-            return batched.RowResults(*out)
+        def spy(views, kind, common, payload):
+            if kind != "update":
+                return run_task(views, kind, common, payload)
+            snap, *rows = views
+            rows = [a.copy() for a in rows]
+            before = [a.tobytes() for a in rows]
+            out = run_task((snap, *rows), kind, common, payload)
+            assert [a.tobytes() for a in rows] == before
+            tasks.append((common["operation"], payload["items"]))
+            return out
 
-        monkeypatch.setattr(engine, "_run_active", run_active)
-        with engine:
-            got = replay(engine, stream)
+        monkeypatch.setattr(engine_mod, "run_task", spy)
+        got = replay(engine, stream)
         assert any(op == "delete" and any(it[1] == 3 for it in items)
                    for op, items in tasks), "no row was rebuilt"
         assert len(got.reports) == len(expected.reports)
@@ -496,5 +492,5 @@ class TestPool:
                    for a, b in zip(got.reports, expected.reports))
         for name in ("d", "sigma", "delta", "bc"):
             assert np.array_equal(getattr(engine.state, name),
-                                  getattr(serial.state, name)), name
-        assert engine.counters == serial.counters
+                                  getattr(oracle.state, name)), name
+        assert engine.counters == oracle.counters

@@ -5,7 +5,6 @@ from repro.bc import brandes, engine, state
 from repro.bc.brandes import brandes_bc
 from repro.bc.engine import DynamicBC
 from repro.bc.state import BCState
-from repro.parallel import worker
 from repro.graph import generators as gen
 
 
@@ -57,6 +56,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             BCState(bad, st.d, st.sigma, st.delta, st.bc)
 
+    def test_unsorted_sources_rejected(self):
+        """Rows out of source order would read as corrupt to verify()
+        and be reordered by a rebuild: the state refuses them."""
+        graph = gen.erdos_renyi(60, 140, seed=7)
+        st = BCState.compute(graph, [5, 40, 17])
+        order = [2, 0, 1]  # sources 40, 5, 17
+        with pytest.raises(ValueError, match="strictly ascending"):
+            BCState(st.sources[order], st.d[order], st.sigma[order],
+                    st.delta[order], st.bc)
+
 
 class TestSourceListCheckedFirst:
     """A bad source list is rejected before the first Brandes pass,
@@ -70,7 +79,9 @@ class TestSourceListCheckedFirst:
             calls.append(args[1])
             return brandes.single_source_state(*args, **kwargs)
 
-        for module in (state, engine, worker):
+        # every pass goes through one of these two bindings, pooled
+        # builds included (both shares fill rows with state.fill_rows)
+        for module in (state, engine):
             monkeypatch.setattr(module, "single_source_state", spy)
         return calls
 
