@@ -1,4 +1,4 @@
-.PHONY: install test bench examples artifacts lint analyze clean
+.PHONY: install test bench examples artifacts lint clean
 
 install:
 	pip install -e .
@@ -7,9 +7,6 @@ test:
 	pytest tests/
 
 lint:
-	PYTHONPATH=src python -m repro.sanitize.lint src/ tests/
-
-analyze:
 	PYTHONPATH=src python -m repro.sanitize.flow src/ tests/ \
 		--baseline .flow-baseline.json
 

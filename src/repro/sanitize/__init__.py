@@ -11,25 +11,22 @@ in the Q/Q2/QQ queue kernels (S103).  Exposed as
 the ``repro-bc sanitize`` CLI subcommand; results come back as a
 structured :class:`~repro.sanitize.report.SanitizerReport`.
 
-**Layer 2 — AST repo linter** (:mod:`repro.sanitize.lint`,
-``python -m repro.sanitize.lint``): single-parse, multi-visitor
-lexical rules R001–R006 enforcing the repo invariants the simulation's
-bit-identity guarantees rest on (no raw wall-clock in kernel code,
-no unseeded RNG, shm lifecycle pairing, no silent exception
-swallowing in the resilience layers, kernels must charge counters,
-atomic durable writes).
+**Layer 2 — static analyzer** (:mod:`repro.sanitize.flow`,
+``python -m repro.sanitize.flow``): one parse per file, one whole-repo
+call graph (:mod:`repro.sanitize.callgraph`), and one rule table
+enforcing the repo invariants the simulation's bit-identity guarantees
+rest on.  The lexical rules R001–R006 judge one node at a time (no raw
+wall-clock in kernel code, no unseeded RNG, shm lifecycle pairing, no
+silent exception swallowing in the resilience layers, kernels must
+charge counters, atomic durable writes); the interprocedural rules
+F101–F104 run a fixpoint effect analysis for what crosses function
+boundaries — async paths reaching blocking calls (F101), durability
+protocol ordering (F102), shm view lifetime escapes (F103),
+determinism taint (F104).  A file that does not parse is finding
+E001.  Findings render as text, JSON or SARIF; the justified
+suppression baseline is the one escape hatch.
 
-**Layer 3 — interprocedural dataflow analyzer**
-(:mod:`repro.sanitize.flow`, ``python -m repro.sanitize.flow``):
-whole-repo call graph + fixpoint effect analysis checking the
-cross-function invariants lexical rules cannot see — async paths
-reaching blocking calls (F101), durability protocol ordering (F102),
-shm view lifetime escapes (F103), determinism taint (F104) — with a
-SARIF formatter and a justification-required suppression baseline.
-
-Layers 2 and 3 share one parse per file through
-:mod:`repro.sanitize.astcache` (``python -m repro.sanitize`` runs
-both).  See ``docs/SANITIZER.md`` for the rule tables, the benign-race
+See ``docs/SANITIZER.md`` for the rule table, the benign-race
 annotation protocol and usage examples.
 """
 

@@ -1,8 +1,8 @@
 """Module-level call graph over the repo (the flow analyzer's spine).
 
-Builds, from a set of parsed modules (:mod:`repro.sanitize.astcache`),
-the symbol tables and call edges the interprocedural rules in
-:mod:`repro.sanitize.flow` run over:
+Builds, from a set of parsed modules (:func:`parse_source`), the
+symbol tables and call edges the rules in :mod:`repro.sanitize.flow`
+run over:
 
 * every function/method (nested ones included), keyed by a dotted
   qualified name (``repro.service.service.BCService.stop``) and
@@ -43,19 +43,78 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-from repro.sanitize.astcache import SourceModule
 
 #: receiver types whose ``.shutdown()`` joins worker threads
 EXECUTOR_CLASSES = {"ThreadPoolExecutor", "ProcessPoolExecutor"}
 #: pseudo-type for values returned by the ``open()`` builtin
 FILE_TYPE = "<file>"
 
-#: wall-clock reads in the time module (shared with the lexical linter)
+#: the node types the lexical rules judge (:attr:`ModuleInfo.nodes`)
+_LEXICAL_NODES = (ast.Call, ast.ExceptHandler, ast.Import, ast.ImportFrom,
+                  ast.FunctionDef, ast.AsyncFunctionDef)
+#: wall-clock reads in the time module (R001 and F104)
 WALL_CLOCK_FUNCS = {"time", "perf_counter", "perf_counter_ns",
                     "monotonic", "monotonic_ns", "process_time",
                     "process_time_ns"}
+
+
+@dataclass(frozen=True)
+class SourceModule:
+    """One parsed Python file (or virtual snippet).
+
+    ``path`` is the *reporting* path — for virtual snippets it encodes
+    the tree position the path-scoped rules should assume (e.g.
+    ``src/repro/bc/mod.py``), independent of any real location.
+    """
+
+    path: str
+    source: str
+    tree: ast.Module
+    #: dotted module name derived from the path (``repro.service.core``),
+    #: or ``None`` when the path does not sit under a package root
+    module: Optional[str]
+    #: the SyntaxError when the source failed to parse (``tree`` is
+    #: then an empty placeholder)
+    error: Optional[SyntaxError] = None
+
+    @property
+    def ok(self) -> bool:
+        """``False`` when the source failed to parse."""
+        return self.error is None
+
+
+def module_name_for(path: str) -> Optional[str]:
+    """Dotted module name for *path*, anchored at the ``repro`` package
+    root (``src/repro/service/core.py`` → ``repro.service.core``); for
+    paths outside it (tests, scripts) the stem-based fallback keeps
+    names unique enough for call-graph keys."""
+    parts = Path(str(path).replace("\\", "/")).with_suffix("").parts
+    if "repro" in parts:
+        parts = parts[parts.index("repro"):]
+    else:
+        # tests/foo.py -> tests.foo ; a bare file -> its stem
+        parts = tuple(p for p in parts if p not in (".", "/", "src"))
+    if not parts:
+        return None
+    if parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts) if parts else None
+
+
+def parse_source(source: str, path: str) -> SourceModule:
+    """Parse *source* under reporting path *path*; a SyntaxError is
+    captured on the module (``ok == False``) rather than raised, so
+    the analyzer reports it as a finding and keeps going."""
+    try:
+        tree = ast.parse(source, filename=path)
+        err: Optional[SyntaxError] = None
+    except SyntaxError as exc:
+        tree = ast.Module(body=[], type_ignores=[])
+        err = exc
+    return SourceModule(path=str(path), source=source, tree=tree,
+                        module=module_name_for(path), error=err)
 
 
 def attr_chain(node: ast.AST) -> Tuple[str, ...]:
@@ -97,11 +156,6 @@ class FunctionInfo:
         if self.class_qname:
             return f"{self.class_qname.rsplit('.', 1)[-1]}.{self.name}"
         return self.name
-
-    def param_names(self) -> List[str]:
-        """Positional + keyword-only parameter names, in order."""
-        a = self.node.args
-        return [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
 
 
 @dataclass
@@ -149,6 +203,16 @@ class ModuleInfo:
     time_aliases: Set[str] = field(default_factory=lambda: {"time"})
     #: names bound by ``from time import perf_counter [as pc]``
     wall_clock_names: Set[str] = field(default_factory=set)
+    #: every call, import, ``except`` handler and function definition
+    #: in the module, in walk order: the nodes the lexical rules judge
+    nodes: List[ast.AST] = field(default_factory=list)
+
+    def dotted(self, chain: Tuple[str, ...]) -> Optional[str]:
+        """*chain* with its head replaced by the import that binds it
+        (``npr.rand`` under ``import numpy.random as npr`` →
+        ``numpy.random.rand``), or ``None`` when nothing imports it."""
+        head = self.imports.get(chain[0]) if chain else None
+        return ".".join((head,) + chain[1:]) if head else None
 
 
 class CallGraph:
@@ -159,6 +223,8 @@ class CallGraph:
     """
 
     def __init__(self) -> None:
+        #: reporting path -> module (every parsed file, even when two
+        #: paths derive the same dotted name)
         self.modules: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
@@ -184,6 +250,8 @@ class CallGraph:
     def _collect_module(self, src: SourceModule) -> None:
         mod = ModuleInfo(source=src)
         for node in ast.walk(src.tree):
+            if isinstance(node, _LEXICAL_NODES):
+                mod.nodes.append(node)
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
@@ -203,7 +271,7 @@ class CallGraph:
                     for alias in node.names:
                         if alias.name in WALL_CLOCK_FUNCS:
                             mod.wall_clock_names.add(alias.asname or alias.name)
-        self.modules[src.module] = mod
+        self.modules[src.path] = mod
         self._collect_scope(src, src.tree.body, src.module, None)
 
     def _collect_scope(self, src: SourceModule, body: Iterable[ast.stmt],
@@ -251,7 +319,7 @@ class CallGraph:
 
     # -- pass 2: attribute types --------------------------------------
     def _infer_attr_types(self, info: ClassInfo) -> None:
-        mod = self.modules.get(info.module)
+        mod = self.modules.get(info.path)
         if mod is None:
             return
         for mname, fq in info.methods.items():
@@ -280,7 +348,7 @@ class CallGraph:
 
     # -- pass 3: call resolution --------------------------------------
     def _resolve_function(self, fn: FunctionInfo) -> None:
-        mod = self.modules.get(fn.module)
+        mod = self.modules.get(fn.path)
         if mod is None:
             self.calls[fn.qname] = []
             return
@@ -466,11 +534,8 @@ class CallGraph:
         """Resolve a dotted name through the module's imports to a
         known class/function qname (``ServiceCore`` → class;
         ``wal.WriteAheadLog`` via ``import ... as wal`` → class)."""
-        head = mod.imports.get(chain[0])
-        candidates = []
-        if head is not None:
-            candidates.append(".".join((head,) + chain[1:]))
-        candidates.append(f"{mod.source.module}." + ".".join(chain))
+        candidates = [mod.dotted(chain),
+                      f"{mod.source.module}." + ".".join(chain)]
         for cand in candidates:
             if cand in self.classes or cand in self.functions:
                 return cand

@@ -1,12 +1,28 @@
-"""Interprocedural dataflow analyzer (sanitizer Layer 3).
+"""The static analyzer (sanitizer Layer 2): one rule table over one
+whole-repo call graph.
 
-Where the Layer-2 linter judges one expression at a time, this layer
-builds a whole-repo call graph (:mod:`repro.sanitize.callgraph`) over
-the shared parse cache, runs a fixpoint effect analysis on it
-(:mod:`repro.sanitize.flow.engine`), and checks the cross-function
-invariants the serving stack actually depends on:
+Each file is parsed once; the call graph
+(:mod:`repro.sanitize.callgraph`) holds the modules' imports and
+aliases, the functions and classes, and the resolved call sites; a
+fixpoint effect analysis (:mod:`repro.sanitize.flow.engine`) runs over
+it; then every rule in :data:`FLOW_RULES` runs
+(:mod:`repro.sanitize.flow.rules`):
 
 ====  ==============================================================
+R001  No raw wall-clock (``time.time``/``perf_counter``/...) inside
+      ``repro/bc`` or ``repro/gpu``.
+R002  No legacy global-state ``numpy.random.*`` call, and no RNG
+      constructor without a seed, anywhere (callees resolve through
+      the module's imports).
+R003  ``ShmArena``/``SharedMemory`` creations paired with a
+      ``close``/``unlink`` in their module (or a ``with`` block); no
+      raw ``multiprocessing.shared_memory`` import outside
+      ``parallel/shm.py``.
+R004  No bare ``except:`` and no ``except Exception: pass`` in
+      ``resilience/`` and ``parallel/``.
+R005  Functions in ``bc/`` taking an ``acc`` accountant charge it.
+R006  No non-atomic write-mode ``open()`` in ``resilience/`` and
+      ``service/`` (``faults.py`` and ``wal.py`` exempt).
 F101  No path from an ``async def`` in ``repro/service/`` to a
       blocking call (fsync, file I/O, ``time.sleep``, thread joins,
       heavy NumPy) except through ``run_in_executor``/``to_thread``
@@ -16,15 +32,17 @@ F102  Durability protocol order: ``check_fence()`` before segment
       durable-ack; ``promote()`` runs fence → seal → own → advertise.
 F103  Zero-copy shm views must not escape their arena round
       (returned, stored on an attribute, yielded, or closed over)
-      without a copy — the dataflow upgrade of lexical R003.
+      without a copy — the dataflow upgrade of R003.
 F104  Wall-clock / unseeded-RNG taint must never fold into the
       bit-identical quantities (accountant charges, checkpoint
       payloads, ``simulated_seconds``/``bc`` state).
+E001  The file does not parse, so no rule can check it.
 ====  ==============================================================
 
-Run as ``python -m repro.sanitize.flow src/repro`` (formats: text,
-json, sarif; exit 1 on any finding not covered by the suppression
-baseline).  See docs/SANITIZER.md, "Interprocedural analysis".
+Run as ``python -m repro.sanitize.flow src/ tests/ --baseline
+.flow-baseline.json`` (formats: text, json, sarif; exit 1 on any
+finding not covered by the suppression baseline).  See
+docs/SANITIZER.md, "Layer 2".
 """
 
 from repro.sanitize.flow.baseline import (

@@ -33,7 +33,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.sanitize.flow.findings import FlowFinding
 
 BASELINE_VERSION = 1
-#: conventional location, used by `make analyze` and CI
+#: conventional location, used by `make lint` and CI
 DEFAULT_BASELINE = ".flow-baseline.json"
 
 

@@ -4,7 +4,7 @@
 (the latter takes ``(virtual_path, source)`` pairs so the mutation
 tests can analyze snippets under synthetic tree positions);
 :func:`main` wraps them with baseline handling and the three output
-formats.
+formats.  Each file is parsed once per run.
 """
 
 from __future__ import annotations
@@ -14,14 +14,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from repro.sanitize.astcache import (
-    AstCache,
-    GLOBAL_CACHE,
-    SourceModule,
-    iter_python_files,
-    parse_source,
-)
-from repro.sanitize.callgraph import CallGraph
+from repro.sanitize.callgraph import CallGraph, SourceModule, parse_source
 from repro.sanitize.flow.baseline import (
     BaselineError,
     apply_baseline,
@@ -38,11 +31,35 @@ from repro.sanitize.flow.rules import run_rules
 from repro.sanitize.flow.sarif import render_sarif
 
 
+def iter_python_files(paths: Sequence[str]) -> List[Path]:
+    """Expand files-or-directories into a sorted list of ``.py`` files."""
+    files: List[Path] = []
+    for raw in paths:
+        p = Path(raw)
+        if p.is_dir():
+            files.extend(sorted(p.rglob("*.py")))
+        else:
+            files.append(p)
+    return files
+
+
+def _parse_failure(mod: SourceModule) -> FlowFinding:
+    """The E001 finding for a module that did not parse."""
+    exc = mod.error
+    return FlowFinding(
+        code="E001", path=mod.path, line=exc.lineno or 1,
+        col=(exc.offset or 0) + 1, function=mod.module or mod.path,
+        message=f"unparseable source: {exc.msg}",
+    )
+
+
 def analyze_modules(modules: Sequence[SourceModule]) -> FlowReport:
-    """Build the graph, run the fixpoint, run every rule."""
+    """Build the graph, run the fixpoint, run every rule; a module
+    that did not parse is an E001 finding."""
     graph = CallGraph.build(modules)
     summaries = compute_summaries(graph)
-    findings = sort_findings(run_rules(graph, summaries))
+    findings = [_parse_failure(m) for m in modules if not m.ok]
+    findings = sort_findings(findings + run_rules(graph, summaries))
     return FlowReport(
         findings=findings,
         files=len([m for m in modules if m.ok]),
@@ -51,14 +68,12 @@ def analyze_modules(modules: Sequence[SourceModule]) -> FlowReport:
     )
 
 
-def analyze_paths(paths: Sequence[str],
-                  cache: Optional[AstCache] = None) -> FlowReport:
-    """Analyze every Python file under *paths* through the shared
-    parse cache (pass the same cache the linter used and a combined
-    run parses each file once)."""
-    cache = cache if cache is not None else GLOBAL_CACHE
-    modules = cache.get_many(iter_python_files(paths))
-    return analyze_modules(modules)
+def analyze_paths(paths: Sequence[str]) -> FlowReport:
+    """Analyze every Python file under *paths*."""
+    return analyze_modules([
+        parse_source(f.read_text(encoding="utf-8"), str(f))
+        for f in iter_python_files(paths)
+    ])
 
 
 def analyze_sources(
@@ -77,8 +92,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     malformed baseline, 0 on a clean run."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.sanitize.flow",
-        description="Interprocedural dataflow analyzer (rules "
-                    "F101-F104; see docs/SANITIZER.md)",
+        description="Static analyzer (lexical rules R001-R006, "
+                    "interprocedural rules F101-F104; see "
+                    "docs/SANITIZER.md)",
     )
     parser.add_argument("paths", nargs="+",
                         help="files or directories to analyze")

@@ -210,7 +210,7 @@ def compute_summaries(graph: CallGraph) -> EffectSummaries:
     # seed: root effects per site, direct summaries per function
     for qname, sites in graph.calls.items():
         fn = graph.functions[qname]
-        mod = graph.modules.get(fn.module)
+        mod = graph.modules.get(fn.path)
         acc: Set[str] = set()
         for site in sites:
             roots = (site_root_effects(site, fn, mod, graph)

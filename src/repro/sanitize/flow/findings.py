@@ -1,11 +1,11 @@
-"""Finding and report types for the interprocedural analyzer.
+"""Rule table, finding and report types for the static analyzer.
 
-Mirrors the stable-JSON discipline of the Layer-1
-:class:`~repro.sanitize.report.SanitizerReport` and the Layer-2 lint
-report: findings sort deterministically, serialize to a versioned
-document, and carry a **fingerprint** that is independent of line
-numbers — so a suppression baseline survives unrelated edits above the
-finding and only drifts when the finding itself changes.
+Mirrors the stable-JSON discipline of the race tracer's
+:class:`~repro.sanitize.report.SanitizerReport`: findings sort
+deterministically, serialize to a versioned document, and carry a
+**fingerprint** that is independent of line numbers — so a suppression
+baseline survives unrelated edits above the finding and only drifts
+when the finding itself changes.
 """
 
 from __future__ import annotations
@@ -18,8 +18,47 @@ from typing import Dict, List, Sequence, Tuple
 #: schema version of the ``--format json`` document
 FLOW_VERSION = 1
 
-#: rule code → (summary, fix-it hint)
+#: rule code → (summary, fix-it hint): the lexical rules R001–R006,
+#: the interprocedural rules F101–F104, and E001 for a file that does
+#: not parse (no rule can check it)
 FLOW_RULES: Dict[str, Tuple[str, str]] = {
+    "E001": (
+        "unparseable source",
+        "fix the syntax error: a file that does not parse is checked "
+        "by no rule",
+    ),
+    "R001": (
+        "raw wall-clock read in simulated-kernel code",
+        "route simulated time through CostModel; if you need wall "
+        "time, use repro.utils.timing.WallTimer outside bc/ and gpu/",
+    ),
+    "R002": (
+        "module-level or unseeded numpy RNG",
+        "take an explicit seed or np.random.Generator argument and "
+        "build it with repro.utils.prng.default_rng(seed)",
+    ),
+    "R003": (
+        "shared-memory lifecycle hazard",
+        "pair the creation with close()/unlink() in the same "
+        "function/class (or use a with-block), and go through "
+        "repro.parallel.shm instead of multiprocessing.shared_memory",
+    ),
+    "R004": (
+        "silently swallowed exception in a resilience-critical layer",
+        "catch the narrowest exception you can handle, or make "
+        "best-effort teardown explicit with contextlib.suppress(...)",
+    ),
+    "R005": (
+        "kernel function never charges its accountant",
+        "call a method on `acc` (acc.sp_level/acc.dep_level/...) or "
+        "pass `acc` to a helper that does, before returning",
+    ),
+    "R006": (
+        "non-atomic write to a durable path",
+        "write through repro.utils.atomicio.atomic_write (or an "
+        "inline tmp-file + os.replace) so readers never observe a "
+        "torn file after a crash",
+    ),
     "F101": (
         "async path reaches a blocking call without an executor hop",
         "route the blocking call off the event loop: await "
@@ -47,13 +86,15 @@ FLOW_RULES: Dict[str, Tuple[str, str]] = {
 
 @dataclass(frozen=True)
 class FlowFinding:
-    """One interprocedural finding, with the call-path evidence."""
+    """One finding, with the call-path evidence when a rule has one."""
 
     code: str
     path: str
     line: int
     col: int
-    function: str  #: dotted qname of the function the finding is in
+    #: dotted qname of the function the finding is in (the module's
+    #: name for a finding outside every function)
+    function: str
     message: str
     #: call-path evidence, caller-first (``Class.fn (path:line)`` steps)
     trace: Tuple[str, ...] = field(default_factory=tuple)

@@ -1,9 +1,10 @@
-"""The four interprocedural rule families (F101–F104).
+"""The analyzer's rules: six lexical ones (R001–R006) and four
+interprocedural families (F101–F104).
 
 Each rule documents its scope, its sources/sinks, and — because the
 call graph is optimistic — what it can miss.  Shared precision
-decisions, chosen so the shipped tree analyzes clean *because the code
-is clean*, not because the rules are blind:
+decisions of the F-rules, chosen so the shipped tree analyzes clean
+*because the code is clean*, not because the rules are blind:
 
 * constructors are exempt from F101 (services are built once, before
   serving; ``BCService.__init__`` legitimately recovers a journal
@@ -44,6 +45,17 @@ from repro.sanitize.flow.engine import (
 )
 from repro.sanitize.flow.findings import FlowFinding
 
+#: numpy RNG constructors: seeded, they are the sanctioned RNGs; called
+#: without an argument they draw OS entropy, which R002 flags and F104
+#: treats as a nondeterministic source
+RNG_CONSTRUCTORS = {
+    "default_rng", "Generator", "SeedSequence", "BitGenerator",
+    "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
+}
+#: R006 exemptions: faults.py corrupts files on purpose, and wal.py's
+#: append-only segments get durability from CRC + torn-tail truncation
+#: rather than rename
+_R006_EXEMPT = ("/resilience/faults.py", "/resilience/wal.py")
 #: attributes whose stores feed bit-identical state (F104 sinks);
 #: deliberately excludes ``wall_seconds``/``elapsed`` — those *are*
 #: wall-clock by contract
@@ -55,16 +67,22 @@ _CHECKPOINT_SINKS = {"save_checkpoint", "checkpoint_now"}
 _VIEW_SANITIZERS = {"copy", "array", "ascontiguousarray"}
 
 
-def _in_service(path: str) -> bool:
-    return "/repro/service/" in norm_path(path)
-
-
-def _f103_exempt(path: str) -> bool:
-    return "/repro/parallel/" in norm_path(path)
+def _under(path: str, *trees: str) -> bool:
+    """True when *path* lies under one of the ``repro/<tree>/`` trees."""
+    p = norm_path(path)
+    return any(f"/repro/{tree}/" in p for tree in trees)
 
 
 def _in_repro(path: str) -> bool:
     return "/repro/" in norm_path(path)
+
+
+def _reads_wall_clock(chain: Tuple[str, ...], mod: ModuleInfo) -> bool:
+    """``time.perf_counter()`` and friends under any alias of ``time``,
+    or a name bound by ``from time import ...`` (R001, F104)."""
+    if len(chain) == 2:
+        return chain[0] in mod.time_aliases and chain[1] in WALL_CLOCK_FUNCS
+    return len(chain) == 1 and chain[0] in mod.wall_clock_names
 
 
 def iter_statements(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
@@ -85,13 +103,195 @@ def iter_statements(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
 
 def run_rules(graph: CallGraph,
               summaries: EffectSummaries) -> List[FlowFinding]:
-    """Run every F-rule over the graph; unsorted findings."""
-    findings: List[FlowFinding] = []
+    """Run every rule over the graph; unsorted findings."""
+    findings = rule_lexical(graph)
     findings.extend(rule_f101(graph, summaries))
     findings.extend(rule_f102(graph, summaries))
     findings.extend(rule_f103(graph))
     findings.extend(rule_f104(graph))
     return findings
+
+
+# ----------------------------------------------------------------------
+# R001–R006 — lexical rules
+# ----------------------------------------------------------------------
+def rule_lexical(graph: CallGraph) -> List[FlowFinding]:
+    """The six lexical rules, each judging one node on its own:
+
+    * R001 — no raw wall-clock call (``time.time``/``perf_counter``/...)
+      under ``repro/bc/`` or ``repro/gpu/``;
+    * R002 — no legacy global-state ``numpy.random.*`` call and no RNG
+      constructor (:data:`RNG_CONSTRUCTORS`) without a seed, anywhere;
+      callee names resolve through the module's imports;
+    * R003 — no raw ``multiprocessing.shared_memory`` import outside
+      ``parallel/shm.py``; a ``ShmArena``/``SharedMemory`` creation
+      sits in a ``with`` block or in a module that calls
+      ``close()``/``unlink()``;
+    * R004 — no bare ``except:`` and no ``except Exception: pass``
+      under ``repro/resilience/`` or ``repro/parallel/``;
+    * R005 — a function under ``repro/bc/`` taking ``acc`` calls a
+      method on it or passes it on;
+    * R006 — a write-mode ``open()`` under ``repro/resilience/`` or
+      ``repro/service/`` (``faults.py`` and ``wal.py`` exempt) sits in
+      a module that calls ``os.replace``/``rename`` or ``atomic_write``.
+
+    R003 and R006 search the whole module for the pairing call: a
+    method may hand its segment or file to a sibling method or a
+    module-level helper, and the module is the widest scope that holds
+    them all.
+    """
+    findings: List[FlowFinding] = []
+    for mod in graph.modules.values():
+        findings.extend(_LexicalScan(graph, mod).run())
+    return findings
+
+
+class _LexicalScan:
+    """The lexical rules over one module's :attr:`ModuleInfo.nodes`."""
+
+    def __init__(self, graph: CallGraph, mod: ModuleInfo) -> None:
+        self.graph = graph
+        self.mod = mod
+        self.path = mod.source.path
+        self.findings: List[FlowFinding] = []
+        self.calls = [(node, attr_chain(node.func)) for node in mod.nodes
+                      if isinstance(node, ast.Call)]
+
+    def run(self) -> List[FlowFinding]:
+        path = norm_path(self.path)
+        kernel = _under(path, "bc", "gpu")
+        guarded = _under(path, "resilience", "parallel")
+        durable = (_under(path, "resilience", "service")
+                   and not path.endswith(_R006_EXEMPT))
+        for node in self.mod.nodes:
+            if isinstance(node, ast.ExceptHandler) and guarded:
+                self._handler(node)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and _imports_raw_shm(node) \
+                    and not path.endswith("/parallel/shm.py"):
+                self._flag(node, "R003", "raw multiprocessing.shared_memory "
+                           "import outside parallel/shm.py")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and _under(path, "bc") and _leaves_acc_uncharged(node):
+                self._flag(node, "R005", f"kernel `{node.name}` takes `acc` "
+                           f"but never charges it")
+        for node, chain in self.calls:
+            if not chain:
+                continue
+            if kernel and _reads_wall_clock(chain, self.mod):
+                self._flag(node, "R001",
+                           f"`{'.'.join(chain)}()` in kernel code")
+            self._rng(node, chain)
+            if chain[-1] in ("ShmArena", "SharedMemory") \
+                    and not self._releases() and not self._in_with(node):
+                self._flag(node, "R003",
+                           f"`{chain[-1]}(...)` has no close()/unlink() "
+                           f"path in its module")
+            if durable and chain == ("open",):
+                mode = _open_mode(node)
+                if mode is not None and any(c in mode for c in "wxa") \
+                        and not self._writes_atomically():
+                    self._flag(node, "R006",
+                               f"`open(..., {mode!r})` writes a durable "
+                               f"path without an atomic-rename path in "
+                               f"its module")
+        return self.findings
+
+    def _rng(self, node: ast.Call, chain: Tuple[str, ...]) -> None:
+        module, _, name = (self.mod.dotted(chain) or "").rpartition(".")
+        if module != "numpy.random":
+            return
+        label = ".".join(chain)
+        if name not in RNG_CONSTRUCTORS:
+            self._flag(node, "R002", f"legacy global-state RNG call `{label}`")
+        elif not node.args and not node.keywords:
+            self._flag(node, "R002", f"`{label}()` without an explicit "
+                       f"seed draws OS entropy")
+
+    def _handler(self, node: ast.ExceptHandler) -> None:
+        if node.type is None:
+            self._flag(node, "R004", "bare `except:` clause")
+        elif (isinstance(node.type, ast.Name)
+              and node.type.id in ("Exception", "BaseException")
+              and all(isinstance(stmt, ast.Pass) for stmt in node.body)):
+            self._flag(node, "R004", f"`except {node.type.id}: pass` "
+                       f"swallows failures silently")
+
+    def _releases(self) -> bool:
+        """The module calls ``.close()`` or ``.unlink()`` somewhere."""
+        return any(isinstance(node.func, ast.Attribute)
+                   and node.func.attr in ("close", "unlink")
+                   for node, _ in self.calls)
+
+    def _writes_atomically(self) -> bool:
+        """The module calls ``X.replace``/``X.rename`` or
+        ``atomic_write`` somewhere."""
+        return any(chain and (chain[-1] == "atomic_write" or (
+            len(chain) >= 2 and chain[-1] in ("replace", "rename")))
+            for _, chain in self.calls)
+
+    def _in_with(self, call: ast.Call) -> bool:
+        """*call* sits inside a ``with`` statement (its lifecycle is
+        structural)."""
+        return any(isinstance(node, ast.With)
+                   and any(sub is call for sub in ast.walk(node))
+                   for node in ast.walk(self.mod.source.tree))
+
+    def _flag(self, node: ast.AST, code: str, message: str) -> None:
+        line = node.lineno
+        inner = max((fn for fn in self.graph.functions.values()
+                     if fn.path == self.path
+                     and fn.lineno <= line <= fn.node.end_lineno),
+                    key=lambda fn: fn.lineno, default=None)
+        self.findings.append(FlowFinding(
+            code=code, path=self.path, line=line, col=node.col_offset + 1,
+            function=inner.qname if inner else self.mod.source.module,
+            message=message,
+        ))
+
+
+def _imports_raw_shm(node: ast.AST) -> bool:
+    """An import of ``multiprocessing.shared_memory`` in any form."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("multiprocessing.shared_memory")
+                   for alias in node.names)
+    return node.module == "multiprocessing.shared_memory" or (
+        node.module == "multiprocessing"
+        and any(alias.name == "shared_memory" for alias in node.names))
+
+
+def _open_mode(node: ast.Call) -> Optional[str]:
+    """The literal mode string of an ``open(...)`` call, or ``None``
+    when absent (absent means ``"r"`` — safe); a dynamic mode
+    expression reads as ``"w"``, the worst case."""
+    mode: Optional[ast.AST] = node.args[1] if len(node.args) >= 2 else None
+    for kw in node.keywords:
+        if kw.arg == "mode":
+            mode = kw.value
+    if mode is None:
+        return None
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return mode.value
+    return "w"
+
+
+def _leaves_acc_uncharged(func: ast.AST) -> bool:
+    """True when *func* takes an ``acc`` parameter but neither calls a
+    method rooted at ``acc`` nor passes ``acc`` (positionally or by
+    keyword) to another call."""
+    a = func.args
+    if "acc" not in [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]:
+        return False
+    for sub in ast.walk(func):
+        if not isinstance(sub, ast.Call):
+            continue
+        chain = attr_chain(sub.func)
+        if len(chain) >= 2 and chain[0] == "acc":
+            return False
+        for arg in list(sub.args) + [kw.value for kw in sub.keywords]:
+            if isinstance(arg, ast.Name) and arg.id == "acc":
+                return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +312,7 @@ def rule_f101(graph: CallGraph,
     """
     findings = []
     for qname, fn in graph.functions.items():
-        if not fn.is_async or not _in_service(fn.path):
+        if not fn.is_async or not _under(fn.path, "service"):
             continue
         for site in graph.calls.get(qname, ()):  # noqa: B007
             effects = summaries.site_effects(site)
@@ -190,7 +390,7 @@ def rule_f102(graph: CallGraph,
                     break
     # -- (b) append before ack ----------------------------------------
     for qname, fn in graph.functions.items():
-        if not _in_service(fn.path) or fn.name == "_wait_durable":
+        if not _under(fn.path, "service") or fn.name == "_wait_durable":
             continue
         ack_site: Optional[CallSite] = None
         append_line: Optional[int] = None
@@ -216,7 +416,7 @@ def rule_f102(graph: CallGraph,
     # -- (c) promote ordering -----------------------------------------
     order = ("fence", "seal", "own", "advertise")
     for qname, fn in graph.functions.items():
-        if fn.name != "promote" or not _in_service(fn.path):
+        if fn.name != "promote" or not _under(fn.path, "service"):
             continue
         first: Dict[str, int] = {}
         for site in graph.calls.get(qname, ()):  # noqa: B007
@@ -394,9 +594,9 @@ def rule_f103(graph: CallGraph) -> List[FlowFinding]:
         changed = False
         analyses.clear()
         for qname, fn in graph.functions.items():
-            if not _in_repro(fn.path) or _f103_exempt(fn.path):
+            if not _in_repro(fn.path) or _under(fn.path, "parallel"):
                 continue
-            mod = graph.modules.get(fn.module)
+            mod = graph.modules.get(fn.path)
             if mod is None:
                 continue
             flow = _ViewFlow(graph, fn, mod, returns_view)
@@ -418,10 +618,11 @@ class _TaintFlow:
     """Per-function forward taint of nondeterministic values.
 
     Sources: wall-clock reads (``time.time``/``perf_counter``/...),
-    ``WallTimer.elapsed``, unseeded ``default_rng()``, and calls to
-    functions summarized as returning taint.  Sinks: accountant
-    charges (``acc.*(tainted)``), checkpoint payload arguments, and
-    stores to the deterministic-state attributes
+    ``WallTimer.elapsed``, RNG constructors called without a seed
+    (:data:`RNG_CONSTRUCTORS`), and calls to functions summarized as
+    returning taint; an attribute of a tainted value is tainted.
+    Sinks: accountant charges (``acc.*(tainted)``), checkpoint payload
+    arguments, and stores to the deterministic-state attributes
     (``simulated_seconds``/``_sim_seconds``/``simulated_prefix``/
     ``bc``).  ``wall_seconds`` is *not* a sink: it is wall-clock by
     contract.
@@ -475,7 +676,7 @@ class _TaintFlow:
                 )
                 if recv is not None and recv.rsplit(".", 1)[-1] == "WallTimer":
                     return f"WallTimer.elapsed (line {expr.lineno})"
-            return None
+            return self.taint_of(expr.value)
         if isinstance(expr, ast.Call):
             return self._call_taint(expr)
         return None
@@ -483,13 +684,10 @@ class _TaintFlow:
     def _call_taint(self, call: ast.Call) -> Optional[str]:
         chain = attr_chain(call.func)
         tail = chain[-1] if chain else ""
-        if len(chain) == 2 and chain[0] in self.mod.time_aliases \
-                and tail in WALL_CLOCK_FUNCS:
+        if _reads_wall_clock(chain, self.mod):
             return f"{'.'.join(chain)}() (line {call.lineno})"
-        if len(chain) == 1 and tail in self.mod.wall_clock_names:
-            return f"{tail}() (line {call.lineno})"
-        if tail == "default_rng" and not call.args and not call.keywords:
-            return f"unseeded default_rng() (line {call.lineno})"
+        if tail in RNG_CONSTRUCTORS and not call.args and not call.keywords:
+            return f"unseeded {tail}() (line {call.lineno})"
         for site in self._index.get(id(call), []):
             if site.callee in self.returns_taint:
                 callee = self.graph.functions.get(site.callee)
@@ -581,7 +779,7 @@ def rule_f104(graph: CallGraph) -> List[FlowFinding]:
         for qname, fn in graph.functions.items():
             if not _in_repro(fn.path):
                 continue
-            mod = graph.modules.get(fn.module)
+            mod = graph.modules.get(fn.path)
             if mod is None:
                 continue
             flow = _TaintFlow(graph, fn, mod, returns_taint)

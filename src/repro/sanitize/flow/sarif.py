@@ -1,9 +1,9 @@
-"""SARIF 2.1.0 output for the flow analyzer.
+"""SARIF 2.1.0 output for the static analyzer.
 
 SARIF (Static Analysis Results Interchange Format) is what code-review
 UIs ingest — GitHub code scanning renders each result inline on the
 PR diff.  This emits the minimal conforming document: one run, one
-``tool.driver`` with the F-rule catalog, one ``result`` per finding
+``tool.driver`` with the rule catalog, one ``result`` per finding
 with a physical location and the call-path evidence folded into the
 message.  Suppression is handled *before* SARIF generation (the
 baseline filters findings), so every result here is actionable.
@@ -67,7 +67,7 @@ def to_sarif(report: FlowReport) -> dict:
                 "driver": {
                     "name": "repro-sanitize-flow",
                     "informationUri":
-                        "docs/SANITIZER.md#interprocedural-analysis",
+                        "docs/SANITIZER.md#layer-2-the-static-analyzer",
                     "rules": rules,
                 },
             },

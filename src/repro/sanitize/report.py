@@ -1,7 +1,7 @@
 """Structured output of the kernel race sanitizer.
 
 A :class:`SanitizerReport` is the JSON-serializable artifact the CI
-``sanitize`` job uploads: every hazard the tracer flagged, plus the
+``sanitize-tracer`` job uploads: every hazard the tracer flagged, plus the
 coverage counters that prove the instrumentation actually ran (a
 zero-finding report over zero intervals proves nothing).
 

@@ -10,7 +10,7 @@ queries were answered *while* an update batch was in flight (the
 non-blocking-reads proof).
 
 Timing uses wall-clock (allowed outside ``repro.bc``/``repro.gpu``;
-see the lint rules) because service latency *is* wall time; the
+see rule R001) because service latency *is* wall time; the
 workload itself stays fully seeded.
 
 With ``install_signals=True`` the driver turns SIGTERM/SIGINT into a

@@ -6,7 +6,7 @@ files, edge streams, workloads, checkpoints) goes through
 :func:`atomic_write`: the bytes land in a temporary file in the target
 directory, are fsynced, and only then renamed over the destination, so
 a reader can observe either the complete old file or the complete new
-one — never a truncated hybrid.  The repo linter's R006 rule bans
+one — never a truncated hybrid.  The static analyzer's rule R006 bans
 plain ``open(path, "w")`` writes to durable paths in ``resilience/``
 and ``service/`` precisely so this helper (or the equivalent inline
 tmp + fsync + ``os.replace`` pattern) is the only route.
