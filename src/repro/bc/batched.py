@@ -22,9 +22,10 @@ oracle and its sanitize-mode path).  Results are bit-identical to it:
   :class:`~repro.gpu.ledger.CostLedger`, which costs and folds each
   row's steps as the per-source kernel's trace would be;
 * the executor writes no state: each row comes back with its
-  write-set (touched vertex ids and their new ``d``, σ and δ), and the
-  engine commits the rows and derives the bc adjustments in ascending
-  source order.
+  write-set (touched vertex ids with their new δ, and the new σ and
+  ``d`` only where they can differ from the stored ones), and the
+  engine commits every row at once and derives the bc adjustments in
+  ascending source order.
 
 :meth:`SourceExecutor.run` returns one :class:`RowResults`: flat
 columns over its rows, which a pool chunk ships as a handful of
@@ -32,10 +33,13 @@ arrays.
 
 Work scratch is ``(rows, n)`` per batch; the shared ``d``/``sigma``/
 ``delta`` rows are read through flat keys, never copied whole.  A
-level's rows are split into whole-row passes of at most
-:data:`PASS_ARCS` gathered arcs so temporaries stay in cache, and a
-row that fills a pass alone runs with the per-source gather (int32
-vertex ids into its own row views, no key arithmetic).
+batch lists the keys it marks as it marks them, each once, and sorts
+that list where it needs its touched keys, so finding them costs the
+write-set, not a scan of the scratch.  A level's rows are split into
+whole-row passes of at most :data:`PASS_ARCS` gathered arcs so
+temporaries stay in cache, and a row that fills a pass alone runs with
+the per-source gather (int32 vertex ids into its own row views, no key
+arithmetic).
 
 A dependency level finds its predecessor arcs from the smaller side,
 per row (direction-optimizing, as Beamer et al.'s BFS): top-down over
@@ -73,6 +77,12 @@ BOTTOM_UP_ARCS = 1 << 11
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
+#: a write-set key's ``ships`` code, the new values it carries: δ at
+#: every key, σ as well from SIGMA up (the σ or pull stage reached the
+#: key), and ``d`` too at MOVED (a Case-3 mover, or any key of a rebuilt
+#: row)
+SIGMA, MOVED = 1, 2
+
 
 @dataclass
 class RowResults:
@@ -93,12 +103,16 @@ class RowResults:
     #: :class:`UpdateStats` fields per row, in field order
     stats: np.ndarray
     #: each row's write-set, CSR-packed: row *j*'s ``nkeys[j]`` vertex
-    #: ids, ascending, with their new ``d``, σ and δ; rows in order
+    #: ids, ascending, each with its ``ships`` code and new δ; rows in
+    #: order
     nkeys: np.ndarray
     keys: np.ndarray
-    d: np.ndarray
-    sigma: np.ndarray
+    ships: np.ndarray
     delta: np.ndarray
+    #: the new σ of the keys shipping it (``ships >= SIGMA``) and the
+    #: new ``d`` of those shipping it (``ships == MOVED``), in key order
+    sigma: np.ndarray
+    d: np.ndarray
 
     def arrays(self) -> tuple:
         """The columns in field order (``RowResults(*arrays)`` rebuilds
@@ -113,8 +127,10 @@ class RowResults:
         at = (np.arange(int(lens.sum()))
               + np.repeat(starts[order] - (np.cumsum(lens) - lens), lens))
         columns = self.arrays()
-        return RowResults(*(a[order] for a in columns[:-5]), lens,
-                          *(a[at] for a in columns[-4:]))
+        return RowResults(*(a[order] for a in columns[:-6]), lens,
+                          self.keys[at], self.ships[at], self.delta[at],
+                          self.sigma[_subset(self.ships >= SIGMA, at)],
+                          self.d[_subset(self.ships == MOVED, at)])
 
 
 #: ``rebuild(i)`` — a fresh Brandes pass for state row *i*: its new
@@ -189,7 +205,7 @@ class SourceExecutor:
         fallback, charged to *ledger* rows ``offset, offset + 1, ...``.
         A row's cost is its classify step plus the static trace of the
         rebuild, and its write-set is the whole fresh row.  Returns the
-        rows' ``(rows, stats, nkeys, keys, d, sigma, delta)``."""
+        rows' ``(rows, stats, nkeys, keys, ships, delta, sigma, d)``."""
         rows = np.array([int(it[0]) for it in items], dtype=np.int64)
         ledger.charge(np.arange(rows.size) + offset, book.classify_steps())
         stats, fresh = [], []
@@ -198,10 +214,12 @@ class SourceExecutor:
             ledger.add_trace(offset + b, trace.steps)
             stats.append(astuple(row_stats))
             fresh.append(row)
+        d, sigma, delta = (np.concatenate(col) for col in zip(*fresh))
         return (rows, np.array(stats, dtype=np.int64),
                 np.full(rows.size, n, dtype=np.int64),
                 np.tile(np.arange(n, dtype=np.int64), rows.size),
-                *(np.concatenate(col) for col in zip(*fresh)))
+                np.full(rows.size * n, MOVED, dtype=np.int8),
+                delta, sigma, d)
 
 
 class _Arcs:
@@ -443,6 +461,11 @@ class _Batch:
         self.sp_levels = np.zeros(m, dtype=np.int64)
         self.dep_levels = np.zeros(m, dtype=np.int64)
         self.moved = np.zeros(m, dtype=np.int64)
+        #: local keys as they are marked in ``T`` (each once: a
+        #: frontier, a kept pull front, an ``UP`` key) and, Case 3, in
+        #: ``MV``; :meth:`touched` and :meth:`movers` sort them
+        self.marks: List[np.ndarray] = []
+        self.moves: List[np.ndarray] = []
         #: the running dependency level's previous level, for the rows
         #: :meth:`bottom_up` sent bottom-up: row -> (local keys, arcs)
         self.prev: Dict[int, Tuple[np.ndarray, int]] = {}
@@ -508,6 +531,15 @@ class _Batch:
         if b is None:
             return idx
         return idx.astype(np.int64) + self.lbase[b]
+
+    def touched(self) -> np.ndarray:
+        """The local keys marked in ``T``, ascending: the scratch's
+        nonzero keys, from the marks alone."""
+        return _collect(self.marks)
+
+    def movers(self) -> np.ndarray:
+        """The local keys marked in ``MV``, ascending (Case 3)."""
+        return _collect(self.moves)
 
     def per_row(self, keys: np.ndarray) -> np.ndarray:
         """Number of local *keys* in each batch row."""
@@ -605,6 +637,7 @@ class _Batch:
         sign = 1.0 if insert else -1.0
         self.SHf[self.lul] = self.Sf[self.gul] + sign * self.Sf[self.guh]
         self.Tf[self.lul] = DOWN
+        self.marks.append(self.lul)
         self.qq[:] = 1
 
         # Stage 2: sigma deltas down the unchanged DAG, one level of
@@ -633,6 +666,7 @@ class _Batch:
                 self.conflict(o.lh, a.b, conflict)
                 found.append(self.to_keys(new, a.b))
             frontier = _concat(found)
+            self.marks.append(frontier)
             new_sizes = self.per_row(frontier)
             self.qq += new_sizes
             live = np.flatnonzero(sizes)
@@ -644,7 +678,7 @@ class _Batch:
 
         # Stage 3: dependency accumulation.  Distances are unchanged,
         # so a touched vertex's level is its stored distance.
-        touched = np.flatnonzero(self.Tf)
+        touched = self.touched()
         levels = self.Df[self.to_global(touched, None)]
         self._dependency(touched, levels, d_low if not insert else None,
                          insert, case3=False)
@@ -665,7 +699,8 @@ class _Batch:
         level = d_high + 1
         self.DNf[self.lul] = level
         self.MVf[self.lul] = True
-        self.Tf[self.lul] = DOWN
+        self.moves.append(self.lul)
+        self.Tf[self.lul] = DOWN  # marked as a kept front below
 
         # Stage 2': pull-based distance/sigma repair in new-level
         # order, one level of every row per iteration.
@@ -697,6 +732,7 @@ class _Batch:
                 front = self.to_keys(cur[changed], b)
                 if not front.size:
                     continue
+                self.marks.append(front)
                 self.qq += self.per_row(front)
                 # front is part of this pass's keys: same pass mode
                 s = _Arcs(self, front, b)
@@ -706,6 +742,7 @@ class _Batch:
                 if movers.size:
                     DN[movers] = level[movers // n if b is None else b] + 1
                     MV[movers] = True
+                    self.moves.append(self.to_keys(movers, b))
                 cand = DN[heads] == next_level
                 nxt = unique(heads[cand])
                 if nxt.size:
@@ -724,7 +761,7 @@ class _Batch:
 
         # Pre-pass: retire moved vertices' old contributions from their
         # old predecessors (pre-update values only).
-        movers = np.flatnonzero(self.MVf)
+        movers = self.movers()
         self.moved = self.per_row(movers)
         arcs = np.zeros(m, dtype=np.int64)
         subs = np.zeros(m, dtype=np.int64)
@@ -737,7 +774,9 @@ class _Batch:
             if new_up.size:
                 T[new_up] = UP
                 DH[new_up] = DL[self.to_global(new_up, b)]
-                self.qq += self.per_row(self.to_keys(new_up, b))
+                new_up = self.to_keys(new_up, b)
+                self.marks.append(new_up)
+                self.qq += self.per_row(new_up)
             if x.size:
                 atomic_scatter_add(
                     DH, x.lh, -(S[x.gh] / S[x.gt]) * (1.0 + DL[x.gt]),
@@ -748,7 +787,7 @@ class _Batch:
         self.charge(self.all, self.book.prepass_steps(self.moved, arcs, subs))
 
         # Stage 3': dependency accumulation over the new levels.
-        touched = np.flatnonzero(self.Tf)
+        touched = self.touched()
         self._dependency(touched, self.DNf[touched], None, True, case3=True)
         return self._commit(case3=True)
 
@@ -766,7 +805,7 @@ class _Batch:
         np.maximum.at(max_level, touched // self.n, levels)
         order = np.argsort(levels, kind="stable")
         touched, levels = touched[order], levels[order]
-        cuts = (np.flatnonzero(np.diff(levels)) + 1).tolist()
+        cuts = (np.flatnonzero(levels[1:] != levels[:-1]) + 1).tolist()
         buckets: Dict[int, List[np.ndarray]] = {
             int(levels[start]): [part]
             for start, part in zip([0] + cuts, np.split(touched, cuts))
@@ -847,6 +886,7 @@ class _Batch:
                     subs[here] += 1
                 arcs += a.row_arcs()
             if ups:
+                self.marks.extend(ups)
                 buckets.setdefault(level - 1, []).extend(ups)
             self.charge(live, self.book.dep_steps(
                 self.qq[live], self.per_row(w)[live], arcs[live], adds[live],
@@ -858,14 +898,15 @@ class _Batch:
     # ------------------------------------------------------------------
     def _commit(self, case3: bool) -> tuple:
         """Check every row and return its write-set, the commit the
-        engine performs (Algorithm 8): the touched vertices' σ̂, δ̂ —
-        except at the source, whose δ stays as stored — and new (Case 3)
-        or stored distances.  Untouched entries of σ̂ (and of the new
-        distances) equal the stored ones, so writing the touched
-        entries is the full-row commit.  Returns the rows' ``(rows,
-        stats, nkeys, keys, d, sigma, delta)``."""
+        engine performs (Algorithm 8): the touched vertices' δ̂ — except
+        at the source, whose δ stays as stored — their σ̂ where the σ or
+        pull stage reached them (``T == DOWN``), and the Case-3 movers'
+        new distances.  Every other entry of σ̂ and of the new distances
+        equals the stored one, so writing these is the full-row commit.
+        Returns the rows' ``(rows, stats, nkeys, keys, ships, delta,
+        sigma, d)``."""
         n, m = self.n, self.m
-        touched = np.flatnonzero(self.Tf)
+        touched = self.touched()
         sh, dh = self.SHf[touched], self.DHf[touched]
         # σ̂ divisors are touched vertices, so this covers them too.
         bad = ~np.isfinite(sh) | (sh == 0.0) | ~np.isfinite(dh)
@@ -877,17 +918,20 @@ class _Batch:
                 f"non-finite sigma-hat or a non-finite delta-hat; the "
                 f"stored row is corrupt",
             )
-        glob = self.to_global(touched, None)
         row_of = touched // n
+        glob = touched + self.shift[row_of]
         at_source = touched == (self.lbase + self.src)[row_of]
         counts = np.bincount(row_of, minlength=m)
         self.charge(self.all, self.book.commit_steps(n, counts))
+        ships = (self.Tf[touched] == DOWN).view(np.int8)
+        if case3:  # movers are kept pull fronts: DOWN too
+            ships = ships + self.MVf[touched]
         return (self.rows,
                 np.column_stack([counts, self.moved, self.sp_levels,
                                  self.dep_levels]),
-                counts, touched - row_of * n,
-                self.DNf[touched] if case3 else self.Df[glob], sh,
-                np.where(at_source, self.DLf[glob], dh))
+                counts, touched - row_of * n, ships,
+                np.where(at_source, self.DLf[glob], dh), sh[ships >= SIGMA],
+                self.DNf[touched[ships == MOVED]] if case3 else _EMPTY)
 
 
 def _runs(costs: List[int]):
@@ -902,10 +946,25 @@ def _runs(costs: List[int]):
     yield start, len(costs)
 
 
+def _subset(mask: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Positions, in the column of the keys *mask* selects, of those
+    among keys *at* (in that order)."""
+    rank = np.cumsum(mask) - 1
+    return rank[at][mask[at]]
+
+
 def _holds(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """Which of *probe* the sorted, non-empty *keys* hold."""
     pos = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
     return keys[pos] == probe
+
+
+def _collect(parts: List[np.ndarray]) -> np.ndarray:
+    """The keys of *parts*, which hold each key once, ascending; the
+    list is collapsed to that one array."""
+    keys = np.sort(_concat(parts))
+    parts[:] = [keys]
+    return keys
 
 
 def _concat(parts: List[np.ndarray]) -> np.ndarray:

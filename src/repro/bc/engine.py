@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.bc.accountants import ACCOUNTANTS, CLASSIFY_STEP, make_accountant
-from repro.bc.batched import RowResults
+from repro.bc.batched import MOVED, SIGMA, RowResults
 from repro.bc.brandes import single_source_state
 from repro.bc.cases import (
     Case,
@@ -861,26 +861,30 @@ class DynamicBC:
 
     def _commit(self, res: RowResults) -> None:
         """Write the executor's write-sets into the state rows — the
-        only writes to ``d``/σ/δ on this path — one row at a time in
-        ascending order: :meth:`_before_commit`, journal the old values
-        at exactly the row's keys, write the new ones.  Each bc
-        adjustment is the new δ minus the journaled δ; ``np.add.at``
-        adds the nonzero ones in (row, vertex) order, the order of the
-        per-source kernels' masked commits (a zero adjustment is a
-        bitwise no-op on the accumulator)."""
-        st, txn = self.state, self._txn
-        old = np.empty_like(res.delta)
-        lo = 0
-        for i, hi in zip(res.rows.tolist(), np.cumsum(res.nkeys).tolist()):
-            keys = res.keys[lo:hi]
+        only writes to ``d``/σ/δ on this path — all rows at once, as
+        Algorithm 8 commits a block's touched vertices in one kernel.
+        :meth:`_before_commit` runs for every row, in ascending order,
+        before anything is written.  Then one flat index over the
+        ``(k, n)`` state, ``rows·n`` repeated per key plus the key,
+        addresses every value shipped (δ at every key, σ and ``d`` at
+        the keys shipping them); the transaction journals the old
+        values there with one gather per column, and one scatter per
+        column writes the new ones.  Each bc adjustment is the new δ
+        minus the journaled δ; ``np.add.at`` adds the nonzero ones in
+        (row, vertex) order, the order of the per-source kernels'
+        masked commits (a zero adjustment is a bitwise no-op on the
+        accumulator)."""
+        for i in res.rows.tolist():
             self._before_commit(i)
-            old[lo:hi] = txn.save_row(i, keys)
-            st.d[i, keys] = res.d[lo:hi]
-            st.sigma[i, keys] = res.sigma[lo:hi]
-            st.delta[i, keys] = res.delta[lo:hi]
-            lo = hi
+        st = self.state
+        flat = np.repeat(res.rows * st.num_vertices, res.nkeys) + res.keys
+        at = (flat[res.ships == MOVED], flat[res.ships >= SIGMA], flat)
+        old = self._txn.save_commit(at)
+        for column, idx, new in zip((st.d, st.sigma, st.delta), at,
+                                    (res.d, res.sigma, res.delta)):
+            np.put(column, idx, new)
         adjust = res.delta - old
-        nz = np.flatnonzero(adjust)
+        nz = adjust != 0.0
         np.add.at(st.bc, res.keys[nz], adjust[nz])
 
     @staticmethod
@@ -951,12 +955,12 @@ class DynamicBC:
         return self._apply_looped(u, v, operation, classifications)
 
     def _before_commit(self, i: int) -> None:
-        """Runs just before source row *i* is first written (by
-        :meth:`_commit`, or by the per-source loop before the row's
-        kernel): records the row an exception belongs to.  This is also
-        the seam :class:`~repro.resilience.faults.FaultInjector` patches
-        to fail an update part-way, with earlier rows already
-        written."""
+        """Runs before source row *i* is first written — by
+        :meth:`_commit` for every row before its scatter writes any, or
+        by the per-source loop before the row's kernel — and records
+        the row an exception belongs to.  This is also the seam
+        :class:`~repro.resilience.faults.FaultInjector` patches to fail
+        an update part-way."""
         self._txn.current_source = i
 
     def _run_source(

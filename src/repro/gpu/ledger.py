@@ -128,7 +128,7 @@ class CostLedger:
             raise ValueError("trace quantities must be non-negative")
         # drop empty steps, then put each row's steps in charge order:
         # by part, and within a part as generated
-        kept = np.flatnonzero(items | atomics)
+        kept = np.flatnonzero((items | atomics) != 0)
         order = kept[np.argsort((rows * parts + seq)[kept], kind="stable")]
         rows, code, items, atomics = (rows[order], code[order], items[order],
                                       atomics[order])

@@ -20,15 +20,16 @@ Division of labour with the parent (the determinism contract):
   columns of one :class:`~repro.bc.batched.RowResults`: per source its
   simulated seconds, per-stage seconds and counter totals (costed and
   folded in the worker by a :class:`~repro.gpu.ledger.CostLedger`),
-  its :class:`UpdateStats` fields, and its write-set — touched vertex
-  ids with their new ``d``, σ and δ — CSR-packed.
-* **The parent** commits the write-sets, one row at a time in
-  ascending source order, and replays every order-*sensitive* float
+  its :class:`UpdateStats` fields, and its write-set, CSR-packed —
+  touched vertex ids with their new δ, and their new σ and ``d`` only
+  where those can differ from the stored values.
+* **The parent** commits the write-sets of every row at once, one
+  scatter per column, and replays every order-*sensitive* float
   accumulation (bc adjustments, which it derives from the journaled
   δ, stage-seconds folds, counter absorption) over the concatenated
-  columns in that order — the same commit and fold the serial path
-  runs — reproducing the serial execution bit for bit no matter which
-  worker finished first.  A failed round therefore leaves no row to
+  columns in ascending source order — the same commit and fold the
+  serial path runs — reproducing the serial execution bit for bit no
+  matter which worker finished first.  A failed round therefore leaves no row to
   undo.  Only Brandes builds, recomputes and repairs write rows in the
   workers, each row whole.
 

@@ -101,13 +101,16 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def arm_update_fault(self, engine, after_sources: int = 1) -> None:
         """One-shot trap: the engine's next update raises
-        :class:`FaultInjected` once *after_sources* source rows have
-        been written, mid-way through the update.  The trap sits on
-        the engine's ``_before_commit`` seam, which the engine's commit
-        calls before writing each active row (and the per-source loop
-        before each source's kernel), so the rows written before it
-        fires must be rolled back.  The trap disarms itself (and
-        restores the engine) when it fires.
+        :class:`FaultInjected` at its (*after_sources* + 1)-th row,
+        mid-way through the update.  The trap sits on the engine's
+        ``_before_commit`` seam.  The engine's commit calls it for every
+        active row before its one scatter writes any, so on the
+        default path nothing is written when it fires; the per-source
+        loop (``vectorized=False``) calls it before each source's
+        kernel, so there the *after_sources* rows before it are
+        written and must be rolled back.  Either way the update
+        rolls back to its pre-update state.  The trap disarms itself
+        (and restores the engine) when it fires.
 
         On an engine with a live worker pool (``workers > 1``) the trap
         instead kills the forked worker that gets the next pool round's

@@ -101,6 +101,25 @@ def iter_statements(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
             yield from iter_statements(handler.body)
 
 
+def own_parts(stmt: ast.stmt) -> Iterator[ast.AST]:
+    """The parts of *stmt* that :func:`iter_statements` does not yield
+    on their own: a nested function or class whole, else every child
+    but the nested statement lists (an ``except`` clause keeps only its
+    type).  Walking them visits each node of a body once."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        yield stmt
+        return
+    for name, value in ast.iter_fields(stmt):
+        if name in ("body", "orelse", "finalbody"):
+            continue
+        if name == "handlers":
+            value = [h.type for h in value]
+        for node in value if isinstance(value, list) else [value]:
+            if isinstance(node, ast.AST):
+                yield node
+
+
 def run_rules(graph: CallGraph,
               summaries: EffectSummaries) -> List[FlowFinding]:
     """Run every rule over the graph; unsorted findings."""
@@ -730,9 +749,10 @@ class _TaintFlow:
     def _pass(self) -> None:
         for stmt in iter_statements(self.fn.node.body):
             # sinks first (a statement may both sink and re-taint)
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Call):
-                    self._check_sink_call(node)
+            for part in own_parts(stmt):
+                for node in ast.walk(part):
+                    if isinstance(node, ast.Call):
+                        self._check_sink_call(node)
             if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 value = stmt.value
                 if value is None:

@@ -11,6 +11,7 @@ with every level forced top-down or bottom-up through the seam
 (``_Batch.bottom_up``).
 """
 
+import collections
 import contextlib
 import multiprocessing
 import os
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 import repro.bc.batched as batched
 from repro.bc.engine import BACKENDS, DynamicBC
 from repro.graph import generators as gen
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import DIST_INF, CSRGraph
 from repro.graph.dynamic import DynamicGraph
 from repro.resilience.chaos import reports_identical
 
@@ -365,19 +366,8 @@ class TestDirection:
         assert case_counts(reports)[2] >= 10
 
 
-@given(
-    seed=st.integers(0, 10_000),
-    backend=st.sampled_from(BACKENDS),
-    direction=st.sampled_from(["auto", "top-down", "bottom-up"]),
-    steps=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)),
-                   min_size=1, max_size=12),
-)
-def test_property_executor_matches_oracle(seed, backend, direction, steps):
-    """Any toggle sequence on a sparse random graph (so merges and
-    splits occur) gives bit-identical reports and state, in either
-    direction."""
-    graph = gen.erdos_renyi(30, 35, seed=seed)
-    fast, oracle = pair(graph, backend, num_sources=10, seed=seed)
+def toggles(graph, steps):
+    """Each ``(u, v)`` of *steps* as the op that toggles the edge."""
     ops = []
     present = {tuple(e) for e in graph.edge_list().tolist()}
     for u, v in steps:
@@ -390,8 +380,145 @@ def test_property_executor_matches_oracle(seed, backend, direction, steps):
         else:
             ops.append(("insert", u, v))
             present.add(key)
+    return ops
+
+
+#: toggle sequences on a 30-vertex sparse random graph (so merges and
+#: splits occur)
+TOGGLES = st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)),
+                   min_size=1, max_size=12)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    backend=st.sampled_from(BACKENDS),
+    direction=st.sampled_from(["auto", "top-down", "bottom-up"]),
+    steps=TOGGLES,
+)
+def test_property_executor_matches_oracle(seed, backend, direction, steps):
+    """Any toggle sequence on a sparse random graph (so merges and
+    splits occur) gives bit-identical reports and state, in either
+    direction."""
+    graph = gen.erdos_renyi(30, 35, seed=seed)
+    fast, oracle = pair(graph, backend, num_sources=10, seed=seed)
     with forced(direction):
-        assert_same(fast, oracle, ops)
+        assert_same(fast, oracle, toggles(graph, steps))
+
+
+# ----------------------------------------------------------------------
+# The write-set: tracked keys and shipped subsets
+# ----------------------------------------------------------------------
+def bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.int64)
+
+
+def check_shipped(batch, out, case3: bool) -> None:
+    """A batch's returned write-set against its final scratch: the keys
+    are the scratch's touched keys; σ ships exactly at the keys the σ or
+    pull stage reached, ``d`` exactly at the movers, and every value not
+    shipped equals the stored one."""
+    rows, _, nkeys, keys, ships, delta, sigma, d = out
+    n = batch.n
+    touched = np.flatnonzero(batch.Tf)
+    glob = batch.to_global(touched, None)
+    assert np.array_equal(rows, batch.rows)
+    assert np.array_equal(nkeys, np.bincount(touched // n, minlength=batch.m))
+    assert np.array_equal(keys, touched % n)
+    assert delta.size == keys.size
+    has_sigma = ships >= batched.SIGMA
+    has_d = ships == batched.MOVED
+    assert np.array_equal(has_sigma, batch.Tf[touched] == batched.DOWN)
+    assert np.array_equal(has_d, batch.MVf[touched] if case3
+                          else np.zeros(touched.size, dtype=bool))
+    sigma_hat = batch.SHf[touched]
+    new_d = batch.DNf[touched] if case3 else batch.Df[glob]
+    assert np.array_equal(bits(sigma_hat[~has_sigma]),
+                          bits(batch.Sf[glob][~has_sigma]))
+    assert np.array_equal(new_d[~has_d], batch.Df[glob][~has_d])
+    assert np.array_equal(bits(sigma), bits(sigma_hat[has_sigma]))
+    assert np.array_equal(d, new_d[has_d])
+
+
+def stamped(batch) -> int:
+    """Case-2 deletion rows whose ``u_high`` the removed-arc stamp
+    marked: ``UP``, with no touched key one level below it left to
+    reach it over an arc."""
+    count = 0
+    for b in range(batch.m):
+        T, D = batch.T[b], batch.D[batch.rows[b]]
+        uh = batch.uh[b]
+        heads = batch.cols[batch.offsets[uh]:batch.offsets[uh + 1]]
+        count += bool(T[uh] == batched.UP and not np.any(
+            (D[heads] == D[uh] + 1) & (T[heads] != batched.UNTOUCHED)))
+    return count
+
+
+def reverted(batch) -> int:
+    """Case-3 pull candidates the pull stage reverted: keys at the
+    next new level over an arc of a kept front, not kept themselves."""
+    count = 0
+    for b in range(batch.m):
+        T, DN = batch.T[b], batch.DN[b]
+        for x in np.flatnonzero(T == batched.DOWN).tolist():
+            heads = batch.cols[batch.offsets[x]:batch.offsets[x + 1]]
+            count += int(np.count_nonzero((DN[heads] == DN[x] + 1)
+                                          & (T[heads] != batched.DOWN)))
+    return count
+
+
+@contextlib.contextmanager
+def checked_write_sets(seen):
+    """Check every batch's tracked keys against a scan of its scratch
+    where they replace one (:meth:`_Batch.touched`, :meth:`_Batch.
+    movers`) and its write-set against its final scratch
+    (:func:`check_shipped`); count in *seen* the shapes met."""
+    Batch = batched._Batch
+    touched, movers = Batch.touched, Batch.movers
+    case2, case3, passes = Batch.case2, Batch.case3, Batch.passes
+
+    def checked_touched(self):
+        keys = touched(self)
+        assert np.array_equal(keys, np.flatnonzero(self.Tf))
+        seen["touched"] += 1
+        return keys
+
+    def checked_movers(self):
+        keys = movers(self)
+        assert np.array_equal(keys, np.flatnonzero(self.MVf))
+        seen["movers"] += 1
+        return keys
+
+    def counted_passes(self, keys, deg=None):
+        out = list(passes(self, keys, deg))
+        seen["split level"] += len(out) > 1
+        return iter(out)
+
+    def checked_case2(self, insert):
+        out = case2(self, insert)
+        check_shipped(self, out, case3=False)
+        seen["case2 insert" if insert else "case2 delete"] += 1
+        if not insert:
+            seen["stamp"] += stamped(self)
+        return out
+
+    def checked_case3(self):
+        out = case3(self)
+        check_shipped(self, out, case3=True)
+        stored = self.D[self.rows]
+        merged = stored == DIST_INF
+        seen["merge"] += int(np.count_nonzero(self.MV & merged))
+        seen["multi-level mover"] += int(np.count_nonzero(
+            self.MV & ~merged & (stored - self.DN >= 2)))
+        seen["reverted"] += reverted(self)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Batch, "touched", checked_touched)
+        mp.setattr(Batch, "movers", checked_movers)
+        mp.setattr(Batch, "passes", counted_passes)
+        mp.setattr(Batch, "case2", checked_case2)
+        mp.setattr(Batch, "case3", checked_case3)
+        yield
 
 
 def replay_pooled(backend="gpu-node"):
@@ -494,3 +621,89 @@ class TestPool:
             assert np.array_equal(getattr(engine.state, name),
                                   getattr(oracle.state, name)), name
         assert engine.counters == oracle.counters
+
+
+def wide_layers(width=4, depth=28):
+    """Source 0, then *depth* layers of *width* vertices, each joined
+    completely to the next, so σ grows *width*-fold a level: ``y``, the
+    last layer's first vertex, holds ``width ** (depth - 1)`` = 2**54
+    paths.  A leaf ``x`` hangs off ``y``, and a path ``q`` of
+    ``depth - 2`` vertices leaves the source.  Returns the graph and
+    the edge ``(q_end, x)``: inserting it moves ``x`` up two levels
+    with σ̂ = 1, and ``y``, its pull candidate a level below, pulls
+    2**54 + 1, which rounds to its stored σ — the pull stage reverts
+    it."""
+    layer = [list(range(1 + i * width, 1 + (i + 1) * width))
+             for i in range(depth)]
+    x = 1 + depth * width
+    q = list(range(x + 1, x + depth - 1))
+    edges = [(0, v) for v in layer[0]]
+    edges += [(a, b) for up, down in zip(layer, layer[1:])
+              for a in up for b in down]
+    edges += [(layer[-1][0], x)]
+    edges += list(zip([0] + q[:-1], q))
+    return CSRGraph.from_edges(q[-1] + 1, edges), (q[-1], x)
+
+
+#: the shapes :func:`checked_write_sets` counts, each of which the
+#: write-set checks must meet
+SHAPES = ("touched", "movers", "split level", "case2 insert",
+          "case2 delete", "stamp", "merge", "multi-level mover", "reverted")
+
+
+def write_set_scenarios():
+    """``(graph, sources, ops)`` meeting every shape in :data:`SHAPES`."""
+    wide, edge = wide_layers()
+    return [
+        (diamond(), [0, 5], [("delete", 1, 3), ("insert", 1, 3)]),
+        (CSRGraph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6),
+                                 (6, 7)]),
+         [0, 2, 4, 7], [("insert", 3, 4), ("delete", 3, 4)]),
+        (gen.path_graph(12), [0, 1, 11], [("insert", 0, 8), ("insert", 1, 5)]),
+        (wide, [0], [("insert", *edge)]),
+    ]
+
+
+@pytest.mark.parametrize("direction", ["top-down", "bottom-up"])
+def test_write_set_checks_meet_every_shape(direction, monkeypatch):
+    """The tracked keys equal the scans they replace and the shipped
+    subsets are exact on scenarios that meet every shape: Case-2
+    insertions and deletions with the removed-arc stamp, Case-3 merges,
+    multi-level movers and a reverted pull candidate, and levels split
+    into several passes, in either forced direction."""
+    seen = collections.Counter()
+    monkeypatch.setattr(batched, "PASS_ARCS", 7)
+    with forced(direction), checked_write_sets(seen):
+        for graph, sources, ops in write_set_scenarios():
+            assert_same(*pair(graph, sources=sources), ops)
+    assert all(seen[shape] for shape in SHAPES), seen
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    wide=st.booleans(),
+    direction=st.sampled_from(["top-down", "bottom-up"]),
+    budget=st.sampled_from([7, batched.PASS_ARCS]),
+    steps=TOGGLES,
+)
+def test_property_tracked_keys_and_shipped_subsets(seed, wide, direction,
+                                                    budget, steps):
+    """On random toggles — after the reverting insertion of
+    :func:`wide_layers` when *wide* — every tracked key list equals the
+    scan it replaces and every write-set ships σ and ``d`` exactly where
+    they may differ from the stored values, in either direction, with
+    levels split into several passes or not."""
+    seen = collections.Counter()
+    if wide:
+        graph, edge = wide_layers()
+        fast, oracle = pair(graph, sources=[0, 1 + seed % 100])
+        ops = [("insert", *edge)]
+    else:
+        graph = gen.erdos_renyi(30, 35, seed=seed)
+        fast, oracle = pair(graph, num_sources=6, seed=seed)
+        ops = []
+    with forced(direction), checked_write_sets(seen), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(batched, "PASS_ARCS", budget)
+        assert_same(fast, oracle, ops + toggles(graph, steps))
+    assert seen["reverted"] or not wide

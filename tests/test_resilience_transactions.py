@@ -117,36 +117,72 @@ class TestRepairSource:
         eng.verify()
 
 
+def insert_with_active_rows(engine, graph, count):
+    """An absent edge whose insertion has at least *count* active
+    (Case-2/3) rows on *engine*."""
+    from repro.bc.cases import Case, classify_insertions_batch
+
+    n = graph.num_vertices
+    return next(
+        (u, v) for u in range(n) for v in range(u + 1, n)
+        if not engine.graph.has_edge(u, v) and np.count_nonzero(
+            classify_insertions_batch(engine.state.d, u, v)[0]
+            != int(Case.SAME_LEVEL)) >= count)
+
+
 class TestExecutorSeam:
-    def test_fault_fires_with_earlier_rows_written(self, karate):
-        """The executor calls the seam before writing each active row,
-        so a fault after the first row leaves that row written; the
-        rollback must undo it."""
-        eng = DynamicBC.from_graph(karate, num_sources=8, seed=1)
-        before = snapshot_state(eng)
-        seen = []
-        original = eng._before_commit
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pooled"])
+    def test_fault_after_scatter_rolls_back(self, workers):
+        """The commit calls the seam for every active row, ascending,
+        then scatters the whole write-set at once.  A fault after the
+        scatter — every row written as a clean engine writes it — names
+        a committed row and rolls every written entry back, bit for
+        bit; the retried update equals a clean serial engine's."""
+        from repro.graph import generators as gen
+        from repro.parallel.shm import shm_available
+        from repro.resilience.chaos import reports_identical
 
-        def hook(i):
-            if seen:
-                first = seen[0]
-                # the first active row is already committed
-                assert not (
-                    np.array_equal(eng.state.sigma[first], before[2][first])
-                    and np.array_equal(eng.state.delta[first],
-                                       before[3][first])
-                )
-                raise FaultInjected("second row")
-            seen.append(i)
-            original(i)
+        if workers > 1 and not shm_available():
+            pytest.skip("POSIX shm unavailable")
+        graph = gen.erdos_renyi(60, 140, seed=7)
+        clean = DynamicBC.from_graph(graph, num_sources=12, seed=3)
+        with DynamicBC.from_graph(graph, num_sources=12, seed=3,
+                                  workers=workers) as eng:
+            assert eng.health_report()["pool_backend"] == (
+                "processes" if workers > 1 else "serial")
+            u, v = insert_with_active_rows(eng, graph, 4)
+            expected = clean.insert_edge(u, v)
+            before = snapshot_state(eng)
+            seen = []
+            seam, commit = eng._before_commit, eng._commit
 
-        eng._before_commit = hook
-        with pytest.raises(UpdateError) as info:
-            eng.insert_edge(0, 9)
-        assert isinstance(info.value.cause, FaultInjected)
-        assert len(seen) == 1
-        assert_state_equal(eng, before)
-        eng.verify()
+            def counting_seam(i):
+                seen.append(i)
+                seam(i)
+
+            def failing_commit(res):
+                commit(res)
+                for name in ("d", "sigma", "delta", "bc"):
+                    assert np.array_equal(getattr(eng.state, name),
+                                          getattr(clean.state, name)), name
+                raise FaultInjected("after the scatter")
+
+            eng._before_commit, eng._commit = counting_seam, failing_commit
+            with pytest.raises(UpdateError) as info:
+                eng.insert_edge(u, v)
+            del eng._before_commit, eng._commit
+            assert isinstance(info.value.cause, FaultInjected)
+            assert info.value.rolled_back
+            assert len(seen) >= 4 and seen == sorted(set(seen))
+            assert info.value.source_index == seen[-1]
+            assert_state_equal(eng, before)
+
+            retried = eng.insert_edge(u, v)
+            assert reports_identical(retried, expected)
+            for name in ("d", "sigma", "delta", "bc"):
+                assert np.array_equal(getattr(eng.state, name),
+                                      getattr(clean.state, name)), name
+            assert eng.counters == clean.counters
 
 
 class TestSaveRows:
@@ -188,7 +224,6 @@ class TestPooledCommit:
     rolls back like any other."""
 
     def test_fault_at_third_committed_row_rolls_back(self):
-        from repro.bc.cases import Case, classify_insertions_batch
         from repro.graph import generators as gen
         from repro.parallel.shm import shm_available
         from repro.resilience.chaos import reports_identical
@@ -200,11 +235,7 @@ class TestPooledCommit:
         with DynamicBC.from_graph(graph, num_sources=12, seed=3,
                                   workers=2) as par:
             assert par.health_report()["pool_backend"] == "processes"
-            u, v = next(
-                (u, v) for u in range(60) for v in range(u + 1, 60)
-                if not par.graph.has_edge(u, v) and np.count_nonzero(
-                    classify_insertions_batch(par.state.d, u, v)[0]
-                    != int(Case.SAME_LEVEL)) >= 4)
+            u, v = insert_with_active_rows(par, graph, 4)
             before = snapshot_state(par)
             seen = []
             original = par._before_commit

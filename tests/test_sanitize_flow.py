@@ -823,6 +823,46 @@ class TestF104:
         assert codes_of(report) == ["F104", "R002"]
         assert "SeedSequence" in report.findings[0].message
 
+    @pytest.mark.parametrize("header", [
+        ["for node in frontier:", "if node:"],
+        ["with lock:", "for node in frontier:", "if node:"],
+        ["try:", "while frontier:"],
+    ])
+    def test_nested_sink_fires_once(self, header):
+        """A sink under several enclosing statements is one finding,
+        not one per enclosing statement."""
+        body = "".join(f"{'    ' * (1 + depth)}{line}\n"
+                       for depth, line in enumerate(header))
+        tail = "    except ValueError:\n        pass\n" if "try:" in header \
+            else ""
+        source = (
+            "import time\n"
+            "\n"
+            "def relax(frontier, acc, lock):\n"
+            "    dt = time.perf_counter()\n"
+            + body
+            + f"{'    ' * (1 + len(header))}acc.charge_edges(dt)\n"
+            + tail
+        )
+        assert codes_of(analyze_one(KERNEL_PATH, source), "F") == ["F104"]
+
+    @pytest.mark.parametrize("loop", [False, True])
+    def test_sink_in_nested_def_fires_once(self, loop):
+        """A nested function's sink that uses the enclosing function's
+        tainted name still fires, once, inside a loop or not."""
+        pad = "    " * (1 + loop)
+        source = (
+            "import time\n"
+            "\n"
+            "def relax(frontier, acc):\n"
+            "    dt = time.perf_counter()\n"
+            + ("    for node in frontier:\n" if loop else "")
+            + f"{pad}def charge():\n"
+            f"{pad}    acc.charge_edges(dt)\n"
+            f"{pad}charge()\n"
+        )
+        assert codes_of(analyze_one(KERNEL_PATH, source), "F") == ["F104"]
+
     def test_interprocedural_taint_summary(self):
         source = (
             "import time\n"
